@@ -61,14 +61,8 @@ from .symbolic import (
     triangular_word,
 )
 from .presentation import check_relations, pbw_family, pbw_monomial
-from .specialize import (
-    CycloSchurElement,
-    CycloTruncatedElement,
-    bk_independence,
-    check_torus_power_trivial,
-    specialize,
-)
-from .linalg import cyclo_rank, flatten_family, independence_verdict
+from .specialize import bk_independence, check_torus_power_trivial, specialize
+from .linalg import exact_rank, flatten_family, independence_verdict
 from .config import RunConfig
 from .suites import SUITE_NAMES, run_suite
 
@@ -123,14 +117,12 @@ __all__ = [
     "check_relations",
     "pbw_family",
     "pbw_monomial",
-    "CycloSchurElement",
-    "CycloTruncatedElement",
     "specialize",
     "check_torus_power_trivial",
     "bk_independence",
     "flatten_family",
     "independence_verdict",
-    "cyclo_rank",
+    "exact_rank",
     "RunConfig",
     "SUITE_NAMES",
     "run_suite",

@@ -36,38 +36,39 @@ EXIT_DIMENSION = 3
 EXIT_CAP = 4
 
 
+def _is_int(x) -> bool:
+    # JSON integers only: bool is an int subclass, and floats or strings
+    # must not be coerced
+    return type(x) is int
+
+
 def _coeff_from_json(obj) -> LaurentPoly:
-    if isinstance(obj, int):
+    if _is_int(obj):
         return LaurentPoly.from_int(obj)
-    if isinstance(obj, list):
-        try:
-            return LaurentPoly.from_pairs([(int(e), int(c)) for e, c in obj])
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad coefficient: {obj!r}") from exc
+    if isinstance(obj, list) and all(
+        isinstance(p, list) and len(p) == 2 and all(map(_is_int, p)) for p in obj
+    ):
+        return LaurentPoly.from_pairs(obj)
     raise ParseError(f"bad coefficient: {obj!r}")
 
 
 def _matrix_from_json(obj) -> tuple[tuple[int, ...], ...]:
     if not isinstance(obj, list) or not obj:
         raise ParseError("matrix must be a nonempty list of rows")
-    rows = []
     for row in obj:
         if not isinstance(row, list) or len(row) != len(obj):
             raise ParseError("matrix must be square")
-        try:
-            rows.append(tuple(int(x) for x in row))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad matrix row: {row!r}") from exc
-    return tuple(rows)
+        if not all(map(_is_int, row)):
+            raise ParseError(f"bad matrix row: {row!r}")
+    return tuple(tuple(row) for row in obj)
 
 
 def _vector_from_json(obj, n: int) -> tuple[int, ...]:
     if not isinstance(obj, list) or len(obj) != n:
         raise ParseError(f"vector must be a list of length {n}")
-    try:
-        return tuple(int(x) for x in obj)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad vector: {obj!r}") from exc
+    if not all(map(_is_int, obj)):
+        raise ParseError(f"bad vector: {obj!r}")
+    return tuple(obj)
 
 
 def parse_element(text: str):
@@ -84,7 +85,9 @@ def parse_element(text: str):
                             "lambda": [1,0], "coeff": [[2, 1]]}]}
 
     Coefficients are integers or lists of [exponent, coefficient]
-    pairs.  The result is a SchurElement or a SymbolicElement.
+    pairs.  Every number must be a JSON integer; floats, strings and
+    booleans are rejected, never coerced.  The result is a
+    SchurElement or a SymbolicElement.
     """
     try:
         obj = json.loads(text)
@@ -92,10 +95,9 @@ def parse_element(text: str):
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "terms" not in obj or "n" not in obj:
         raise ParseError("element must be an object with 'n' and 'terms'")
-    try:
-        n = int(obj["n"])
-    except (TypeError, ValueError) as exc:
-        raise ParseError("'n' must be an integer") from exc
+    n = obj["n"]
+    if not _is_int(n):
+        raise ParseError("'n' must be an integer")
     if n < 2:
         raise ParseError("'n' must be at least 2")
     terms = obj["terms"]
@@ -103,10 +105,9 @@ def parse_element(text: str):
         raise ParseError("'terms' must be a list")
 
     if "r" in obj:
-        try:
-            r = int(obj["r"])
-        except (TypeError, ValueError) as exc:
-            raise ParseError("'r' must be an integer") from exc
+        r = obj["r"]
+        if not _is_int(r):
+            raise ParseError("'r' must be an integer")
         if r < 0:
             raise ParseError("'r' must be nonnegative")
         el = SchurElement.zero(n, r)
@@ -192,8 +193,8 @@ def _cmd_multiply(args, started: float) -> int:
         return EXIT_OK
     if args.rmax is None:
         raise ParseError("--rmax is required for symbolic elements")
-    lt = left.realize_truncated(args.rmax, args.oracle_cap)
-    rt = right.realize_truncated(args.rmax, args.oracle_cap)
+    lt = left.realize_truncated(args.rmax)
+    rt = right.realize_truncated(args.rmax)
     out = {"n": left.n, "r_max": args.rmax, "engines": {}}
     if args.mode in ("formula", "both"):
         prod = lt.multiply(rt, cap=args.oracle_cap, engine="fast")
@@ -217,7 +218,7 @@ def _cmd_expand(args, started: float) -> int:
         el = delta_reduce(el)
     out: dict = {"n": el.n, "symbolic": el.to_json_obj()}
     if args.rmax is not None:
-        real = el.realize_truncated(args.rmax, args.oracle_cap)
+        real = el.realize_truncated(args.rmax)
         out["r_max"] = args.rmax
         out["realization"] = real.to_json_obj()
     _emit(

@@ -126,10 +126,13 @@ class CycloScalar:
     def __neg__(self) -> "CycloScalar":
         return CycloScalar._raw(self.l, tuple(-a for a in self.coeffs))
 
-    def __mul__(self, other: "CycloScalar | Fraction | int") -> "CycloScalar":
+    def __mul__(self, other: "CycloScalar | LaurentPoly | Fraction | int") -> "CycloScalar":
         if isinstance(other, (int, Fraction)):
             f = Fraction(other)
             return CycloScalar._raw(self.l, tuple(a * f for a in self.coeffs))
+        if isinstance(other, LaurentPoly):
+            # the ring map Z[v, v^-1] -> Q(eps) that sends v to eps
+            other = eval_at_root(other, self.l)
         self._check(other)
         deg = len(self.coeffs)
         conv = [Fraction(0)] * (2 * deg - 1)

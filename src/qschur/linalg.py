@@ -11,6 +11,8 @@ substitution.  The degree bound is deepened until the two certificates
 meet: the best evaluation rank from below, the kernel dimension from
 above.  Deepening is complete once the bound reaches the total degree
 spread of the rows, the degree any minor of the matrix can reach.
+The same elimination ranks rows over a cyclotomic field, where the
+specialized families live.
 """
 
 from __future__ import annotations
@@ -20,15 +22,13 @@ from math import gcd
 
 from .errors import ConsistencyError
 from .laurent import LaurentPoly, ZERO
-from .cyclo import CycloScalar
 
 __all__ = [
     "flatten_family",
     "rank_at_point",
     "poly_kernel",
     "independence_verdict",
-    "cyclo_rank",
-    "cyclo_independent",
+    "exact_rank",
 ]
 
 DEFAULT_POINTS = (Fraction(2), Fraction(3), Fraction(5), Fraction(7))
@@ -53,14 +53,15 @@ def flatten_family(elements) -> tuple[list[SparseRow], int]:
     return rows, len(index)
 
 
-def _fraction_eliminate(
-    rows: list[FractionRow], want_kernel: bool
+def _eliminate(
+    rows: list[dict], want_kernel: bool = False
 ) -> tuple[int, list[list[Fraction]]]:
-    """Gaussian elimination over the rationals on sparse rows.  With
-    want_kernel, every row that reduces to zero is reported as a
+    """Gaussian elimination on sparse rows over an exact field (the
+    rationals, or a cyclotomic field).  With want_kernel, which needs
+    rational rows, every row that reduces to zero is reported as a
     combination of the original rows (a left kernel basis)."""
     m = len(rows)
-    pivots: dict[int, tuple[FractionRow, list[Fraction]]] = {}
+    pivots: dict[int, tuple[dict, list[Fraction]]] = {}
     kernel: list[list[Fraction]] = []
     for i, row in enumerate(rows):
         cur = {c: val for c, val in row.items() if val}
@@ -78,7 +79,8 @@ def _fraction_eliminate(
             for c, val in prow.items():
                 if c == col:
                     continue
-                s = nxt.get(c, Fraction(0)) - factor * val
+                s = nxt.get(c)
+                s = -(factor * val) if s is None else s - factor * val
                 if s:
                     nxt[c] = s
                 else:
@@ -91,6 +93,11 @@ def _fraction_eliminate(
     return len(pivots), kernel
 
 
+def exact_rank(rows: list[dict]) -> int:
+    """Rank of sparse rows over an exact field, by direct elimination."""
+    return _eliminate(rows)[0]
+
+
 def _eval_rows(rows: list[SparseRow], x: Fraction) -> list[FractionRow]:
     return [
         {col: val for col, p in row.items() if (val := p.evaluate(x))}
@@ -99,8 +106,7 @@ def _eval_rows(rows: list[SparseRow], x: Fraction) -> list[FractionRow]:
 
 
 def rank_at_point(rows: list[SparseRow], x: Fraction) -> int:
-    rank, _ = _fraction_eliminate(_eval_rows(rows, x), want_kernel=False)
-    return rank
+    return exact_rank(_eval_rows(rows, x))
 
 
 def _verify_kernel(rows: list[SparseRow], combo: list[LaurentPoly]) -> bool:
@@ -162,7 +168,7 @@ def poly_kernel(rows: list[SparseRow], depth: int) -> list[list[LaurentPoly]]:
                     eq = eq_index.setdefault((col, e + d), len(eq_index))
                     entries[eq] = entries.get(eq, Fraction(0)) + a
             unknown_rows.append(entries)
-    _, kernel = _fraction_eliminate(unknown_rows, want_kernel=True)
+    _, kernel = _eliminate(unknown_rows, want_kernel=True)
     out = []
     for combo in kernel:
         polys = _normalize_combo(combo, m, depth)
@@ -233,37 +239,3 @@ def independence_verdict(rows: list[SparseRow], points=DEFAULT_POINTS) -> dict:
         "rank deficit under evaluation but no bounded degree kernel "
         "closed the gap; more evaluation points are needed"
     )
-
-
-# -- the same machinery over a cyclotomic field ------------------------------
-
-
-def cyclo_rank(rows: list[dict[int, CycloScalar]]) -> int:
-    """Rank by direct elimination; the cyclotomic scalars form a field
-    for odd order, so ordinary division is available and exact."""
-    pivots: dict[int, dict[int, CycloScalar]] = {}
-    for row in rows:
-        cur = {c: v for c, v in row.items() if not v.is_zero()}
-        while cur:
-            col = min(cur)
-            if col not in pivots:
-                pivots[col] = cur
-                break
-            prow = pivots[col]
-            factor = cur[col] * prow[col].inv()
-            nxt = {c: val for c, val in cur.items() if c != col}
-            for c, val in prow.items():
-                if c == col:
-                    continue
-                s = nxt.get(c, None)
-                s = (s - factor * val) if s is not None else -(factor * val)
-                if s.is_zero():
-                    nxt.pop(c, None)
-                else:
-                    nxt[c] = s
-            cur = nxt
-    return len(pivots)
-
-
-def cyclo_independent(rows: list[dict[int, CycloScalar]]) -> bool:
-    return cyclo_rank(rows) == len(rows)

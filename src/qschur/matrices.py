@@ -17,7 +17,6 @@ from .vectors import IntVector, compositions
 
 __all__ = [
     "Matrix",
-    "make_matrix",
     "zero_matrix",
     "diag_matrix",
     "entry_matrix",
@@ -31,6 +30,7 @@ __all__ = [
     "add_to_entry",
     "add_diag",
     "off_diagonal",
+    "rev",
     "split_triangular",
     "theta_matrices",
     "theta_pm",
@@ -39,14 +39,6 @@ __all__ = [
 ]
 
 Matrix = tuple[tuple[int, ...], ...]
-
-
-def make_matrix(rows: list[list[int]] | Matrix) -> Matrix:
-    m = tuple(tuple(int(x) for x in row) for row in rows)
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise DimensionMismatch("matrix must be square")
-    return m
 
 
 def zero_matrix(n: int) -> Matrix:
@@ -120,6 +112,11 @@ def off_diagonal(a: Matrix) -> Matrix:
     return tuple(
         tuple(0 if i == j else x for j, x in enumerate(row)) for i, row in enumerate(a)
     )
+
+
+def rev(a: Matrix) -> Matrix:
+    """Reverse both the row and the column order (a 180-degree turn)."""
+    return tuple(row[::-1] for row in a[::-1])
 
 
 def split_triangular(a: Matrix) -> tuple[Matrix, Matrix]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple, Union
 
 from .errors import DimensionMismatch, DomainError
+from .hecke import DEFAULT_ORACLE_CAP
 from .laurent import LaurentPoly, V, VINV, v_power, balanced_binomial
 from .vectors import IntVector, compositions, unit_vector, boxes
 from .matrices import (
@@ -109,7 +110,7 @@ def generator_element(sym: GeneratorSymbol, n: int) -> SymbolicElement:
 
 
 def realize_word(
-    word: GeneratorWord, n: int, r_max: int, cap: int | None = None
+    word: GeneratorWord, n: int, r_max: int, cap: int = DEFAULT_ORACLE_CAP
 ) -> TruncatedElement:
     """Image of a generator word in the truncated algebra sum.
 
@@ -119,7 +120,7 @@ def realize_word(
     """
     acc = TruncatedElement.unit(n, r_max)
     for sym in reversed(word):
-        gen = generator_element(sym, n).realize_truncated(r_max, cap)
+        gen = generator_element(sym, n).realize_truncated(r_max)
         acc = gen.multiply(acc, cap=cap)
     return acc
 
@@ -132,7 +133,7 @@ def _relation_instance(name: str, i: int, j: int, ok: bool) -> dict:
     return {"relation": name, "i": i, "j": j, "ok": ok}
 
 
-def check_relations(n: int, r_max: int, cap: int | None = None) -> dict:
+def check_relations(n: int, r_max: int, cap: int = DEFAULT_ORACLE_CAP) -> dict:
     """Verify the defining relations of the presentation degree by
     degree up to r_max.  Returns a report with one entry per checked
     instance; the commutator relation divides by (v - v^{-1}) exactly
@@ -262,7 +263,7 @@ def pbw_word(idx: PBWIndex) -> GeneratorWord:
 
 
 def pbw_monomial(
-    idx: PBWIndex, r_max: int, cap: int | None = None
+    idx: PBWIndex, r_max: int, cap: int = DEFAULT_ORACLE_CAP
 ) -> TruncatedElement:
     return realize_word(pbw_word(idx), len(idx.matrix), r_max, cap)
 

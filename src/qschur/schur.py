@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 
-from .errors import DimensionMismatch, DomainError, ResourceLimit
+from .errors import DimensionMismatch, DomainError
 from .hecke import DEFAULT_ORACLE_CAP, oracle_product
 from .laurent import ONE, ZERO, LaurentPoly, unbalanced_binomial, v_power, vector_binomial
 from .matrices import (
@@ -31,9 +31,8 @@ from .matrices import (
     entry_sum,
     is_diagonal,
     is_nonnegative,
-    make_matrix,
+    rev,
     ro,
-    zero_matrix,
 )
 from .vectors import IntVector, compositions, compositions_capped, dot
 
@@ -106,7 +105,7 @@ class SchurElement:
             c = LaurentPoly.from_int(c)
         res = SchurElement(self.n, self.r)
         if not c.is_zero():
-            res.terms = {a: c * x for a, x in self.terms.items()}
+            res.terms = {a: x * c for a, x in self.terms.items()}
         return res
 
     def add_into(self, a: Matrix, c: LaurentPoly) -> None:
@@ -143,26 +142,6 @@ class SchurElement:
                 for a, x in self.sorted_terms()
             ],
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "SchurElement":
-        try:
-            n = int(obj["n"])
-            r = int(obj["r"])
-            items = obj["terms"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"malformed element object: {exc}") from None
-        out = cls(n, r)
-        for item in items:
-            a = make_matrix(item["matrix"])
-            if len(a) != n:
-                raise DimensionMismatch("matrix size disagrees with n")
-            if entry_sum(a) != r:
-                raise DimensionMismatch("matrix degree disagrees with r")
-            if not is_nonnegative(a):
-                raise DomainError("basis matrices must be nonnegative")
-            out.add_into(a, LaurentPoly.from_pairs((int(e), int(c)) for e, c in item["coeff"]))
-        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), separators=(", ", ": "))
@@ -238,35 +217,19 @@ def multiply_raising(h: int, m: int, a: Matrix) -> SchurElement:
 
 @lru_cache(maxsize=1 << 18)
 def multiply_lowering(h: int, m: int, a: Matrix) -> SchurElement:
-    """Mirror of `multiply_raising`: moves m units from row h to row h+1."""
+    """Mirror of `multiply_raising`: moves m units from row h to row h+1.
+
+    Reversing the row and column order of every matrix turns this move
+    into the raising move on rows n-h and n-h+1, so the product is the
+    reversed image of that raising product.
+    """
     n = len(a)
     if not 1 <= h <= n - 1:
         raise DomainError(f"row index {h} out of range")
-    lam = ro(a)
-    if not 0 <= m <= lam[h - 1]:
+    if not 0 <= m <= ro(a)[h - 1]:
         raise DomainError("transfer amount exceeds the available row sum")
-    hi = h - 1
-    row_top = a[hi]
-    row_bot = a[hi + 1]
-    out = SchurElement(n, entry_sum(a))
-    for t in compositions_capped(n, m, tuple(row_top)):
-        exp = 0
-        for u in range(n):
-            tu = t[u]
-            if tu:
-                exp += tu * sum(row_bot[: u + 1]) - tu * sum(row_top[:u])
-                for u2 in range(u + 1, n):
-                    exp += tu * t[u2]
-        coeff = v_power(exp)
-        for u in range(n):
-            if t[u]:
-                coeff = coeff * unbalanced_binomial(row_bot[u] + t[u], t[u]).bar()
-        rows = [list(row) for row in a]
-        for u in range(n):
-            rows[hi][u] -= t[u]
-            rows[hi + 1][u] += t[u]
-        out.add_into(tuple(tuple(row) for row in rows), coeff)
-    return out
+    mirror = multiply_raising.__wrapped__(n - h, m, rev(a))
+    return SchurElement(n, mirror.r, {rev(b): c for b, c in mirror.terms.items()})
 
 
 def diag_mult(lam: IntVector, a: Matrix, side: str = "left") -> SchurElement:

@@ -12,19 +12,16 @@ independence witness.
 
 from __future__ import annotations
 
-from .errors import DimensionMismatch, DomainError
-from .cyclo import CycloScalar, eval_at_root
+from .errors import DomainError
+from .cyclo import eval_at_root
 from .vectors import IntVector, unit_vector, compositions
 from .matrices import Matrix, theta_pm, entry_sum, zero_matrix
 from .hecke import DEFAULT_ORACLE_CAP
-from .schur import SchurElement, basis_product
+from .schur import SchurElement
 from .symbolic import SymbolicElement, TruncatedElement
 from . import linalg
 
 __all__ = [
-    "CycloSchurElement",
-    "CycloTruncatedElement",
-    "specialize_schur",
     "specialize",
     "check_torus_power_trivial",
     "bk_indices",
@@ -38,198 +35,22 @@ def _require_odd(l: int) -> None:
         raise DomainError(f"specialization order must be odd and positive, got {l}")
 
 
-class CycloSchurElement:
-    """Element of the finite-rank algebra with coefficients in the
-    cyclotomic field of order l."""
-
-    __slots__ = ("n", "r", "l", "terms")
-
-    def __init__(self, n: int, r: int, l: int, terms: dict[Matrix, CycloScalar]):
-        _require_odd(l)
-        self.n = n
-        self.r = r
-        self.l = l
-        self.terms = {a: c for a, c in terms.items() if not c.is_zero()}
-
-    @classmethod
-    def zero(cls, n: int, r: int, l: int) -> "CycloSchurElement":
-        return cls(n, r, l, {})
-
-    def _check(self, other: "CycloSchurElement") -> None:
-        if (self.n, self.r, self.l) != (other.n, other.r, other.l):
-            raise DimensionMismatch("mixed cyclotomic element parameters")
-
-    def __add__(self, other: "CycloSchurElement") -> "CycloSchurElement":
-        self._check(other)
-        terms = dict(self.terms)
-        for a, c in other.terms.items():
-            s = terms.get(a)
-            terms[a] = c if s is None else s + c
-        return CycloSchurElement(self.n, self.r, self.l, terms)
-
-    def __sub__(self, other: "CycloSchurElement") -> "CycloSchurElement":
-        self._check(other)
-        terms = dict(self.terms)
-        for a, c in other.terms.items():
-            s = terms.get(a)
-            terms[a] = -c if s is None else s - c
-        return CycloSchurElement(self.n, self.r, self.l, terms)
-
-    def scale(self, c: CycloScalar) -> "CycloSchurElement":
-        return CycloSchurElement(
-            self.n, self.r, self.l, {a: x * c for a, x in self.terms.items()}
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CycloSchurElement):
-            return NotImplemented
-        return (self.n, self.r, self.l) == (other.n, other.r, other.l) and (
-            self.terms == other.terms
-        )
-
-    def multiply(
-        self, other: "CycloSchurElement", cap: int = DEFAULT_ORACLE_CAP
-    ) -> "CycloSchurElement":
-        """Product through the integral structure constants: basis
-        products are computed over the Laurent ring and their
-        coefficients evaluated at the root of unity."""
-        self._check(other)
-        out: dict[Matrix, CycloScalar] = {}
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                scale = ca * cb
-                for m, coeff in basis_product(a, b, cap).terms.items():
-                    add = eval_at_root(coeff, self.l) * scale
-                    s = out.get(m)
-                    s = add if s is None else s + add
-                    if s.is_zero():
-                        out.pop(m, None)
-                    else:
-                        out[m] = s
-        return CycloSchurElement(self.n, self.r, self.l, out)
-
-    def to_json_obj(self) -> dict:
-        terms = sorted(self.terms.items())
-        return {
-            "n": self.n,
-            "r": self.r,
-            "l": self.l,
-            "terms": [
-                {"matrix": [list(row) for row in a], "coeff": c.to_strings()}
-                for a, c in terms
-            ],
-        }
-
-    def __repr__(self) -> str:
-        return f"CycloSchurElement(n={self.n}, r={self.r}, l={self.l}, {len(self.terms)} terms)"
-
-
-class CycloTruncatedElement:
-    """Tuple of cyclotomic components for every degree up to r_max."""
-
-    __slots__ = ("n", "r_max", "l", "components")
-
-    def __init__(
-        self, n: int, r_max: int, l: int, components: tuple[CycloSchurElement, ...]
-    ):
-        _require_odd(l)
-        if len(components) != r_max + 1:
-            raise DimensionMismatch("need one component per degree")
-        self.n = n
-        self.r_max = r_max
-        self.l = l
-        self.components = components
-
-    @classmethod
-    def zero(cls, n: int, r_max: int, l: int) -> "CycloTruncatedElement":
-        return cls(
-            n, r_max, l,
-            tuple(CycloSchurElement.zero(n, r, l) for r in range(r_max + 1)),
-        )
-
-    def _check(self, other: "CycloTruncatedElement") -> None:
-        if (self.n, self.r_max, self.l) != (other.n, other.r_max, other.l):
-            raise DimensionMismatch("mixed cyclotomic element parameters")
-
-    def __add__(self, other: "CycloTruncatedElement") -> "CycloTruncatedElement":
-        self._check(other)
-        return CycloTruncatedElement(
-            self.n, self.r_max, self.l,
-            tuple(a + b for a, b in zip(self.components, other.components)),
-        )
-
-    def __sub__(self, other: "CycloTruncatedElement") -> "CycloTruncatedElement":
-        self._check(other)
-        return CycloTruncatedElement(
-            self.n, self.r_max, self.l,
-            tuple(a - b for a, b in zip(self.components, other.components)),
-        )
-
-    def scale(self, c: CycloScalar) -> "CycloTruncatedElement":
-        return CycloTruncatedElement(
-            self.n, self.r_max, self.l,
-            tuple(comp.scale(c) for comp in self.components),
-        )
-
-    def multiply(
-        self, other: "CycloTruncatedElement", cap: int = DEFAULT_ORACLE_CAP
-    ) -> "CycloTruncatedElement":
-        self._check(other)
-        return CycloTruncatedElement(
-            self.n, self.r_max, self.l,
-            tuple(
-                a.multiply(b, cap) for a, b in zip(self.components, other.components)
-            ),
-        )
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CycloTruncatedElement):
-            return NotImplemented
-        return (self.n, self.r_max, self.l) == (
-            other.n, other.r_max, other.l,
-        ) and self.components == other.components
-
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "r_max": self.r_max,
-            "l": self.l,
-            "components": [c.to_json_obj() for c in self.components],
-        }
-
-    def __repr__(self) -> str:
-        return f"CycloTruncatedElement(n={self.n}, r_max={self.r_max}, l={self.l})"
-
-
-def specialize_schur(el: SchurElement, l: int) -> CycloSchurElement:
-    _require_odd(l)
-    return CycloSchurElement(
-        el.n, el.r, l, {a: eval_at_root(c, l) for a, c in el.terms.items()}
-    )
-
-
-def specialize(x: TruncatedElement, l: int) -> CycloTruncatedElement:
+def specialize(x: TruncatedElement, l: int) -> TruncatedElement:
     """Coefficientwise evaluation of a truncated element at the
-    primitive root of unity of odd order l."""
+    primitive root of unity of odd order l: the same element type,
+    with `CycloScalar` coefficients."""
     _require_odd(l)
-    return CycloTruncatedElement(
-        x.n, x.r_max, l, tuple(specialize_schur(c, l) for c in x.components)
+    return TruncatedElement(
+        x.n,
+        x.r_max,
+        tuple(
+            SchurElement(c.n, c.r, {a: eval_at_root(p, l) for a, p in c.terms.items()})
+            for c in x.components
+        ),
     )
 
 
-def cyclo_unit(n: int, r_max: int, l: int) -> CycloTruncatedElement:
-    return specialize(TruncatedElement.unit(n, r_max), l)
-
-
-def check_torus_power_trivial(
-    i: int, l: int, n: int, r_max: int, cap: int = DEFAULT_ORACLE_CAP
-) -> dict:
+def check_torus_power_trivial(i: int, l: int, n: int, r_max: int) -> dict:
     """The l-th power of an invertible torus generator specializes to
     the unit: its image is the diagonal sum with coefficients at v
     exponents l*mu_i, all of which evaluate to 1."""
@@ -237,10 +58,8 @@ def check_torus_power_trivial(
     if not 1 <= i <= n:
         raise DomainError(f"torus index {i} out of range for n={n}")
     delta = tuple(l * e for e in unit_vector(n, i))
-    power = SymbolicElement.gen(zero_matrix(n), delta, (0,) * n).realize_truncated(
-        r_max, cap
-    )
-    ok = specialize(power, l) == cyclo_unit(n, r_max, l)
+    power = SymbolicElement.gen(zero_matrix(n), delta, (0,) * n).realize_truncated(r_max)
+    ok = specialize(power, l) == specialize(TruncatedElement.unit(n, r_max), l)
     return {"i": i, "l": l, "n": n, "r_max": r_max, "ok": ok}
 
 
@@ -256,32 +75,19 @@ def bk_indices(n: int, bound: int) -> list[tuple[Matrix, IntVector]]:
 
 def bk_member(
     a: Matrix, lam: IntVector, l: int, r_max: int, cap: int = DEFAULT_ORACLE_CAP
-) -> CycloTruncatedElement:
+) -> TruncatedElement:
     """Specialized product of a matrix element with zero torus part and
     the torus element with opposite exponent and binomial vector lam."""
     n = len(a)
-    left = SymbolicElement.gen(a, (0,) * n, (0,) * n).realize_truncated(r_max, cap)
+    left = SymbolicElement.gen(a, (0,) * n, (0,) * n).realize_truncated(r_max)
     neg = tuple(-x for x in lam)
-    right = SymbolicElement.gen(zero_matrix(n), neg, lam).realize_truncated(r_max, cap)
+    right = SymbolicElement.gen(zero_matrix(n), neg, lam).realize_truncated(r_max)
     return specialize(left.multiply(right, cap=cap), l)
-
-
-def _flatten_cyclo(elements: list[CycloTruncatedElement]):
-    index: dict[tuple[int, Matrix], int] = {}
-    rows = []
-    for el in elements:
-        row: dict[int, CycloScalar] = {}
-        for comp in el.components:
-            for a, c in comp.terms.items():
-                col = index.setdefault((comp.r, a), len(index))
-                row[col] = c
-        rows.append(row)
-    return rows, len(index)
 
 
 def bk_family(
     n: int, bound: int, l: int, r_max: int, cap: int = DEFAULT_ORACLE_CAP
-) -> list[CycloTruncatedElement]:
+) -> list[TruncatedElement]:
     return [bk_member(a, lam, l, r_max, cap) for a, lam in bk_indices(n, bound)]
 
 
@@ -294,8 +100,8 @@ def bk_independence(
     statement at this scale, not a proof of it.
     """
     family = bk_family(n, bound, l, r_max, cap)
-    rows, cols = _flatten_cyclo(family)
-    rank = linalg.cyclo_rank(rows)
+    rows, cols = linalg.flatten_family(family)
+    rank = linalg.exact_rank(rows)
     return {
         "n": n,
         "bound": bound,

@@ -332,13 +332,11 @@ def _check_formula1(cfg: RunConfig, inst, corrupt: bool = False, engine: str = "
     n = len(gamma)
     r_max = cfg.resolve_r_max(4)
     x = SymbolicElement.gen(a, delta, lam)
-    got = torus_mult(gamma, mu, x).realize_truncated(r_max, cfg.oracle_cap)
+    got = torus_mult(gamma, mu, x).realize_truncated(r_max)
     if corrupt:
         got = got + TruncatedElement.unit(n, r_max)
-    left = SymbolicElement.gen(zero_matrix(n), gamma, mu).realize_truncated(
-        r_max, cfg.oracle_cap
-    )
-    right = x.realize_truncated(r_max, cfg.oracle_cap)
+    left = SymbolicElement.gen(zero_matrix(n), gamma, mu).realize_truncated(r_max)
+    right = x.realize_truncated(r_max)
     want = left.multiply(right, cap=cfg.oracle_cap, engine=engine)
     if got != want:
         return {
@@ -408,14 +406,12 @@ def _check_formula2(cfg: RunConfig, inst, corrupt: bool = False, engine: str = "
     else:
         sym = lowering_mult(m, h, x)
         gen_matrix = add_to_entry(zero_matrix(n), h + 1, h, m)
-    got = sym.realize_truncated(r_max, cfg.oracle_cap)
+    got = sym.realize_truncated(r_max)
     if corrupt:
         got = got + TruncatedElement.unit(n, r_max)
     zero_vec = (0,) * n
-    left = SymbolicElement.gen(gen_matrix, zero_vec, zero_vec).realize_truncated(
-        r_max, cfg.oracle_cap
-    )
-    right = x.realize_truncated(r_max, cfg.oracle_cap)
+    left = SymbolicElement.gen(gen_matrix, zero_vec, zero_vec).realize_truncated(r_max)
+    right = x.realize_truncated(r_max)
     want = left.multiply(right, cap=cfg.oracle_cap, engine=engine)
     if got != want:
         return {
@@ -622,7 +618,7 @@ def run_triangular(cfg: RunConfig) -> dict:
         if entry_sum(a) == 0:
             continue
         instances += 1
-        _, rep = triangular_product(a, r_max, cfg.oracle_cap)
+        _, rep = triangular_product(a, r_max)
         ok = (
             rep["leading_is_one"]
             and rep["lower_terms_precede"]
@@ -701,7 +697,7 @@ def run_specialization(cfg: RunConfig) -> dict:
     instances = 0
     for i in range(1, cfg.n + 1):
         instances += 1
-        rep = check_torus_power_trivial(i, cfg.l, cfg.n, torus_r, cfg.oracle_cap)
+        rep = check_torus_power_trivial(i, cfg.l, cfg.n, torus_r)
         if cfg.inject_failure and i == 1:
             rep = dict(rep, ok=False)
         if not rep["ok"]:
@@ -714,10 +710,10 @@ def run_specialization(cfg: RunConfig) -> dict:
         n = cfg.n
         x = SymbolicElement.gen(
             _rand_theta_pm(rng, n, 2), _rand_vec(rng, n, -2, 2), _rand_vec(rng, n, 0, 2)
-        ).realize_truncated(min(r_max, 4), cfg.oracle_cap)
+        ).realize_truncated(min(r_max, 4))
         y = SymbolicElement.gen(
             _rand_theta_pm(rng, n, 2), _rand_vec(rng, n, -2, 2), _rand_vec(rng, n, 0, 2)
-        ).realize_truncated(min(r_max, 4), cfg.oracle_cap)
+        ).realize_truncated(min(r_max, 4))
         lhs = specialize(x.multiply(y, cap=cfg.oracle_cap), cfg.l)
         rhs = specialize(x, cfg.l).multiply(specialize(y, cfg.l), cfg.oracle_cap)
         if lhs != rhs:
@@ -734,11 +730,11 @@ def run_specialization(cfg: RunConfig) -> dict:
     laurent_rows, _ = linalg.flatten_family(
         [
             SymbolicElement.gen(a, (0,) * cfg.n, (0,) * cfg.n)
-            .realize_truncated(r_max, cfg.oracle_cap)
+            .realize_truncated(r_max)
             .multiply(
                 SymbolicElement.gen(
                     zero_matrix(cfg.n), tuple(-x for x in lam), lam
-                ).realize_truncated(r_max, cfg.oracle_cap),
+                ).realize_truncated(r_max),
                 cap=cfg.oracle_cap,
             )
             for a, lam in bk_indices(cfg.n, cfg.bound)
@@ -795,9 +791,7 @@ def run_closure(cfg: RunConfig) -> dict:
         bad_exponent = any(
             not all(0 <= d <= 1 for d in key[1]) for key in reduced.terms
         )
-        realization_changed = y.realize_truncated(
-            r_max, cfg.oracle_cap
-        ) != reduced.realize_truncated(r_max, cfg.oracle_cap)
+        realization_changed = y.realize_truncated(r_max) != reduced.realize_truncated(r_max)
         if cfg.inject_failure and idx == 0:
             realization_changed = True
         if bad_exponent or realization_changed:

@@ -46,9 +46,9 @@ from .matrices import (
     Matrix,
     has_zero_diagonal,
     is_nonnegative,
-    make_matrix,
     matrix_norm,
     precedes,
+    rev,
     ro,
     zero_matrix,
 )
@@ -154,7 +154,7 @@ class SymbolicElement:
     def sorted_terms(self) -> list[tuple[SymbolicKey, LaurentPoly]]:
         return [(k, self.terms[k]) for k in sorted(self.terms)]
 
-    def realize(self, r: int, cap: int = DEFAULT_ORACLE_CAP) -> SchurElement:
+    def realize(self, r: int) -> SchurElement:
         out = SchurElement(self.n, r)
         for (a, delta, lam), c in self.terms.items():
             piece = diag_sum(a, delta, lam, r)
@@ -162,9 +162,9 @@ class SymbolicElement:
                 out.add_into(mat, c * x)
         return out
 
-    def realize_truncated(self, r_max: int, cap: int = DEFAULT_ORACLE_CAP) -> "TruncatedElement":
+    def realize_truncated(self, r_max: int) -> "TruncatedElement":
         return TruncatedElement(
-            self.n, r_max, tuple(self.realize(r, cap) for r in range(r_max + 1))
+            self.n, r_max, tuple(self.realize(r) for r in range(r_max + 1))
         )
 
     def to_json_obj(self) -> list[dict]:
@@ -177,31 +177,6 @@ class SymbolicElement:
             }
             for (a, delta, lam), x in self.sorted_terms()
         ]
-
-    @classmethod
-    def from_json_obj(cls, obj: list, n: int | None = None) -> "SymbolicElement":
-        if not isinstance(obj, list):
-            raise DomainError("symbolic element JSON must be a list")
-        if n is None:
-            if not obj:
-                raise DomainError("cannot infer the size of an empty element")
-            n = len(obj[0]["A"])
-        out = cls(n)
-        for item in obj:
-            try:
-                a = make_matrix(item["A"])
-                delta = tuple(int(x) for x in item["delta"])
-                lam = tuple(int(x) for x in item["lambda"])
-                coeff = LaurentPoly.from_pairs((int(e), int(c)) for e, c in item["coeff"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DomainError(f"malformed symbolic term: {exc}") from None
-            _check_key(a, delta, lam)
-            if len(a) != n:
-                raise DimensionMismatch("terms have inconsistent sizes")
-            if not is_nonnegative(a):
-                raise DomainError("off-diagonal entries must be nonnegative")
-            out.add_into((a, delta, lam), coeff)
-        return out
 
     def __repr__(self) -> str:
         return f"SymbolicElement(n={self.n}, {len(self.terms)} keys)"
@@ -408,92 +383,20 @@ def _raising_key(
     return tuple(out.items())
 
 
-def raising_mult(m: int, h: int, x: SymbolicElement) -> SymbolicElement:
-    """Left-multiply by the raising generator (m E_{h,h+1}; 0, 0)."""
-    n = x.n
-    if not 1 <= h <= n - 1:
-        raise DomainError(f"row index {h} out of range")
-    if m < 0:
-        raise DomainError("transfer amount must be nonnegative")
-    out = SymbolicElement(n)
-    for (a, delta, lam), c in x.terms.items():
-        for key, coeff in _raising_key(m, h, a, delta, lam):
-            out.add_into(key, c * coeff)
-    return out
-
-
 @lru_cache(maxsize=1 << 18)
 def _lowering_key(
     m: int, h: int, a: Matrix, delta: IntVector, lam: IntVector
 ) -> tuple[tuple[SymbolicKey, LaurentPoly], ...]:
-    n = len(a)
-    hi = h - 1
-    row_top = a[hi]
-    row_bot = a[hi + 1]
-    out: dict[SymbolicKey, LaurentPoly] = {}
-    for t in compositions(n, m):
-        if any(row_top[u] < t[u] for u in range(n) if u != hi):
-            continue
-        base_exp = 0
-        for u in range(n):
-            tu = t[u]
-            if tu:
-                base_exp += tu * sum(x for p, x in enumerate(row_bot) if p <= u and p != hi + 1)
-                base_exp -= tu * sum(x for p, x in enumerate(row_top) if p < u and p != hi)
-                if u != hi and u != hi + 1:
-                    for u2 in range(u + 1, n):
-                        base_exp += tu * t[u2]
-        base_exp += t[hi] * delta[hi] - t[hi + 1] * delta[hi + 1]
-        base = v_power(base_exp)
-        for u in range(n):
-            if u != hi + 1 and t[u]:
-                base = base * unbalanced_binomial(row_bot[u] + t[u], t[u]).bar()
-        rows = [list(row) for row in a]
-        for u in range(n):
-            if u != hi:
-                rows[hi][u] -= t[u]
-            if u != hi + 1:
-                rows[hi + 1][u] += t[u]
-        a_new = tuple(tuple(row) for row in rows)
-        th, th1 = t[hi], t[hi + 1]
-        post = sum(t[hi + 1 :]) - th1
-        for j in range(lam[hi + 1] + 1):
-            bin_j = balanced_binomial(-th1, lam[hi + 1] - j)
-            if bin_j.is_zero():
-                continue
-            for k in range(lam[hi] + 1):
-                bin_k = balanced_binomial(th, lam[hi] - k)
-                if bin_k.is_zero():
-                    continue
-                for c in range(min(th1, j) + 1):
-                    tri = balanced_trinomial(c, th1 - c, j - c)
-                    if tri.is_zero():
-                        continue
-                    coeff = (
-                        base
-                        * v_power(2 * j * th1 - k * th)
-                        * bin_j
-                        * bin_k
-                        * tri
-                    )
-                    d_new = list(delta)
-                    d_new[hi + 1] += post + lam[hi + 1] - j - c
-                    d_new[hi] += lam[hi] - k - (post + th1)
-                    l_new = list(lam)
-                    l_new[hi + 1] = th1 + j - c
-                    l_new[hi] = k
-                    key = (a_new, tuple(d_new), tuple(l_new))
-                    s = out.get(key)
-                    s = coeff if s is None else s + coeff
-                    if s.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
-    return tuple(out.items())
+    # reversing rows, columns and both vectors turns the lowering move
+    # on rows (h, h+1) into the raising move on rows (n-h, n-h+1)
+    mirror = _raising_key.__wrapped__(m, len(a) - h, rev(a), delta[::-1], lam[::-1])
+    # one reversed matrix per distinct matrix, shared by its keys, as the
+    # cache holds every key
+    mats = {b: rev(b) for (b, _, _), _ in mirror}
+    return tuple(((mats[b], d[::-1], lb[::-1]), c) for (b, d, lb), c in mirror)
 
 
-def lowering_mult(m: int, h: int, x: SymbolicElement) -> SymbolicElement:
-    """Left-multiply by the lowering generator (m E_{h+1,h}; 0, 0)."""
+def _transfer_mult(key_fn, m: int, h: int, x: SymbolicElement) -> SymbolicElement:
     n = x.n
     if not 1 <= h <= n - 1:
         raise DomainError(f"row index {h} out of range")
@@ -501,9 +404,19 @@ def lowering_mult(m: int, h: int, x: SymbolicElement) -> SymbolicElement:
         raise DomainError("transfer amount must be nonnegative")
     out = SymbolicElement(n)
     for (a, delta, lam), c in x.terms.items():
-        for key, coeff in _lowering_key(m, h, a, delta, lam):
+        for key, coeff in key_fn(m, h, a, delta, lam):
             out.add_into(key, c * coeff)
     return out
+
+
+def raising_mult(m: int, h: int, x: SymbolicElement) -> SymbolicElement:
+    """Left-multiply by the raising generator (m E_{h,h+1}; 0, 0)."""
+    return _transfer_mult(_raising_key, m, h, x)
+
+
+def lowering_mult(m: int, h: int, x: SymbolicElement) -> SymbolicElement:
+    """Left-multiply by the lowering generator (m E_{h+1,h}; 0, 0)."""
+    return _transfer_mult(_lowering_key, m, h, x)
 
 
 def torus_product_expansion(delta: IntVector, lam: IntVector, a: Matrix) -> SymbolicElement:
@@ -597,9 +510,7 @@ def fold_word(word: list[tuple[str, int, int]], n: int) -> SymbolicElement:
     return acc
 
 
-def triangular_product(
-    a: Matrix, r_max: int, cap: int = DEFAULT_ORACLE_CAP
-) -> tuple[TruncatedElement, dict]:
+def triangular_product(a: Matrix, r_max: int) -> tuple[TruncatedElement, dict]:
     """Fold the canonical word of ``a`` and report its triangular shape.
 
     The report records whether the key (a; 0, 0) carries coefficient
@@ -627,4 +538,4 @@ def triangular_product(
         "norms_decrease": norm_ok,
         "keys": len(folded.terms),
     }
-    return folded.realize_truncated(r_max, cap), report
+    return folded.realize_truncated(r_max), report

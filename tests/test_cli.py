@@ -79,6 +79,36 @@ def test_parse_error_exit_code():
     assert res.stdout == ""
 
 
+def _fixed(n=2, r=2, matrix=((1, 0), (1, 0)), coeff=1):
+    return json.dumps(
+        {"n": n, "r": r, "terms": [{"matrix": matrix, "coeff": coeff}]}
+    )
+
+
+@pytest.mark.parametrize(
+    "command, element",
+    [
+        ("multiply", _fixed(n=2.5)),
+        ("multiply", _fixed(r=True, matrix=[[1, 0], [0, 0]])),
+        ("multiply", _fixed(matrix=[["1", 1.9], [0, 0]])),
+        ("multiply", _fixed(coeff=True)),
+        ("multiply", _fixed(coeff=[[0, 2.7]])),
+        ("expand", json.dumps(
+            {"n": 2, "terms": [{"matrix": [[0, 1], [0, 0]], "delta": [0, -1.0]}]}
+        )),
+    ],
+    ids=["n-float", "r-bool", "matrix-str-float", "coeff-bool", "coeff-float",
+         "delta-float"],
+)
+def test_non_integer_numbers_are_rejected(command, element):
+    # every number in an element must be a JSON integer; int() used to
+    # coerce each of these and exit 0
+    operands = (element, element) if command == "multiply" else (element,)
+    res = run_cli(command, *operands)
+    assert res.returncode == 2, res.stderr
+    assert res.stdout == ""
+
+
 def test_dimension_mismatch_exit_code():
     other = json.dumps({"n": 2, "r": 3, "terms": []})
     res = run_cli("multiply", ELEMENT_A, other)

@@ -75,3 +75,14 @@ def test_evaluation_is_a_ring_map(l, ps, qs):
     q = LaurentPoly.from_pairs(qs)
     assert eval_at_root(p * q, l) == eval_at_root(p, l) * eval_at_root(q, l)
     assert eval_at_root(p + q, l) == eval_at_root(p, l) + eval_at_root(q, l)
+
+
+@given(
+    st.sampled_from((1, 3, 5)),
+    st.data(),
+    st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=5),
+)
+def test_laurent_factor_is_evaluated_at_the_root(l, data, ps):
+    a = data.draw(scalars(l))
+    p = LaurentPoly.from_pairs(ps)
+    assert a * p == a * eval_at_root(p, l)

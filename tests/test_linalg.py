@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from qschur.errors import ConsistencyError
 from qschur.laurent import LaurentPoly, ONE, V, v_power
 from qschur.linalg import (
-    cyclo_rank,
+    exact_rank,
     flatten_family,
     independence_verdict,
     poly_kernel,
@@ -90,8 +90,8 @@ def test_flatten_family_indexes_by_degree_and_matrix():
     from qschur.symbolic import SymbolicElement
 
     els = [
-        SymbolicElement.gen(((0, 1), (0, 0)), (0, 0), (0, 0)).realize_truncated(2, 10),
-        SymbolicElement.gen(((0, 0), (1, 0)), (0, 0), (0, 0)).realize_truncated(2, 10),
+        SymbolicElement.gen(((0, 1), (0, 0)), (0, 0), (0, 0)).realize_truncated(2),
+        SymbolicElement.gen(((0, 0), (1, 0)), (0, 0), (0, 0)).realize_truncated(2),
     ]
     rows, ncols = flatten_family(els)
     assert len(rows) == 2
@@ -99,7 +99,7 @@ def test_flatten_family_indexes_by_degree_and_matrix():
     assert all(rows[0].keys() != rows[1].keys() for _ in (0,))
 
 
-def test_cyclo_rank_small_cases():
+def test_exact_rank_over_the_cyclotomic_field():
     l = 3
     one = CycloScalar.one(l)
     eps = eval_at_root(V, l)
@@ -109,4 +109,4 @@ def test_cyclo_rank_small_cases():
         {2: one},
     ]
     # second row is eps times the first over the field
-    assert cyclo_rank(rows) == 2
+    assert exact_rank(rows) == 2

@@ -51,10 +51,8 @@ def test_word_realization_is_right_to_left_composition():
     n, r_max = 2, 3
     word = (DividedRaise(1, 1), DividedLower(1, 1))
     one_shot = realize_word(word, n, r_max, CAP)
-    staged = generator_element(DividedRaise(1, 1), n).realize_truncated(
-        r_max, CAP
-    ).multiply(
-        generator_element(DividedLower(1, 1), n).realize_truncated(r_max, CAP),
+    staged = generator_element(DividedRaise(1, 1), n).realize_truncated(r_max).multiply(
+        generator_element(DividedLower(1, 1), n).realize_truncated(r_max),
         cap=CAP,
     )
     assert one_shot == staged

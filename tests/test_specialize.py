@@ -1,28 +1,26 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qschur.cyclo import CycloScalar, eval_at_root
+from qschur.cyclo import eval_at_root
 from qschur.errors import DomainError
-from qschur.laurent import V
-from qschur.linalg import cyclo_rank
+from qschur.laurent import V, v_power
+from qschur.linalg import exact_rank, flatten_family
 from qschur.matrices import theta_pm, zero_matrix
+from qschur.schur import SchurElement
 from qschur.specialize import (
     bk_family,
     bk_independence,
     bk_indices,
-    bk_member,
     check_torus_power_trivial,
-    cyclo_unit,
     specialize,
-    _flatten_cyclo,
 )
-from qschur.symbolic import SymbolicElement
+from qschur.symbolic import SymbolicElement, TruncatedElement
 
 CAP = 10
 
 
 def test_even_order_is_rejected():
-    x = SymbolicElement.unit(2).realize_truncated(2, CAP)
+    x = SymbolicElement.unit(2).realize_truncated(2)
     with pytest.raises(DomainError):
         specialize(x, 2)
     with pytest.raises(DomainError):
@@ -33,7 +31,7 @@ def test_torus_powers_become_trivial_at_the_root():
     for l in (1, 3, 5):
         for n in (2, 3):
             for i in range(1, n + 1):
-                rep = check_torus_power_trivial(i, l, n, 3, CAP)
+                rep = check_torus_power_trivial(i, l, n, 3)
                 assert rep["ok"], rep
 
 
@@ -41,11 +39,7 @@ def test_torus_power_is_not_trivial_before_specialization():
     # the same element compared over the Laurent ring keeps v powers
     n, l = 2, 3
     delta = (l, 0)
-    power = SymbolicElement.gen(zero_matrix(n), delta, (0,) * n).realize_truncated(
-        3, CAP
-    )
-    from qschur.symbolic import TruncatedElement
-
+    power = SymbolicElement.gen(zero_matrix(n), delta, (0,) * n).realize_truncated(3)
     assert power != TruncatedElement.unit(n, 3)
 
 
@@ -58,10 +52,10 @@ def test_specialization_is_multiplicative(l, data):
     nonneg = st.tuples(st.integers(0, 2), st.integers(0, 2))
     x = SymbolicElement.gen(
         data.draw(st.sampled_from(mats)), data.draw(vec), data.draw(nonneg)
-    ).realize_truncated(3, CAP)
+    ).realize_truncated(3)
     y = SymbolicElement.gen(
         data.draw(st.sampled_from(mats)), data.draw(vec), data.draw(nonneg)
-    ).realize_truncated(3, CAP)
+    ).realize_truncated(3)
     lhs = specialize(x.multiply(y, cap=CAP), l)
     rhs = specialize(x, l).multiply(specialize(y, l), CAP)
     assert lhs == rhs
@@ -69,11 +63,9 @@ def test_specialization_is_multiplicative(l, data):
 
 def test_specialized_unit_is_neutral():
     n, r_max, l = 2, 3, 3
-    unit = cyclo_unit(n, r_max, l)
+    unit = specialize(TruncatedElement.unit(n, r_max), l)
     x = specialize(
-        SymbolicElement.gen(((0, 1), (0, 0)), (0, 0), (1, 0)).realize_truncated(
-            r_max, CAP
-        ),
+        SymbolicElement.gen(((0, 1), (0, 0)), (0, 0), (1, 0)).realize_truncated(r_max),
         l,
     )
     assert unit.multiply(x, CAP) == x
@@ -94,8 +86,27 @@ def test_duplicated_member_is_detected_as_dependent():
     family = bk_family(n, bound, l, r_max, CAP)
     eps = eval_at_root(V, l)
     extra = family[0].scale(eps)
-    rows, _ = _flatten_cyclo(family + [extra])
-    assert cyclo_rank(rows) == len(family)
+    rows, _ = flatten_family(family + [extra])
+    assert exact_rank(rows) == len(family)
+
+
+def test_specialized_elements_add_subtract_scale_and_multiply():
+    # specialization is a ring map, so it commutes with every operation
+    # of the element type; a Laurent scalar scales cyclotomic
+    # coefficients through its value at the root
+    n, r_max, l = 2, 3, 3
+    x = SymbolicElement.gen(((0, 1), (0, 0)), (1, 0), (1, 0)).realize_truncated(r_max)
+    y = SymbolicElement.gen(((0, 0), (2, 0)), (0, -1), (0, 1)).realize_truncated(r_max)
+    sx, sy = specialize(x, l), specialize(y, l)
+    assert sx + sy == specialize(x + y, l)
+    assert sx - sy == specialize(x - y, l)
+    assert sx - sx == TruncatedElement.zero(n, r_max)
+    c = V + v_power(-2) * 3
+    assert sx.scale(c) == specialize(x.scale(c), l)
+    assert sx.scale(eval_at_root(c, l)) == sx.scale(c)
+    assert sx.scale(-1) == specialize(x.scale(-1), l)
+    assert sx.multiply(sy, CAP) == specialize(x.multiply(y, CAP), l)
+    assert isinstance(sx.components[2], SchurElement)
 
 
 def test_bk_indices_counting():

@@ -95,3 +95,16 @@ def test_specialization_report_records_rank_comparison():
     rep = run_suite("specialization", SMALL)
     assert rep["rank_after_specialization"] <= rep["rank_before_specialization"]
     assert rep["verdict"]["independent"]
+
+
+def test_transfer_formulas_at_rank_four():
+    rep = run_suite("transfer-formulas", RunConfig(n=4, r_max=3))
+    assert rep["passed"], rep["failures"][:2]
+    assert rep["instances"] == 4104
+
+
+def test_formula2_oracle_stratum_at_rank_four():
+    # the raising and lowering rules against the pure coset engine
+    cfg = RunConfig(n=4)
+    count, fails = _stratum_worker(("formula2:oracle", cfg.to_json_obj(), 0, 12, False))
+    assert count == 12 and fails == []

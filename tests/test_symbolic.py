@@ -30,7 +30,7 @@ def gens(n, smax=2, dmax=2, lmax=2):
 
 def test_unit_realizes_to_the_unit():
     for n in (2, 3):
-        got = SymbolicElement.unit(n).realize_truncated(3, CAP)
+        got = SymbolicElement.unit(n).realize_truncated(3)
         assert got == TruncatedElement.unit(n, 3)
 
 
@@ -39,8 +39,8 @@ def test_unit_realizes_to_the_unit():
 def test_realization_is_additive(n, data):
     x = data.draw(gens(n))
     y = data.draw(gens(n))
-    lhs = (x + y).realize_truncated(3, CAP)
-    rhs = x.realize_truncated(3, CAP) + y.realize_truncated(3, CAP)
+    lhs = (x + y).realize_truncated(3)
+    rhs = x.realize_truncated(3) + y.realize_truncated(3)
     assert lhs == rhs
 
 
@@ -50,9 +50,9 @@ def test_torus_formula_matches_the_product(n, data):
     x = data.draw(gens(n))
     gamma = data.draw(st.tuples(*(st.integers(-2, 2) for _ in range(n))))
     mu = data.draw(st.tuples(*(st.integers(0, 2) for _ in range(n))))
-    got = torus_mult(gamma, mu, x).realize_truncated(3, CAP)
-    left = SymbolicElement.gen(zero_matrix(n), gamma, mu).realize_truncated(3, CAP)
-    assert got == left.multiply(x.realize_truncated(3, CAP), cap=CAP)
+    got = torus_mult(gamma, mu, x).realize_truncated(3)
+    left = SymbolicElement.gen(zero_matrix(n), gamma, mu).realize_truncated(3)
+    assert got == left.multiply(x.realize_truncated(3), cap=CAP)
 
 
 @settings(max_examples=20, deadline=None)
@@ -69,9 +69,9 @@ def test_transfer_formulas_match_the_product(n, data):
             sym = lowering_mult(m, h, x)
             gmat = add_to_entry(zero_matrix(n), h + 1, h, m)
         left = SymbolicElement.gen(gmat, (0,) * n, (0,) * n)
-        got = sym.realize_truncated(3, CAP)
-        want = left.realize_truncated(3, CAP).multiply(
-            x.realize_truncated(3, CAP), cap=CAP
+        got = sym.realize_truncated(3)
+        want = left.realize_truncated(3).multiply(
+            x.realize_truncated(3), cap=CAP
         )
         assert got == want
 
@@ -88,7 +88,7 @@ def test_delta_reduce_normalizes_without_changing_the_realization(n, data):
     reduced = delta_reduce(y)
     for _, delta, _ in reduced.terms:
         assert all(0 <= d <= 1 for d in delta)
-    assert y.realize_truncated(3, CAP) == reduced.realize_truncated(3, CAP)
+    assert y.realize_truncated(3) == reduced.realize_truncated(3)
 
 
 def test_triangular_word_splits_off_diagonal_mass():
@@ -105,7 +105,7 @@ def test_triangular_product_report_structure():
     for a in theta_pm(2, 2):
         if entry_sum(a) == 0:
             continue
-        el, rep = triangular_product(a, 3, CAP)
+        el, rep = triangular_product(a, 3)
         assert rep["leading_is_one"]
         assert rep["lower_terms_precede"]
         assert rep["norms_decrease"]
@@ -115,6 +115,6 @@ def test_triangular_product_report_structure():
 @settings(max_examples=20, deadline=None)
 @given(st.integers(2, 3), st.data())
 def test_truncated_scale_divexact_roundtrip(n, data):
-    x = data.draw(gens(n)).realize_truncated(2, CAP)
+    x = data.draw(gens(n)).realize_truncated(2)
     c = v_power(data.draw(st.integers(-2, 2))) + ONE
     assert x.scale(c).scale_divexact(c) == x
