@@ -287,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="rewrite so torus exponents lie in {0,1}")
     exp.add_argument("--rmax", type=int, default=None,
                      help="also realize through this degree")
-    exp.add_argument("--oracle-cap", dest="oracle_cap", type=int,
-                     default=RunConfig().oracle_cap)
 
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("suite", choices=SUITE_NAMES)

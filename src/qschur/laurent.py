@@ -123,7 +123,9 @@ class LaurentPoly:
         return self._hash
 
     def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        if isinstance(other, int):
+        if not isinstance(other, LaurentPoly):
+            if not isinstance(other, int):
+                return NotImplemented
             other = LaurentPoly.from_int(other)
         terms = dict(self._terms)
         for e, c in other._terms.items():
@@ -140,7 +142,9 @@ class LaurentPoly:
         return LaurentPoly._raw({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        if isinstance(other, int):
+        if not isinstance(other, LaurentPoly):
+            if not isinstance(other, int):
+                return NotImplemented
             other = LaurentPoly.from_int(other)
         terms = dict(self._terms)
         for e, c in other._terms.items():
@@ -155,7 +159,10 @@ class LaurentPoly:
         return LaurentPoly.from_int(other) - self
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        if isinstance(other, int):
+        if not isinstance(other, LaurentPoly):
+            if not isinstance(other, int):
+                # let the other operand's reflected method decide
+                return NotImplemented
             if not other:
                 return ZERO
             return LaurentPoly._raw({e: c * other for e, c in self._terms.items()})

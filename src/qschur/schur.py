@@ -34,7 +34,7 @@ from .matrices import (
     rev,
     ro,
 )
-from .vectors import IntVector, compositions, compositions_capped, dot
+from .vectors import IntVector, compositions, compositions_capped, dot, is_natural
 
 __all__ = [
     "SchurElement",
@@ -325,6 +325,8 @@ def diag_sum(a: Matrix, delta: IntVector, lam: IntVector, r: int) -> SchurElemen
     n = len(a)
     if len(delta) != n or len(lam) != n:
         raise DimensionMismatch("vector lengths disagree with the matrix size")
+    if not is_natural(lam):
+        raise DomainError("binomial depths must be nonnegative")
     out = SchurElement(n, r)
     if not is_nonnegative(a):
         return out
@@ -332,8 +334,8 @@ def diag_sum(a: Matrix, delta: IntVector, lam: IntVector, r: int) -> SchurElemen
     if rest < 0:
         return out
     for mu in compositions(n, rest):
-        c = vector_binomial(mu, lam)
-        if c.is_zero():
+        # [m choose l] vanishes exactly when 0 <= m < l
+        if any(m < l for m, l in zip(mu, lam)):
             continue
-        out.add_into(add_diag(a, mu), v_power(dot(mu, delta)) * c)
+        out.terms[add_diag(a, mu)] = vector_binomial(mu, lam).shift(dot(mu, delta))
     return out

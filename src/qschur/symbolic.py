@@ -27,7 +27,8 @@ corner-sum order.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import product as _product
 
 from .errors import DimensionMismatch, DomainError
@@ -39,8 +40,6 @@ from .laurent import (
     balanced_trinomial,
     unbalanced_binomial,
     v_power,
-    vector_binomial,
-    vector_trinomial,
 )
 from .matrices import (
     Matrix,
@@ -270,32 +269,43 @@ class TruncatedElement:
 # product rules
 
 
+@cache
+def _torus_factor(row: int, m: int, l: int, nu: int) -> LaurentPoly:
+    """One coordinate of the torus rule: the sum over j of
+    v^((row+l)(m-j)) [row choose j] [l+m-nu; nu-j, l+j-nu, m-nu]."""
+    out = ZERO
+    for j in range(max(0, nu - l), nu + 1):
+        b = balanced_binomial(row, j)
+        if b:
+            tri = balanced_trinomial(nu - j, l + j - nu, m - nu)
+            out = out + (b * tri).shift((row + l) * (m - j))
+    return out
+
+
 @lru_cache(maxsize=1 << 18)
 def _torus_key(
     gamma: IntVector, mu: IntVector, a: Matrix, delta: IntVector, lam: IntVector
 ) -> tuple[tuple[SymbolicKey, LaurentPoly], ...]:
-    n = len(a)
+    # Every factor of the summand is a product over coordinates and the
+    # ranges of j are independent, so the coefficient of nu is
+    # v^(ro(a).gamma) times a product of one-coordinate factors.  Z[v, v^-1]
+    # has no zero divisors: the nonzero keys are exactly the products of
+    # nonzero factors, and `_product` walks them in lexicographic nu order.
     rows = ro(a)
+    base = dot(rows, gamma)
+    factors = [
+        [(nu, f) for nu in range(m + 1) if (f := _torus_factor(row, m, l, nu))]
+        for row, m, l in zip(rows, mu, lam)
+    ]
+    top_d = vadd(gamma, delta)
+    top_l = vadd(lam, mu)
     out: list[tuple[SymbolicKey, LaurentPoly]] = []
-    for nu in _product(*(range(m + 1) for m in mu)):
-        nu = tuple(nu)
-        coeff = ZERO
-        j_ranges = [range(max(0, nu[i] - lam[i]), nu[i] + 1) for i in range(n)]
-        for j in _product(*j_ranges):
-            j = tuple(j)
-            muj = vsub(mu, j)
-            exp = dot(rows, vadd(gamma, muj)) + dot(lam, muj)
-            part = v_power(exp) * vector_binomial(rows, j)
-            if part.is_zero():
-                continue
-            part = part * vector_trinomial(
-                vsub(vadd(lam, mu), nu), vsub(nu, j), vsub(vadd(lam, j), nu), vsub(mu, nu)
-            )
-            coeff = coeff + part
-        if coeff.is_zero():
-            continue
-        key = (a, vsub(vadd(gamma, delta), nu), vsub(vadd(lam, mu), nu))
-        out.append((key, coeff))
+    for choice in _product(*factors):
+        nu = tuple(x for x, _ in choice)
+        coeff = choice[0][1]
+        for _, f in choice[1:]:
+            coeff = coeff * f
+        out.append(((a, vsub(top_d, nu), vsub(top_l, nu)), coeff.shift(base)))
     return tuple(out)
 
 
@@ -431,37 +441,49 @@ def torus_product_expansion(delta: IntVector, lam: IntVector, a: Matrix) -> Symb
 # exponent reduction
 
 
+def _excess(delta: IntVector) -> int:
+    """How far the exponents lie outside {0, 1}, summed over coordinates."""
+    return sum(d - 1 if d > 1 else -d if d < 0 else 0 for d in delta)
+
+
 def delta_reduce(x: SymbolicElement) -> SymbolicElement:
     """Rewrite until every torus exponent lies in {0, 1}.
 
     Each step trades one unit of exponent at one coordinate for a
     two-term combination with deeper binomial part; both rewriting
-    directions strictly shrink the total excess, so this terminates.
+    directions strictly shrink the total excess.  Pending keys are
+    merged and the key of largest excess is rewritten first, so every
+    key is rewritten at most once.
     """
-    n = x.n
-    done = SymbolicElement(n)
-    pending = list(x.terms.items())
-    while pending:
-        (a, delta, lam), c = pending.pop()
-        bad = next((i for i, d in enumerate(delta) if d < 0 or d > 1), None)
-        if bad is None:
-            done.add_into((a, delta, lam), c)
+    pending = SymbolicElement(x.n, x.terms)
+    heap = [(-_excess(key[1]), key) for key in pending.terms]
+    heapify(heap)
+    while heap and heap[0][0] < 0:
+        _, key = heappop(heap)
+        c = pending.terms.pop(key, None)
+        if c is None:
+            # cancelled, or a second heap entry of a key already rewritten
             continue
-        i = bad
+        a, delta, lam = key
+        i = next(p for p, d in enumerate(delta) if d < 0 or d > 1)
         li = lam[i]
         lam_up = tuple(x + 1 if p == i else x for p, x in enumerate(lam))
         mixed = v_power(li + 1) - v_power(-li - 1)
         if delta[i] > 1:
             d1 = tuple(x - 1 if p == i else x for p, x in enumerate(delta))
             d2 = tuple(x - 2 if p == i else x for p, x in enumerate(delta))
-            pending.append(((a, d1, lam_up), c * v_power(li) * mixed))
-            pending.append(((a, d2, lam), c * v_power(2 * li)))
+            c1 = c * v_power(li) * mixed
+            c2 = c * v_power(2 * li)
         else:
             d1 = tuple(x + 1 if p == i else x for p, x in enumerate(delta))
             d2 = tuple(x + 2 if p == i else x for p, x in enumerate(delta))
-            pending.append(((a, d1, lam_up), c * v_power(-li) * mixed * -1))
-            pending.append(((a, d2, lam), c * v_power(-2 * li)))
-    return done
+            c1 = c * v_power(-li) * mixed * -1
+            c2 = c * v_power(-2 * li)
+        for new_key, new_c in (((a, d1, lam_up), c1), ((a, d2, lam), c2)):
+            if new_key not in pending.terms:
+                heappush(heap, (-_excess(new_key[1]), new_key))
+            pending.add_into(new_key, new_c)
+    return pending
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -71,6 +72,31 @@ def test_expand_reduces_and_realizes():
     for term in out["symbolic"]:
         assert all(d in (0, 1) for d in term["delta"])
     assert out["realization"]["r_max"] == 2
+
+
+def test_expand_takes_no_oracle_cap():
+    # realization never reaches the oracle; the option is gone, and the
+    # output is the same bytes as when it was accepted and ignored
+    element = json.dumps(
+        {
+            "n": 2,
+            "terms": [
+                {"matrix": [[0, 1], [0, 0]], "delta": [3, -2], "lambda": [1, 0],
+                 "coeff": [[2, 1]]},
+                {"matrix": [[0, 0], [1, 0]], "delta": [0, 2], "lambda": [0, 1],
+                 "coeff": [[0, 1], [1, -2]]},
+            ],
+        }
+    )
+    args = ("expand", element, "--delta-reduce", "--rmax", "3")
+    res = run_cli(*args, "--oracle-cap", "7")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    res = run_cli(*args)
+    assert res.returncode == 0
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == (
+        "538ff8bebb7542edf0b787ae75ecd74e1304a5e1a5d4e2d32bf8ca7e02fcc08e"
+    )
 
 
 def test_parse_error_exit_code():

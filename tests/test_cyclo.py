@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from qschur.cyclo import CycloScalar, cyclotomic_coeffs, eval_at_root
 from qschur.errors import DomainError
-from qschur.laurent import LaurentPoly, ONE, unbalanced_bracket, v_power
+from qschur.laurent import V, LaurentPoly, ONE, unbalanced_bracket, v_power
 
 # frozen from sympy.cyclotomic_poly, ascending coefficients
 CYCLOTOMIC = {
@@ -86,3 +86,14 @@ def test_laurent_factor_is_evaluated_at_the_root(l, data, ps):
     a = data.draw(scalars(l))
     p = LaurentPoly.from_pairs(ps)
     assert a * p == a * eval_at_root(p, l)
+
+
+@given(st.sampled_from((1, 3, 5)), st.data())
+def test_laurent_on_the_left_defers_to_the_scalar(l, data):
+    s = data.draw(scalars(l))
+    assert V * s == s * V
+    # a sum of the two rings has no meaning; Python reports it as such
+    with pytest.raises(TypeError):
+        V + s
+    with pytest.raises(TypeError):
+        V - s

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 from qschur.cli import parse_element
 from qschur.errors import DimensionMismatch, DomainError
 from qschur.hecke import oracle_product
-from qschur.laurent import LaurentPoly, ONE, v_power
+from qschur.laurent import LaurentPoly, ONE, v_power, vector_binomial
 from qschur.matrices import (
+    add_diag,
     add_to_entry,
     diag_matrix,
     entry_sum,
@@ -25,6 +26,7 @@ from qschur.schur import (
     multiply_lowering,
     multiply_raising,
 )
+from qschur.vectors import compositions, dot
 
 # frozen coset-oracle outputs pinning the basis product on hand-picked
 # inputs; keys are (a, b), values list (matrix, pairs)
@@ -181,3 +183,12 @@ def test_diag_sum_expands_over_diagonal_completions():
     mats = set(el.terms)
     assert mats == {((1, 1), (0, 0)), ((0, 1), (0, 1))}
     assert all(c == ONE for c in el.terms.values())
+    # torus exponents and binomial depths: the defining sum over mu
+    a = ((0, 1, 0), (2, 0, 0), (0, 1, 0))
+    delta, lam = (2, -1, 3), (1, 0, 2)
+    want = SchurElement(3, 8)
+    for mu in compositions(3, 4):
+        want.add_into(add_diag(a, mu), v_power(dot(mu, delta)) * vector_binomial(mu, lam))
+    got = diag_sum(a, delta, lam, 8)
+    assert got == want
+    assert len(got.terms) == 3  # mu_1 >= 1 and mu_3 >= 2

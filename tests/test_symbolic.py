@@ -1,12 +1,18 @@
+import time
+from itertools import product
+
 from hypothesis import given, settings, strategies as st
 
-from qschur.laurent import ONE, v_power
+from qschur import symbolic
+from qschur.laurent import ONE, ZERO, v_power, vector_binomial, vector_trinomial
 from qschur.matrices import (
     add_to_entry,
     entry_sum,
+    ro,
     theta_pm,
     zero_matrix,
 )
+from qschur.vectors import boxes, dot, vadd, vsub
 from qschur.symbolic import (
     SymbolicElement,
     TruncatedElement,
@@ -118,3 +124,97 @@ def test_truncated_scale_divexact_roundtrip(n, data):
     x = data.draw(gens(n)).realize_truncated(2)
     c = v_power(data.draw(st.integers(-2, 2))) + ONE
     assert x.scale(c).scale_divexact(c) == x
+
+
+def joint_sum_torus_key(gamma, mu, a, delta, lam):
+    # the torus rule as one joint sum over all vectors j, kept as the
+    # reference for the coordinatewise `_torus_key`
+    n = len(a)
+    rows = ro(a)
+    out = []
+    for nu in product(*(range(m + 1) for m in mu)):
+        coeff = ZERO
+        j_ranges = [range(max(0, nu[i] - lam[i]), nu[i] + 1) for i in range(n)]
+        for j in product(*j_ranges):
+            muj = vsub(mu, j)
+            exp = dot(rows, vadd(gamma, muj)) + dot(lam, muj)
+            part = v_power(exp) * vector_binomial(rows, j)
+            if part.is_zero():
+                continue
+            part = part * vector_trinomial(
+                vsub(vadd(lam, mu), nu), vsub(nu, j), vsub(vadd(lam, j), nu), vsub(mu, nu)
+            )
+            coeff = coeff + part
+        if coeff.is_zero():
+            continue
+        key = (a, vsub(vadd(gamma, delta), nu), vsub(vadd(lam, mu), nu))
+        out.append((key, coeff))
+    return tuple(out)
+
+
+def torus_grid(n, stride):
+    # every stride-th (A, mu, lam) with off-diagonal weight <= 2 and
+    # depths in [0, 2]^n; gamma and delta cycle through [-2, 2]^n
+    box = list(boxes(-2, 2, n))
+    depths = list(boxes(0, 2, n))
+    triples = product(theta_pm(n, 2), depths, depths)
+    for k, (a, mu, lam) in enumerate(triples):
+        if k % stride == 0:
+            yield box[k % len(box)], mu, a, box[(7 * k + 3) % len(box)], lam
+
+
+def test_torus_key_matches_the_joint_sum():
+    # equal as tuples: the same keys, coefficients and key order
+    cases = [*torus_grid(2, 1), *torus_grid(3, 7), *torus_grid(4, 6007)]
+    assert len(cases) == 486 + 2916 + 100
+    for args in cases:
+        assert symbolic._torus_key.__wrapped__(*args) == joint_sum_torus_key(*args), args
+
+
+def worklist_delta_reduce(x):
+    # the rewriting loop without merging of equal keys: exponential in
+    # the excess, kept as the reference for small exponents
+    done = SymbolicElement(x.n)
+    pending = list(x.terms.items())
+    while pending:
+        (a, delta, lam), c = pending.pop()
+        bad = next((i for i, d in enumerate(delta) if d < 0 or d > 1), None)
+        if bad is None:
+            done.add_into((a, delta, lam), c)
+            continue
+        i = bad
+        li = lam[i]
+        lam_up = tuple(x + 1 if p == i else x for p, x in enumerate(lam))
+        mixed = v_power(li + 1) - v_power(-li - 1)
+        if delta[i] > 1:
+            d1 = tuple(x - 1 if p == i else x for p, x in enumerate(delta))
+            d2 = tuple(x - 2 if p == i else x for p, x in enumerate(delta))
+            pending.append(((a, d1, lam_up), c * v_power(li) * mixed))
+            pending.append(((a, d2, lam), c * v_power(2 * li)))
+        else:
+            d1 = tuple(x + 1 if p == i else x for p, x in enumerate(delta))
+            d2 = tuple(x + 2 if p == i else x for p, x in enumerate(delta))
+            pending.append(((a, d1, lam_up), c * v_power(-li) * mixed * -1))
+            pending.append(((a, d2, lam), c * v_power(-2 * li)))
+    return done
+
+
+def test_delta_reduce_matches_the_unmerged_worklist():
+    a = ((0, 1), (2, 0))
+    for delta in ((12, -3), (-5, 6), (6, 6), (0, 12)):
+        x = SymbolicElement.gen(a, delta, (1, 0))
+        assert delta_reduce(x) == worklist_delta_reduce(x)
+    b = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
+    x = torus_mult((3, -2, 1), (1, 2, 0), SymbolicElement.gen(b, (4, -3, 2), (0, 1, 1)))
+    y = x + SymbolicElement.gen(b, (-5, 6, 0), (2, 0, 1), v_power(3) - ONE)
+    assert delta_reduce(y) == worklist_delta_reduce(y)
+
+
+def test_delta_reduce_is_polynomial_in_the_excess():
+    x = SymbolicElement.gen(((0, 1), (0, 0)), (40, 0), (0, 0))
+    started = time.perf_counter()
+    reduced = delta_reduce(x)
+    assert time.perf_counter() - started < 1.0
+    for _, delta, _ in reduced.terms:
+        assert all(0 <= d <= 1 for d in delta)
+    assert x.realize_truncated(3) == reduced.realize_truncated(3)
