@@ -246,7 +246,6 @@ def _cmd_verify(args, started: float) -> int:
         threads=args.threads if args.threads is not None else threads_from_env(),
         inject_failure=args.inject_failure,
     )
-    cfg.validate()
     report = run_suite(args.suite, cfg)
     _emit(
         report,

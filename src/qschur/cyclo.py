@@ -116,10 +116,14 @@ class CycloScalar:
         return hash((self.l, self.coeffs))
 
     def __add__(self, other: "CycloScalar") -> "CycloScalar":
+        if not isinstance(other, CycloScalar):
+            return NotImplemented
         self._check(other)
         return CycloScalar._raw(self.l, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "CycloScalar") -> "CycloScalar":
+        if not isinstance(other, CycloScalar):
+            return NotImplemented
         self._check(other)
         return CycloScalar._raw(self.l, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 

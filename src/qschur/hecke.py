@@ -47,7 +47,6 @@ __all__ = [
     "Q_POLY",
     "compositions",
     "hecke_unit",
-    "hecke_scale",
     "hecke_add_into",
     "right_mult_gen",
     "right_mult_perm",
@@ -58,7 +57,6 @@ __all__ = [
     "coset_to_matrix",
     "matrix_to_coset",
     "norm_exponent",
-    "phi_to_normalized",
     "oracle_product",
     "DEFAULT_ORACLE_CAP",
 ]
@@ -73,12 +71,6 @@ DEFAULT_ORACLE_CAP = 6
 
 def hecke_unit(r: int) -> HeckeElt:
     return {identity(r): ONE}
-
-
-def hecke_scale(h: HeckeElt, c: LaurentPoly) -> HeckeElt:
-    if c.is_zero():
-        return {}
-    return {w: c * x for w, x in h.items()}
 
 
 def hecke_add_into(acc: HeckeElt, h: HeckeElt, c: LaurentPoly | None = None) -> None:
@@ -249,11 +241,6 @@ def norm_exponent(a: Matrix) -> int:
             if i >= k and j < l:
                 total += x * y
     return total
-
-
-def phi_to_normalized(a: Matrix) -> tuple[Matrix, LaurentPoly]:
-    """The normalized basis element equals scale * (coset basis element)."""
-    return a, v_power(-norm_exponent(a))
 
 
 def _rewrite_right_cosets(h: HeckeElt, lam: IntVector) -> dict[Permutation, LaurentPoly]:

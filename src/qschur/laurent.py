@@ -44,7 +44,6 @@ __all__ = [
     "V",
     "VINV",
     "v_power",
-    "bar",
     "balanced_bracket",
     "unbalanced_bracket",
     "balanced_factorial",
@@ -156,6 +155,8 @@ class LaurentPoly:
         return LaurentPoly._raw(terms)
 
     def __rsub__(self, other: int) -> "LaurentPoly":
+        if not isinstance(other, int):
+            return NotImplemented
         return LaurentPoly.from_int(other) - self
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
@@ -303,10 +304,6 @@ VINV = LaurentPoly._raw({-1: 1})
 def v_power(e: int) -> LaurentPoly:
     """The monomial v^e."""
     return LaurentPoly._raw({e: 1})
-
-
-def bar(p: LaurentPoly) -> LaurentPoly:
-    return p.bar()
 
 
 @cache

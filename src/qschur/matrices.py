@@ -26,10 +26,8 @@ __all__ = [
     "is_diagonal",
     "is_nonnegative",
     "has_zero_diagonal",
-    "add_matrices",
     "add_to_entry",
     "add_diag",
-    "off_diagonal",
     "rev",
     "split_triangular",
     "theta_matrices",
@@ -86,12 +84,6 @@ def has_zero_diagonal(a: Matrix) -> bool:
     return all(not a[i][i] for i in range(len(a)))
 
 
-def add_matrices(a: Matrix, b: Matrix) -> Matrix:
-    if len(a) != len(b):
-        raise DimensionMismatch("matrix sizes differ")
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def add_to_entry(a: Matrix, i: int, j: int, delta: int) -> Matrix:
     """Copy of a with delta added at 1-based position (i, j)."""
     rows = [list(row) for row in a]
@@ -105,12 +97,6 @@ def add_diag(a: Matrix, d: IntVector) -> Matrix:
     return tuple(
         tuple(x + (d[i] if i == j else 0) for j, x in enumerate(row))
         for i, row in enumerate(a)
-    )
-
-
-def off_diagonal(a: Matrix) -> Matrix:
-    return tuple(
-        tuple(0 if i == j else x for j, x in enumerate(row)) for i, row in enumerate(a)
     )
 
 

@@ -15,7 +15,7 @@ from typing import NamedTuple, Union
 
 from .errors import DimensionMismatch, DomainError
 from .hecke import DEFAULT_ORACLE_CAP
-from .laurent import LaurentPoly, V, VINV, v_power, balanced_binomial
+from .laurent import V, VINV, v_power, balanced_binomial
 from .vectors import IntVector, compositions, unit_vector, boxes
 from .matrices import (
     Matrix,
@@ -125,10 +125,6 @@ def realize_word(
     return acc
 
 
-def _scaled(el: TruncatedElement, c: LaurentPoly) -> TruncatedElement:
-    return el.scale(c)
-
-
 def _relation_instance(name: str, i: int, j: int, ok: bool) -> dict:
     return {"relation": name, "i": i, "j": j, "ok": ok}
 
@@ -162,9 +158,9 @@ def check_relations(n: int, r_max: int, cap: int = DEFAULT_ORACLE_CAP) -> dict:
     for i in range(1, n + 1):
         for j in range(1, n):
             ce = (1 if i == j else 0) - (1 if i == j + 1 else 0)
-            ok = rw([K(i), E(j)]) == _scaled(rw([E(j), K(i)]), v_power(ce))
+            ok = rw([K(i), E(j)]) == rw([E(j), K(i)]).scale(v_power(ce))
             checks.append(_relation_instance("torus-raise", i, j, ok))
-            ok = rw([K(i), F(j)]) == _scaled(rw([F(j), K(i)]), v_power(-ce))
+            ok = rw([K(i), F(j)]) == rw([F(j), K(i)]).scale(v_power(-ce))
             checks.append(_relation_instance("torus-lower", i, j, ok))
 
     # distant raising (and lowering) generators commute
@@ -197,14 +193,14 @@ def check_relations(n: int, r_max: int, cap: int = DEFAULT_ORACLE_CAP) -> dict:
                 continue
             lhs = (
                 rw([E(i), E(i), E(j)])
-                - _scaled(rw([E(i), E(j), E(i)]), two_bracket)
+                - rw([E(i), E(j), E(i)]).scale(two_bracket)
                 + rw([E(j), E(i), E(i)])
             )
             ok = lhs == TruncatedElement.zero(n, r_max)
             checks.append(_relation_instance("serre-raise", i, j, ok))
             lhs = (
                 rw([F(i), F(i), F(j)])
-                - _scaled(rw([F(i), F(j), F(i)]), two_bracket)
+                - rw([F(i), F(j), F(i)]).scale(two_bracket)
                 + rw([F(j), F(i), F(i)])
             )
             ok = lhs == TruncatedElement.zero(n, r_max)
@@ -215,9 +211,9 @@ def check_relations(n: int, r_max: int, cap: int = DEFAULT_ORACLE_CAP) -> dict:
         for a in range(1, 4):
             for b in range(1, 4):
                 coeff = balanced_binomial(a + b, a)
-                ok = rw([E(h, a), E(h, b)]) == _scaled(rw([E(h, a + b)]), coeff)
+                ok = rw([E(h, a), E(h, b)]) == rw([E(h, a + b)]).scale(coeff)
                 checks.append(_relation_instance("divided-raise", h, a * 10 + b, ok))
-                ok = rw([F(h, a), F(h, b)]) == _scaled(rw([F(h, a + b)]), coeff)
+                ok = rw([F(h, a), F(h, b)]) == rw([F(h, a + b)]).scale(coeff)
                 checks.append(_relation_instance("divided-lower", h, a * 10 + b, ok))
 
     failures = [c for c in checks if not c["ok"]]

@@ -164,16 +164,13 @@ def raising_shape(a: Matrix) -> tuple[int, int] | None:
 
 
 def lowering_shape(a: Matrix) -> tuple[int, int] | None:
-    """(h, m) when the only off-diagonal entry is m > 0 at (h+1, h)."""
-    n = len(a)
-    found: tuple[int, int] | None = None
-    for i in range(n):
-        for j in range(n):
-            if i != j and a[i][j]:
-                if found is not None or i != j + 1:
-                    return None
-                found = (j + 1, a[i][j])
-    return found
+    """(h, m) when the only off-diagonal entry is m > 0 at (h+1, h).
+
+    Reversal moves that entry to (n-h, n-h+1), so this is the raising
+    shape of the reversed matrix with h -> n-h.
+    """
+    shape = raising_shape(rev(a))
+    return None if shape is None else (len(a) - shape[0], shape[1])
 
 
 @lru_cache(maxsize=1 << 18)

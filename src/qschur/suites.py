@@ -9,6 +9,13 @@ time is the CLI's business and goes to stderr only.
 Large comparison strata can fan out across processes; the instance
 space is split into index ranges and each worker re-enumerates its
 slice, so the merged report does not depend on the worker count.
+
+`run_suite` validates the config, and `_report` assembles every report.
+The config's test hook, which makes a run fail on purpose, is read
+there and nowhere else: it puts one failure record in front of the
+real ones and adds a note.  Every check still runs, so the instance
+count is that of a clean run; the unit tests plant real defects in
+the library to show that each check can fail.
 """
 
 from __future__ import annotations
@@ -16,13 +23,13 @@ from __future__ import annotations
 import random
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import partial
 from itertools import islice, product
 
 from .config import RunConfig
 from .errors import QschurError
 from .laurent import (
     LaurentPoly,
-    ONE,
     balanced_binomial,
     unbalanced_binomial,
     unbalanced_trinomial,
@@ -45,7 +52,6 @@ from .hecke import oracle_product
 from .schur import multiply_lowering, multiply_raising
 from .symbolic import (
     SymbolicElement,
-    TruncatedElement,
     delta_reduce,
     lowering_mult,
     raising_mult,
@@ -105,11 +111,9 @@ def _binomial_scalar1_instances(cfg: RunConfig):
                 yield (m, nn, a)
 
 
-def _binomial_scalar1_check(cfg: RunConfig, inst, corrupt: bool = False):
+def _binomial_scalar1_check(cfg: RunConfig, inst):
     m, nn, a = inst
     lhs = unbalanced_binomial(nn, a)
-    if corrupt:
-        lhs = lhs + ONE
     rhs = sum(
         (
             v_power(2 * (m - j) * (a - j))
@@ -131,11 +135,9 @@ def _binomial_scalar2_instances(cfg: RunConfig):
                 yield (m, a, b)
 
 
-def _binomial_scalar2_check(cfg: RunConfig, inst, corrupt: bool = False):
+def _binomial_scalar2_check(cfg: RunConfig, inst):
     m, a, b = inst
     lhs = unbalanced_binomial(m, a) * unbalanced_binomial(m, b)
-    if corrupt:
-        lhs = lhs + ONE
     rhs = sum(
         (
             v_power(2 * (b - c) * (a - c))
@@ -156,11 +158,9 @@ def _binomial_bridge_instances(cfg: RunConfig):
             yield (big_n, t)
 
 
-def _binomial_bridge_check(cfg: RunConfig, inst, corrupt: bool = False):
+def _binomial_bridge_check(cfg: RunConfig, inst):
     big_n, t = inst
     lhs = unbalanced_binomial(big_n, t)
-    if corrupt:
-        lhs = lhs + ONE
     if lhs != v_power(t * (big_n - t)) * balanced_binomial(big_n, t):
         return {"instance": list(inst), "detail": "one sided vs balanced bridge"}
     return None
@@ -182,11 +182,9 @@ def _binomial_vector1_instances(cfg: RunConfig):
         )
 
 
-def _binomial_vector1_check(cfg: RunConfig, inst, corrupt: bool = False):
+def _binomial_vector1_check(cfg: RunConfig, inst):
     _, alpha, beta, lam = inst
     lhs = vector_binomial(vadd(alpha, beta), lam)
-    if corrupt:
-        lhs = lhs + ONE
     rhs = LaurentPoly.from_int(0)
     for mu in _sub_vectors(lam):
         rhs = rhs + (
@@ -215,11 +213,9 @@ def _binomial_vector2_instances(cfg: RunConfig):
         )
 
 
-def _binomial_vector2_check(cfg: RunConfig, inst, corrupt: bool = False):
+def _binomial_vector2_check(cfg: RunConfig, inst):
     _, alpha, lam, mu = inst
     lhs = vector_binomial(alpha, lam) * vector_binomial(alpha, mu)
-    if corrupt:
-        lhs = lhs + ONE
     cap = tuple(min(a, b) for a, b in zip(lam, mu))
     rhs = LaurentPoly.from_int(0)
     for gamma in _sub_vectors(cap):
@@ -249,9 +245,8 @@ def _transfer_instances(cfg: RunConfig):
                     yield ("F", h, m, a, r)
 
 
-def _transfer_check(cfg: RunConfig, inst, corrupt: bool = False):
+def _transfer_check(cfg: RunConfig, inst):
     kind, h, m, a, r = inst
-    n = len(a)
     row = ro(a)
     if kind == "E":
         got = multiply_raising(h, m, a)
@@ -266,12 +261,7 @@ def _transfer_check(cfg: RunConfig, inst, corrupt: bool = False):
             h + 1, h, m,
         )
     want = oracle_product(left, a, cfg.oracle_cap)
-    terms = dict(got.terms)
-    if corrupt:
-        first = min(terms) if terms else diag_matrix((r,) + (0,) * (n - 1))
-        terms[first] = terms.get(first, LaurentPoly.from_int(0)) + ONE
-        terms = {k: v for k, v in terms.items() if not v.is_zero()}
-    if terms != want:
+    if got.terms != want:
         return {
             "instance": {
                 "kind": kind, "h": h, "m": m,
@@ -327,14 +317,12 @@ def _formula1_oracle_instances(cfg: RunConfig):
     yield from islice(_formula1_core_instances(cfg), 12)
 
 
-def _check_formula1(cfg: RunConfig, inst, corrupt: bool = False, engine: str = "fast"):
+def _check_formula1(cfg: RunConfig, inst, engine: str = "fast"):
     gamma, mu, a, delta, lam = inst
     n = len(gamma)
     r_max = cfg.resolve_r_max(4)
     x = SymbolicElement.gen(a, delta, lam)
     got = torus_mult(gamma, mu, x).realize_truncated(r_max)
-    if corrupt:
-        got = got + TruncatedElement.unit(n, r_max)
     left = SymbolicElement.gen(zero_matrix(n), gamma, mu).realize_truncated(r_max)
     right = x.realize_truncated(r_max)
     want = left.multiply(right, cap=cfg.oracle_cap, engine=engine)
@@ -348,10 +336,6 @@ def _check_formula1(cfg: RunConfig, inst, corrupt: bool = False, engine: str = "
             "detail": f"torus formula vs truncated product ({engine})",
         }
     return None
-
-
-def _check_formula1_oracle(cfg: RunConfig, inst, corrupt: bool = False):
-    return _check_formula1(cfg, inst, corrupt, engine="oracle")
 
 
 # -- transfer formulas (left multiplication by one-row transfer elements) ----
@@ -395,7 +379,7 @@ def _formula2_oracle_instances(cfg: RunConfig):
     yield from islice(_formula2_core_instances(cfg), 12)
 
 
-def _check_formula2(cfg: RunConfig, inst, corrupt: bool = False, engine: str = "fast"):
+def _check_formula2(cfg: RunConfig, inst, engine: str = "fast"):
     kind, m, h, a, delta, lam = inst
     n = len(a)
     r_max = cfg.resolve_r_max(4)
@@ -407,8 +391,6 @@ def _check_formula2(cfg: RunConfig, inst, corrupt: bool = False, engine: str = "
         sym = lowering_mult(m, h, x)
         gen_matrix = add_to_entry(zero_matrix(n), h + 1, h, m)
     got = sym.realize_truncated(r_max)
-    if corrupt:
-        got = got + TruncatedElement.unit(n, r_max)
     zero_vec = (0,) * n
     left = SymbolicElement.gen(gen_matrix, zero_vec, zero_vec).realize_truncated(r_max)
     right = x.realize_truncated(r_max)
@@ -425,10 +407,6 @@ def _check_formula2(cfg: RunConfig, inst, corrupt: bool = False, engine: str = "
     return None
 
 
-def _check_formula2_oracle(cfg: RunConfig, inst, corrupt: bool = False):
-    return _check_formula2(cfg, inst, corrupt, engine="oracle")
-
-
 # -- stratum registry and the parallel runner --------------------------------
 
 _STRATA = {
@@ -440,22 +418,21 @@ _STRATA = {
     "transfer:main": (_transfer_instances, _transfer_check),
     "formula1:core": (_formula1_core_instances, _check_formula1),
     "formula1:random": (_formula1_random_instances, _check_formula1),
-    "formula1:oracle": (_formula1_oracle_instances, _check_formula1_oracle),
+    "formula1:oracle": (_formula1_oracle_instances, partial(_check_formula1, engine="oracle")),
     "formula2:core": (_formula2_core_instances, _check_formula2),
     "formula2:random": (_formula2_random_instances, _check_formula2),
-    "formula2:oracle": (_formula2_oracle_instances, _check_formula2_oracle),
+    "formula2:oracle": (_formula2_oracle_instances, partial(_check_formula2, engine="oracle")),
 }
 
 
 def _stratum_worker(args) -> tuple[int, list[dict]]:
-    key, cfg_kwargs, lo, hi, inject = args
+    key, cfg_kwargs, lo, hi = args
     cfg = RunConfig(**cfg_kwargs)
     gen, check = _STRATA[key]
     count = 0
     failures = []
     for idx, inst in enumerate(islice(gen(cfg), lo, hi), start=lo):
-        corrupt = inject and idx == 0
-        fail = check(cfg, inst, corrupt)
+        fail = check(cfg, inst)
         count += 1
         if fail is not None:
             fail["stratum"] = key
@@ -464,15 +441,13 @@ def _stratum_worker(args) -> tuple[int, list[dict]]:
     return count, failures
 
 
-def _run_stratum(
-    cfg: RunConfig, key: str, inject: bool = False
-) -> tuple[int, list[dict]]:
+def _run_stratum(cfg: RunConfig, key: str) -> tuple[int, list[dict]]:
     gen, _ = _STRATA[key]
     total = sum(1 for _ in gen(cfg))
     if cfg.threads > 1 and total >= _PARALLEL_THRESHOLD:
         chunk = -(-total // (cfg.threads * 4))
         jobs = [
-            (key, cfg.to_json_obj(), lo, min(lo + chunk, total), inject)
+            (key, cfg.to_json_obj(), lo, min(lo + chunk, total))
             for lo in range(0, total, chunk)
         ]
         counts = 0
@@ -482,7 +457,17 @@ def _run_stratum(
                 counts += count
                 failures.extend(fails)
         return counts, failures
-    return _stratum_worker((key, cfg.to_json_obj(), 0, total, inject))
+    return _stratum_worker((key, cfg.to_json_obj(), 0, total))
+
+
+def _run_strata(cfg: RunConfig, keys) -> tuple[int, list[dict]]:
+    instances = 0
+    failures: list[dict] = []
+    for key in keys:
+        count, fails = _run_stratum(cfg, key)
+        instances += count
+        failures.extend(fails)
+    return instances, failures
 
 
 def _report(
@@ -494,6 +479,9 @@ def _report(
     notes: list[str],
     extra: dict | None = None,
 ) -> dict:
+    if cfg.inject_failure:
+        failures = [{"detail": "injected failure"}, *failures]
+        notes = [*notes, "failure injection active"]
     config = cfg.to_json_obj()
     if r_max is not None:
         config["r_max"] = r_max
@@ -520,55 +508,39 @@ def _report(
 
 
 def run_binomials(cfg: RunConfig) -> dict:
-    cfg.validate()
-    instances = 0
-    failures: list[dict] = []
-    for i, key in enumerate(
+    instances, failures = _run_strata(
+        cfg,
         (
             "binomials:scalar1",
             "binomials:scalar2",
             "binomials:bridge",
             "binomials:vector1",
             "binomials:vector2",
-        )
-    ):
-        count, fails = _run_stratum(cfg, key, inject=cfg.inject_failure and i == 0)
-        instances += count
-        failures.extend(fails)
+        ),
+    )
     notes = [
         "scalar strata exhaustive over the stated integer boxes",
         "vector strata: exhaustive rank-2 core with entries up to 2 "
         "plus seeded random instances at entries up to 4",
     ]
-    if cfg.inject_failure:
-        notes.append("failure injection active")
     return _report(cfg, "binomials", None, instances, failures, notes)
 
 
 def run_transfer_formulas(cfg: RunConfig) -> dict:
-    cfg.validate()
     r_max = cfg.resolve_r_max(4)
-    instances, failures = _run_stratum(cfg, "transfer:main", inject=cfg.inject_failure)
+    instances, failures = _run_stratum(cfg, "transfer:main")
     notes = [
         "every degree up to r_max, every basis matrix, every valid transfer",
         "oracle side computed from double coset sums in the endomorphism ring",
     ]
-    if cfg.inject_failure:
-        notes.append("failure injection active")
     return _report(cfg, "transfer-formulas", r_max, instances, failures, notes)
 
 
 def _run_formula_suite(cfg: RunConfig, name: str) -> dict:
-    cfg.validate()
     r_max = cfg.resolve_r_max(4)
-    instances = 0
-    failures: list[dict] = []
-    for i, stratum in enumerate(("core", "random", "oracle")):
-        count, fails = _run_stratum(
-            cfg, f"{name}:{stratum}", inject=cfg.inject_failure and i == 0
-        )
-        instances += count
-        failures.extend(fails)
+    instances, failures = _run_strata(
+        cfg, (f"{name}:{stratum}" for stratum in ("core", "random", "oracle"))
+    )
     notes = [
         "symbolic formula output realized and compared with the "
         "componentwise truncated product",
@@ -580,8 +552,6 @@ def _run_formula_suite(cfg: RunConfig, name: str) -> dict:
             "rank-3 core uses fixed exponent-vector slices; the full box "
             "is enumerated at rank 2 and sampled by the random stratum"
         )
-    if cfg.inject_failure:
-        notes.append("failure injection active")
     return _report(cfg, name, r_max, instances, failures, notes)
 
 
@@ -594,22 +564,13 @@ def run_formula2(cfg: RunConfig) -> dict:
 
 
 def run_relations(cfg: RunConfig) -> dict:
-    cfg.validate()
     r_max = cfg.resolve_r_max(5)
     rep = check_relations(cfg.n, r_max, cfg.oracle_cap)
-    failures = list(rep["failures"])
-    if cfg.inject_failure:
-        failures.append(
-            {"relation": "injected", "i": 0, "j": 0, "ok": False}
-        )
     notes = ["every relation checked in every degree up to r_max"]
-    if cfg.inject_failure:
-        notes.append("failure injection active")
-    return _report(cfg, "relations", r_max, rep["instances"], failures, notes)
+    return _report(cfg, "relations", r_max, rep["instances"], rep["failures"], notes)
 
 
 def run_triangular(cfg: RunConfig) -> dict:
-    cfg.validate()
     r_max = cfg.resolve_r_max(4)
     sigma_bound = 3
     instances = 0
@@ -624,8 +585,6 @@ def run_triangular(cfg: RunConfig) -> dict:
             and rep["lower_terms_precede"]
             and rep["norms_decrease"]
         )
-        if cfg.inject_failure and instances == 1:
-            ok = False
         if not ok:
             failures.append(
                 {"matrix": [list(rw) for rw in a], "report": {
@@ -637,27 +596,18 @@ def run_triangular(cfg: RunConfig) -> dict:
         "checked: unit leading coefficient, strictly smaller order and "
         "norm for every other term",
     ]
-    if cfg.inject_failure:
-        notes.append("failure injection active")
     return _report(cfg, "triangular", r_max, instances, failures, notes)
 
 
 def run_pbw_independence(cfg: RunConfig) -> dict:
-    cfg.validate()
     r_max = cfg.resolve_r_max(6)
     family = pbw_family(cfg.n, cfg.bound)
     elements = [pbw_monomial(idx, r_max, cfg.oracle_cap) for idx in family]
-    if cfg.inject_failure and elements:
-        elements.append(elements[0])
-        family = family + [family[0]]
     rows, _ = linalg.flatten_family(elements)
     verdict = linalg.independence_verdict(rows)
-    stable = None
-    if not cfg.inject_failure:
-        deeper = [pbw_monomial(idx, r_max + 1, cfg.oracle_cap) for idx in family]
-        rows2, _ = linalg.flatten_family(deeper)
-        verdict2 = linalg.independence_verdict(rows2)
-        stable = verdict["independent"] == verdict2["independent"]
+    deeper = [pbw_monomial(idx, r_max + 1, cfg.oracle_cap) for idx in family]
+    rows2, _ = linalg.flatten_family(deeper)
+    verdict2 = linalg.independence_verdict(rows2)
     failures = []
     if not verdict["independent"]:
         failures.append(
@@ -673,24 +623,19 @@ def run_pbw_independence(cfg: RunConfig) -> dict:
         "exponent vectors range over {0,1}; matrix plus binomial weight "
         f"bounded by {cfg.bound}",
     ]
-    if cfg.inject_failure:
-        notes.append("failure injection active (duplicated first member)")
     extra = {
         "verdict": {k: v for k, v in verdict.items() if k != "kernel"},
         "family_size": len(family),
+        "stable_at_next_depth": verdict["independent"] == verdict2["independent"],
     }
     if "kernel" in verdict:
         extra["verdict"]["kernel_generators"] = len(verdict["kernel"])
         extra["verdict"]["kernel_sample"] = verdict["kernel"][:2]
-    if stable is not None:
-        extra["stable_at_next_depth"] = stable
     return _report(
         cfg, "pbw-independence", r_max, len(family), failures, notes, extra
     )
 
-
 def run_specialization(cfg: RunConfig) -> dict:
-    cfg.validate()
     r_max = cfg.resolve_r_max(5)
     torus_r = min(r_max, 4)
     failures: list[dict] = []
@@ -698,8 +643,6 @@ def run_specialization(cfg: RunConfig) -> dict:
     for i in range(1, cfg.n + 1):
         instances += 1
         rep = check_torus_power_trivial(i, cfg.l, cfg.n, torus_r)
-        if cfg.inject_failure and i == 1:
-            rep = dict(rep, ok=False)
         if not rep["ok"]:
             failures.append({"detail": "torus power not trivial", **rep})
 
@@ -721,8 +664,6 @@ def run_specialization(cfg: RunConfig) -> dict:
 
     verdict = bk_independence(cfg.n, cfg.bound, cfg.l, r_max, cfg.oracle_cap)
     instances += verdict["rows"]
-    if cfg.inject_failure:
-        verdict = dict(verdict, independent=False)
     if not verdict["independent"]:
         failures.append({"detail": "specialized family dependent", **verdict})
 
@@ -749,8 +690,6 @@ def run_specialization(cfg: RunConfig) -> dict:
         "rank drop record compares the family rank before and after "
         "specialization rather than asserting equality",
     ]
-    if cfg.inject_failure:
-        notes.append("failure injection active")
     extra = {
         "verdict": verdict,
         "rank_before_specialization": laurent_rank,
@@ -762,7 +701,6 @@ def run_specialization(cfg: RunConfig) -> dict:
 
 
 def run_closure(cfg: RunConfig) -> dict:
-    cfg.validate()
     r_max = cfg.resolve_r_max(4)
     rng = _rng(cfg, "closure:words")
     count = max(10, cfg.random_instances // 4)
@@ -792,8 +730,6 @@ def run_closure(cfg: RunConfig) -> dict:
             not all(0 <= d <= 1 for d in key[1]) for key in reduced.terms
         )
         realization_changed = y.realize_truncated(r_max) != reduced.realize_truncated(r_max)
-        if cfg.inject_failure and idx == 0:
-            realization_changed = True
         if bad_exponent or realization_changed:
             failures.append(
                 {
@@ -813,8 +749,6 @@ def run_closure(cfg: RunConfig) -> dict:
         "after exponent reduction every torus exponent lies in {0,1} "
         "and the truncated realization is unchanged",
     ]
-    if cfg.inject_failure:
-        notes.append("failure injection active")
     return _report(cfg, "closure", r_max, count, failures, notes)
 
 
@@ -836,4 +770,5 @@ SUITE_NAMES = tuple(SUITES)
 def run_suite(name: str, cfg: RunConfig) -> dict:
     if name not in SUITES:
         raise QschurError(f"unknown suite: {name}")
+    cfg.validate()
     return SUITES[name](cfg)

@@ -62,7 +62,6 @@ __all__ = [
     "torus_mult",
     "raising_mult",
     "lowering_mult",
-    "torus_product_expansion",
     "delta_reduce",
     "triangular_word",
     "triangular_product",
@@ -427,14 +426,6 @@ def raising_mult(m: int, h: int, x: SymbolicElement) -> SymbolicElement:
 def lowering_mult(m: int, h: int, x: SymbolicElement) -> SymbolicElement:
     """Left-multiply by the lowering generator (m E_{h+1,h}; 0, 0)."""
     return _transfer_mult(_lowering_key, m, h, x)
-
-
-def torus_product_expansion(delta: IntVector, lam: IntVector, a: Matrix) -> SymbolicElement:
-    """Expansion of (0; delta, lam) * (a; 0, 0); the key (a; delta, lam)
-    appears with the invertible coefficient v^(ro(a).(delta+lam))."""
-    n = len(a)
-    zero = (0,) * n
-    return torus_mult(delta, lam, SymbolicElement.gen(a, zero, zero))
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,7 @@ __all__ = [
     "dot",
     "vadd",
     "vsub",
-    "vneg",
-    "sigma",
     "unit_vector",
-    "leq",
     "is_natural",
     "compositions",
     "compositions_capped",
@@ -49,27 +46,11 @@ def vsub(a: IntVector, b: IntVector) -> IntVector:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vneg(a: IntVector) -> IntVector:
-    return tuple(-x for x in a)
-
-
-def sigma(a: IntVector) -> int:
-    """Sum of the entries."""
-    return sum(a)
-
-
 def unit_vector(n: int, i: int) -> IntVector:
     """The i-th standard basis vector of length n, 1 <= i <= n."""
     if not 1 <= i <= n:
         raise DomainError(f"index {i} out of range 1..{n}")
     return tuple(1 if k == i - 1 else 0 for k in range(n))
-
-
-def leq(a: IntVector, b: IntVector) -> bool:
-    """Entrywise comparison a_i <= b_i."""
-    if len(a) != len(b):
-        raise DimensionMismatch("vector lengths differ")
-    return all(x <= y for x, y in zip(a, b))
 
 
 def is_natural(a: IntVector) -> bool:

@@ -178,6 +178,14 @@ def test_verify_failure_exit_code():
     assert out["failure_count"] >= 1
 
 
+@pytest.mark.parametrize("option", [("--l", "4"), ("--n", "1"), ("--threads", "0")])
+def test_invalid_verify_config_exit_code(option):
+    res = run_cli("verify", "closure", *option)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "domain error" in res.stderr
+
+
 def test_threads_env_is_honored(monkeypatch):
     monkeypatch.setenv("QSCHUR_THREADS", "3")
     assert threads_from_env() == 3

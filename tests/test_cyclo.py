@@ -97,3 +97,12 @@ def test_laurent_on_the_left_defers_to_the_scalar(l, data):
         V + s
     with pytest.raises(TypeError):
         V - s
+
+
+@given(st.sampled_from((1, 3, 5)), st.data())
+def test_scalar_on_the_left_of_a_laurent_sum_is_a_type_error(l, data):
+    s = data.draw(scalars(l))
+    with pytest.raises(TypeError):
+        s + V
+    with pytest.raises(TypeError):
+        s - V

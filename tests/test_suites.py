@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from qschur import presentation, suites, symbolic
 from qschur.config import RunConfig
-from qschur.errors import QschurError
+from qschur.errors import DomainError, QschurError
+from qschur.laurent import ONE
 from qschur.suites import SUITE_NAMES, _stratum_worker, run_suite
 
 SMALL = RunConfig(n=2, random_instances=4)
@@ -38,8 +40,54 @@ def test_injected_failure_is_caught(name):
     cfg = RunConfig(n=2, random_instances=4, inject_failure=True)
     rep = run_suite(name, cfg)
     assert not rep["passed"]
-    assert rep["failure_count"] >= 1
+    assert rep["failure_count"] == 1
+    assert rep["failures"] == [{"detail": "injected failure"}]
+    assert "failure injection active" in rep["notes"]
+    # the hook plants a record; it does not skip or add any check
+    assert rep["instances"] == run_suite(name, SMALL)["instances"]
     json.dumps(rep)
+
+
+def _doubled(x):
+    return x.scale(2)
+
+
+# one library function per suite, wrapped so that its result is wrong;
+# only the names the checks look up are patched, never a cached
+# function's body, so no cache keeps a corrupted value
+PLANTED = {
+    "binomials": (suites, "balanced_binomial", lambda p: p + ONE),
+    "transfer-formulas": (suites, "multiply_raising", _doubled),
+    "formula2": (suites, "raising_mult", _doubled),
+    "relations": (presentation, "realize_word", _doubled),
+    "triangular": (symbolic, "raising_mult", _doubled),
+    "pbw-independence": (suites, "pbw_family", lambda family: family + family[:1]),
+    "specialization": (suites, "specialize", _doubled),
+    "closure": (suites, "delta_reduce", _doubled),
+    "formula1:core": (suites, "torus_mult", _doubled),
+}
+
+
+def _plant(monkeypatch, case):
+    module, name, spoil = PLANTED[case]
+    original = getattr(module, name)
+    monkeypatch.setattr(
+        module, name, lambda *args, **kwargs: spoil(original(*args, **kwargs))
+    )
+
+
+@pytest.mark.parametrize("case", PLANTED)
+def test_planted_defect_is_caught(case, monkeypatch):
+    _plant(monkeypatch, case)
+    if case in CHEAP:
+        rep = run_suite(case, SMALL)
+        failures = rep["failures"]
+        assert not rep["passed"]
+    else:
+        count, failures = _stratum_worker((case, SMALL.to_json_obj(), 0, 3))
+        assert count == 3
+    assert failures
+    assert {"detail": "injected failure"} not in failures
 
 
 def test_reports_are_deterministic():
@@ -57,18 +105,10 @@ def test_seed_changes_random_strata():
 
 def test_formula1_strata_directly():
     cfg = RunConfig(n=2, random_instances=5)
-    count, fails = _stratum_worker(
-        ("formula1:core", cfg.to_json_obj(), 0, 40, False)
-    )
+    count, fails = _stratum_worker(("formula1:core", cfg.to_json_obj(), 0, 40))
     assert count == 40 and fails == []
-    count, fails = _stratum_worker(
-        ("formula1:random", cfg.to_json_obj(), 0, 5, False)
-    )
+    count, fails = _stratum_worker(("formula1:random", cfg.to_json_obj(), 0, 5))
     assert count == 5 and fails == []
-    count, fails = _stratum_worker(
-        ("formula1:core", cfg.to_json_obj(), 0, 3, True)
-    )
-    assert count == 3 and len(fails) == 1 and fails[0]["index"] == 0
 
 
 def test_rank_defaults_are_echoed():
@@ -82,6 +122,12 @@ def test_unknown_suite_is_rejected():
     with pytest.raises(QschurError):
         run_suite("nonsense", SMALL)
     assert "formula1" in SUITE_NAMES
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_every_suite_validates_its_config(name):
+    with pytest.raises(DomainError):
+        run_suite(name, RunConfig(l=4))
 
 
 def test_pbw_report_carries_the_verdict():
@@ -106,5 +152,5 @@ def test_transfer_formulas_at_rank_four():
 def test_formula2_oracle_stratum_at_rank_four():
     # the raising and lowering rules against the pure coset engine
     cfg = RunConfig(n=4)
-    count, fails = _stratum_worker(("formula2:oracle", cfg.to_json_obj(), 0, 12, False))
+    count, fails = _stratum_worker(("formula2:oracle", cfg.to_json_obj(), 0, 12))
     assert count == 12 and fails == []
