@@ -167,6 +167,8 @@ def _emit(report: dict, summary: str, started: float) -> None:
 
 
 def _cmd_multiply(args, started: float) -> int:
+    if args.oracle_cap < 0:
+        raise DomainError(f"oracle cap must be nonnegative, got {args.oracle_cap}")
     left = _read_element_arg(args.left)
     right = _read_element_arg(args.right)
     if isinstance(left, SchurElement) != isinstance(right, SchurElement):

@@ -23,7 +23,9 @@ def threads_from_env() -> int:
         t = int(raw)
     except ValueError:
         raise DomainError(f"QSCHUR_THREADS must be an integer, got {raw!r}")
-    return max(1, t)
+    if t < 1:
+        raise DomainError(f"QSCHUR_THREADS must be positive, got {t}")
+    return t
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,21 @@ subgroup.  A basis of the endomorphism algebra is indexed by triples
 nonnegative integer matrices with row sums lam and column sums mu;
 `coset_to_matrix` / `matrix_to_coset` convert between the two.
 
+Each double coset W_lam w W_mu is built as the orbit of its minimal
+representative under the simple reflections of the two Young
+subgroups: s_i on the left swaps the values i and i+1, s_j on the
+right swaps the positions j and j+1.
+
 `oracle_product` multiplies two normalized basis elements through an
 honest composition of module endomorphisms.  It is deliberately
 independent of the structured product formulas elsewhere in the
-package, so the two can be checked against each other.  Internal
-rewriting steps re-expand their output and compare against the input;
-any mismatch raises ConsistencyError rather than returning silently
-wrong data.
+package, so the two can be checked against each other.  The minimal
+right-coset representatives d it multiplies by are prefix-closed
+(d s_j is again minimal when s_j is the last letter of a reduced word
+of d), so it walks them as a tree and reaches each product with T_d
+from its parent's in one generator step.  Internal rewriting steps
+re-expand their output and compare against the input; any mismatch
+raises ConsistencyError rather than returning silently wrong data.
 """
 
 from __future__ import annotations
@@ -35,7 +43,6 @@ from .permutations import (
     block_ranges,
     compose,
     identity,
-    length,
     mult_gen_right,
     reduced_word,
     young_subgroup,
@@ -64,7 +71,6 @@ __all__ = [
 HeckeElt = dict[Permutation, LaurentPoly]
 
 Q_POLY = LaurentPoly({2: 1})
-_QM1 = LaurentPoly({2: 1, 0: -1})
 
 DEFAULT_ORACLE_CAP = 6
 
@@ -75,6 +81,8 @@ def hecke_unit(r: int) -> HeckeElt:
 
 def hecke_add_into(acc: HeckeElt, h: HeckeElt, c: LaurentPoly | None = None) -> None:
     """acc += c * h, dropping cancelled terms."""
+    if c is ONE:
+        c = None
     for w, x in h.items():
         y = x if c is None else c * x
         s = acc.get(w)
@@ -101,8 +109,9 @@ def right_mult_gen(h: HeckeElt, i: int) -> HeckeElt:
         if w[i] < w[i + 1]:
             put(mult_gen_right(w, i), c)
         else:
-            put(w, _QM1 * c)
-            put(mult_gen_right(w, i), Q_POLY * c)
+            qc = c.shift(2)
+            put(w, qc - c)
+            put(mult_gen_right(w, i), qc)
     return out
 
 
@@ -145,6 +154,25 @@ def _right_coset_data(lam: IntVector) -> tuple[tuple[Permutation, ...], dict[Per
 
 
 @cache
+def _perm_index(r: int) -> dict[Permutation, int]:
+    # Position in `all_permutations(r)`, i.e. in (length, lex) order.
+    return {w: k for k, w in enumerate(all_permutations(r))}
+
+
+def _block_gens(lam: IntVector) -> tuple[int, ...]:
+    # Simple reflections s_i (i, i+1 in one block) generating the Young subgroup.
+    return tuple(i for blk in block_ranges(lam) for i in blk[:-1])
+
+
+def _mult_gen_left(w: Permutation, i: int) -> Permutation:
+    """s_i * w: swaps the values i and i+1."""
+    out = list(w)
+    a, b = w.index(i), w.index(i + 1)
+    out[a], out[b] = i + 1, i
+    return tuple(out)
+
+
+@cache
 def _double_coset_data(
     lam: IntVector, mu: IntVector
 ) -> tuple[
@@ -153,23 +181,33 @@ def _double_coset_data(
     dict[Permutation, tuple[Permutation, ...]],
 ]:
     # Minimal-length double coset representatives, the map to the
-    # representative, and the full membership list per representative.
+    # representative, and the full membership list per representative
+    # in (length, lex) order.  Scanning in that order makes the first
+    # unvisited permutation minimal; its coset is its orbit under the
+    # left and right simple reflections.
     r = sum(lam)
     if sum(mu) != r:
         raise DimensionMismatch("compositions have different sizes")
-    left = young_subgroup(lam)
-    right = young_subgroup(mu)
+    left = _block_gens(lam)
+    right = _block_gens(mu)
+    index = _perm_index(r).__getitem__
     rep_of: dict[Permutation, Permutation] = {}
     orbits: dict[Permutation, tuple[Permutation, ...]] = {}
     reps: list[Permutation] = []
     for w in all_permutations(r):
         if w in rep_of:
             continue
-        members = {compose(x, compose(w, y)) for x in left for y in right}
         reps.append(w)
-        for u in members:
-            rep_of[u] = w
-        orbits[w] = tuple(sorted(members, key=lambda u: (length(u), u)))
+        rep_of[w] = w
+        members = [w]
+        for u in members:  # grows while scanned: breadth-first
+            neighbours = [_mult_gen_left(u, i) for i in left]
+            neighbours += [mult_gen_right(u, j) for j in right]
+            for x in neighbours:
+                if x not in rep_of:
+                    rep_of[x] = w
+                    members.append(x)
+        orbits[w] = tuple(sorted(members, key=index))
     return tuple(reps), rep_of, orbits
 
 
@@ -305,10 +343,33 @@ def oracle_product(a: Matrix, b: Matrix, cap: int = DEFAULT_ORACLE_CAP) -> dict[
     y_coeffs = _rewrite_right_cosets(y, lam_b)
 
     # Apply the left endomorphism: x_{lam_b} h |-> (double coset sum) h.
+    # With j the leftmost descent of d (the last letter of its reduced
+    # word), the parent d s_j is again minimal and T_d = T_{d s_j} T_j,
+    # so each product is one generator step from its parent's.  The walk
+    # is depth first over the ancestors of y_coeffs' support only, and a
+    # product is computed when its node is popped, so only about one
+    # root path of products is held at a time.
+    root = identity(r)
+    children: dict[Permutation, list[tuple[Permutation, int]]] = {}
+    seen = {root}
+    for d in y_coeffs:
+        while d not in seen:
+            seen.add(d)
+            j = next(j for j in range(r - 1) if d[j] > d[j + 1])
+            parent = mult_gen_right(d, j)
+            children.setdefault(parent, []).append((d, j))
+            d = parent
     image_of_x = double_coset_sum(lam_a, d_a, mu_a)
     z: HeckeElt = {}
-    for d, c in y_coeffs.items():
-        hecke_add_into(z, right_mult_perm(image_of_x, d), c)
+    stack: list[tuple[Permutation, HeckeElt, int | None]] = [(root, image_of_x, None)]
+    while stack:
+        d, h, j = stack.pop()
+        if j is not None:
+            h = right_mult_gen(h, j)
+        c = y_coeffs.get(d)
+        if c is not None:
+            hecke_add_into(z, h, c)
+        stack.extend((child, h, i) for child, i in children.get(d, ()))
 
     shift = -norm_exponent(a) - norm_exponent(b)
     out: dict[Matrix, LaurentPoly] = {}

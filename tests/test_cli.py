@@ -152,6 +152,14 @@ def test_cap_exit_code():
     assert res.returncode == 4
 
 
+def test_negative_multiply_cap_exit_code():
+    # a negative cap is bad usage, as for verify, not an exceeded cap
+    res = run_cli("multiply", ELEMENT_A, ELEMENT_B, "--mode", "oracle", "--oracle-cap", "-1")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "domain error" in res.stderr
+
+
 def test_usage_exit_code():
     res = run_cli("frobnicate")
     assert res.returncode == 2
@@ -189,9 +197,10 @@ def test_invalid_verify_config_exit_code(option):
 def test_threads_env_is_honored(monkeypatch):
     monkeypatch.setenv("QSCHUR_THREADS", "3")
     assert threads_from_env() == 3
-    monkeypatch.setenv("QSCHUR_THREADS", "zebra")
-    with pytest.raises(DomainError):
-        threads_from_env()
+    for bad in ("zebra", "0", "-3"):
+        monkeypatch.setenv("QSCHUR_THREADS", bad)
+        with pytest.raises(DomainError):
+            threads_from_env()
     monkeypatch.delenv("QSCHUR_THREADS")
     assert threads_from_env() == 1
 

@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qschur import hecke
 from qschur.errors import DimensionMismatch, ResourceLimit
 from qschur.hecke import (
     coset_to_matrix,
@@ -187,3 +188,123 @@ def test_degree_one_products_behave_like_matrix_units():
             assert got == {want_mat: ONE}
         else:
             assert got == {}
+
+
+def all_pairs_double_coset_data(lam, mu):
+    # every double coset built as {x w y} over all pairs of Young-subgroup
+    # elements, kept as the reference for the generator-orbit construction
+    from qschur.permutations import compose, young_subgroup
+
+    left, right = young_subgroup(lam), young_subgroup(mu)
+    rep_of, orbits, reps = {}, {}, []
+    for w in all_permutations(sum(lam)):
+        if w in rep_of:
+            continue
+        members = {compose(x, compose(w, y)) for x in left for y in right}
+        reps.append(w)
+        for u in members:
+            rep_of[u] = w
+        orbits[w] = tuple(sorted(members, key=lambda u: (length(u), u)))
+    return tuple(reps), rep_of, orbits
+
+
+def test_double_coset_orbits_match_the_all_pairs_construction():
+    cases = 0
+    for n in (1, 2, 3):
+        for r in range(6):
+            for lam in compositions_of(r, n):
+                for mu in compositions_of(r, n):
+                    got = hecke._double_coset_data.__wrapped__(lam, mu)
+                    want = all_pairs_double_coset_data(lam, mu)
+                    # tuple equality covers each orbit's member order; the
+                    # orbit dict must also list the representatives in order
+                    assert got == want, (lam, mu)
+                    assert list(got[2]) == list(want[2])
+                    cases += 1
+    assert cases == 6 + 91 + 812
+
+
+def per_rep_oracle_product(a, b):
+    # `oracle_product` with every T_d applied from scratch by its reduced
+    # word, kept as the reference for the prefix-tree walk
+    lam_a, d_a, mu_a = matrix_to_coset(a)
+    lam_b, d_b, mu_b = matrix_to_coset(b)
+    y_coeffs = hecke._rewrite_right_cosets(double_coset_sum(lam_b, d_b, mu_b), lam_b)
+    image_of_x = double_coset_sum(lam_a, d_a, mu_a)
+    z = {}
+    for d, c in y_coeffs.items():
+        hecke.hecke_add_into(z, hecke.right_mult_perm(image_of_x, d), c)
+    shift = -norm_exponent(a) - norm_exponent(b)
+    out = {}
+    for e, g in hecke._rewrite_double_cosets(z, lam_a, mu_b).items():
+        m = coset_to_matrix(lam_a, e, mu_b)
+        coeff = g * v_power(shift + norm_exponent(m))
+        if not coeff.is_zero():
+            out[m] = coeff
+    return out
+
+
+def composable_pairs(n, r):
+    mats = theta_matrices(n, r)
+    return [(a, b) for a in mats for b in mats if co(a) == ro(b)]
+
+
+# r = 6 and r = 7 pairs from the benchmark's oracle schedule, plus a
+# generic and a sparse product at n = 2
+LARGE_PAIRS = (
+    (((3, 0), (1, 3)), ((2, 2), (2, 1))),
+    (((3, 1), (0, 3)), ((1, 2), (3, 1))),
+    (((2, 1), (1, 2)), ((1, 2), (2, 1))),
+    (((3, 0), (0, 3)), ((0, 3), (3, 0))),
+    (((1, 1, 0), (0, 1, 1), (1, 0, 1)), ((1, 1, 0), (0, 1, 1), (1, 0, 1))),
+    (((2, 0, 0), (1, 1, 0), (0, 1, 2)), ((1, 1, 1), (0, 1, 1), (1, 0, 1))),
+    (((1, 1, 1), (1, 0, 1), (0, 1, 1)), ((1, 0, 1), (0, 2, 0), (1, 0, 2))),
+)
+
+
+def test_tree_walk_matches_the_per_representative_product():
+    pairs = [p for r in range(6) for p in composable_pairs(2, r)]
+    pairs += [p for r in range(5) for p in composable_pairs(3, r)]
+    for a, b in pairs:
+        assert oracle_product(a, b, 5) == per_rep_oracle_product(a, b), (a, b)
+    assert {entry_sum(a) for a, _ in LARGE_PAIRS} == {6, 7}
+    for a, b in LARGE_PAIRS:
+        assert co(a) == ro(b)
+        got = oracle_product(a, b, 7)
+        assert got and got == per_rep_oracle_product(a, b), (a, b)
+
+
+def test_minimal_right_coset_representatives_are_prefix_closed():
+    # dropping the last letter of a reduced word keeps a representative
+    # minimal, which is what lets `oracle_product` walk them as a tree
+    from qschur.permutations import mult_gen_right, reduced_word
+
+    for r in range(1, 7):
+        for lam in (c for n in range(1, r + 1) for c in compositions_of(r, n)):
+            if 0 in lam:
+                continue
+            reps = set(hecke._right_coset_data(lam)[0])
+            for d in reps:
+                word = reduced_word(d)
+                if word:
+                    parent = mult_gen_right(d, word[-1])
+                    assert parent in reps and length(parent) == length(d) - 1, (lam, d)
+
+
+def test_oracle_product_takes_one_generator_step_per_tree_node(monkeypatch):
+    # a deterministic cost guard: at most one right_mult_gen call per
+    # non-root coset representative, where replaying every reduced word
+    # makes sum(len(word)) calls
+    calls = []
+    step = hecke.right_mult_gen
+
+    def counted(h, i):
+        calls.append(i)
+        return step(h, i)
+
+    monkeypatch.setattr(hecke, "right_mult_gen", counted)
+    a, b = ((3, 0), (1, 3)), ((2, 2), (2, 1))
+    bound = len(hecke._right_coset_data(ro(b))[0]) - 1
+    assert bound == 34
+    assert oracle_product(a, b, 7)
+    assert len(calls) <= bound
