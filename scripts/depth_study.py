@@ -33,8 +33,6 @@ def main() -> int:
                         help="weight bound for the monomial family")
     parser.add_argument("--depth-min", type=int, default=2)
     parser.add_argument("--depth-max", type=int, default=9)
-    parser.add_argument("--cap", type=int, default=10,
-                        help="oracle degree cap for realization")
     args = parser.parse_args()
 
     family = pbw_family(args.n, args.bound)
@@ -42,9 +40,7 @@ def main() -> int:
     print(f"n={args.n} bound={args.bound}: {size} monomials")
     print(f"{'depth':>5}  {'rank':>5}  {'deficit':>7}")
     for r in range(args.depth_min, args.depth_max + 1):
-        rows, _ = flatten_family(
-            [pbw_monomial(idx, r, args.cap) for idx in family]
-        )
+        rows, _ = flatten_family([pbw_monomial(idx, r) for idx in family])
         rank = max(rank_at_point(rows, p) for p in POINTS)
         gap = size - rank
         marker = "  <- independent" if gap == 0 else ""

@@ -166,6 +166,12 @@ def _emit(report: dict, summary: str, started: float) -> None:
     sys.stderr.write(f"{summary} ({elapsed:.2f}s wall)\n")
 
 
+def _check_rmax(r_max: int | None) -> None:
+    # a negative truncation degree is bad usage, as for verify
+    if r_max is not None and r_max < 0:
+        raise DomainError(f"r_max must be nonnegative, got {r_max}")
+
+
 def _cmd_multiply(args, started: float) -> int:
     if args.oracle_cap < 0:
         raise DomainError(f"oracle cap must be nonnegative, got {args.oracle_cap}")
@@ -195,6 +201,7 @@ def _cmd_multiply(args, started: float) -> int:
         return EXIT_OK
     if args.rmax is None:
         raise ParseError("--rmax is required for symbolic elements")
+    _check_rmax(args.rmax)
     lt = left.realize_truncated(args.rmax)
     rt = right.realize_truncated(args.rmax)
     out = {"n": left.n, "r_max": args.rmax, "engines": {}}
@@ -216,6 +223,7 @@ def _cmd_expand(args, started: float) -> int:
     el = _read_element_arg(args.element)
     if isinstance(el, SchurElement):
         raise ParseError("expand takes a symbolic element (no fixed 'r')")
+    _check_rmax(args.rmax)
     if args.delta_reduce:
         el = delta_reduce(el)
     out: dict = {"n": el.n, "symbolic": el.to_json_obj()}

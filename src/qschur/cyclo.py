@@ -188,9 +188,6 @@ class CycloScalar:
     def __truediv__(self, other: "CycloScalar") -> "CycloScalar":
         return self * other.inv()
 
-    def to_strings(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
-
     def __repr__(self) -> str:
         return f"CycloScalar(l={self.l}, {[str(c) for c in self.coeffs]})"
 

@@ -178,7 +178,7 @@ def poly_kernel(rows: list[SparseRow], depth: int) -> list[list[LaurentPoly]]:
     return out
 
 
-def _kernel_rank_bound(kernel: list[list[LaurentPoly]], points) -> int:
+def _kernel_rank_bound(kernel: list[list[LaurentPoly]]) -> int:
     """Lower bound for the rank of the kernel vectors over the Laurent
     field, by evaluation.  Any lower bound here is an upper bound on
     the rank of the original rows."""
@@ -186,7 +186,7 @@ def _kernel_rank_bound(kernel: list[list[LaurentPoly]], points) -> int:
     rows = [
         {i: c for i, c in enumerate(combo) if not c.is_zero()} for combo in kernel
     ]
-    for x in points:
+    for x in DEFAULT_POINTS:
         best = max(best, rank_at_point(rows, x))
     return best
 
@@ -201,7 +201,7 @@ def _degree_spread(rows: list[SparseRow]) -> int:
     return total
 
 
-def independence_verdict(rows: list[SparseRow], points=DEFAULT_POINTS) -> dict:
+def independence_verdict(rows: list[SparseRow]) -> dict:
     """Decide linear independence of the rows over the Laurent field.
 
     The result records the certificate: the evaluation point for an
@@ -211,7 +211,7 @@ def independence_verdict(rows: list[SparseRow], points=DEFAULT_POINTS) -> dict:
     if not rows:
         return {"independent": True, "rank": 0, "rows": 0, "certified_at": None}
     best = 0
-    for x in points:
+    for x in DEFAULT_POINTS:
         best = max(best, rank_at_point(rows, x))
         if best == len(rows):
             return {
@@ -224,7 +224,7 @@ def independence_verdict(rows: list[SparseRow], points=DEFAULT_POINTS) -> dict:
     depth = 0
     while True:
         kernel = poly_kernel(rows, depth)
-        if kernel and best == len(rows) - _kernel_rank_bound(kernel, points):
+        if kernel and best == len(rows) - _kernel_rank_bound(kernel):
             return {
                 "independent": False,
                 "rank": best,

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import NamedTuple, Union
 
 from .errors import DimensionMismatch, DomainError
-from .hecke import DEFAULT_ORACLE_CAP
 from .laurent import V, VINV, v_power, balanced_binomial
 from .vectors import IntVector, compositions, unit_vector, boxes
 from .matrices import (
@@ -109,9 +108,7 @@ def generator_element(sym: GeneratorSymbol, n: int) -> SymbolicElement:
     return SymbolicElement.gen(a, delta, lam)
 
 
-def realize_word(
-    word: GeneratorWord, n: int, r_max: int, cap: int = DEFAULT_ORACLE_CAP
-) -> TruncatedElement:
+def realize_word(word: GeneratorWord, n: int, r_max: int) -> TruncatedElement:
     """Image of a generator word in the truncated algebra sum.
 
     The fold runs right to left, so the left factor of every product
@@ -121,7 +118,7 @@ def realize_word(
     acc = TruncatedElement.unit(n, r_max)
     for sym in reversed(word):
         gen = generator_element(sym, n).realize_truncated(r_max)
-        acc = gen.multiply(acc, cap=cap)
+        acc = gen.multiply(acc)
     return acc
 
 
@@ -129,7 +126,7 @@ def _relation_instance(name: str, i: int, j: int, ok: bool) -> dict:
     return {"relation": name, "i": i, "j": j, "ok": ok}
 
 
-def check_relations(n: int, r_max: int, cap: int = DEFAULT_ORACLE_CAP) -> dict:
+def check_relations(n: int, r_max: int) -> dict:
     """Verify the defining relations of the presentation degree by
     degree up to r_max.  Returns a report with one entry per checked
     instance; the commutator relation divides by (v - v^{-1}) exactly
@@ -139,7 +136,7 @@ def check_relations(n: int, r_max: int, cap: int = DEFAULT_ORACLE_CAP) -> dict:
     E = lambda h, m=1: DividedRaise(h, m)
     F = lambda h, m=1: DividedLower(h, m)
     K = lambda i, s=1: TorusPower(i, s)
-    rw = lambda word: realize_word(tuple(word), n, r_max, cap)
+    rw = lambda word: realize_word(tuple(word), n, r_max)
     v_minus_vinv = V - VINV
 
     checks: list[dict] = []
@@ -258,10 +255,8 @@ def pbw_word(idx: PBWIndex) -> GeneratorWord:
     return tuple(word)
 
 
-def pbw_monomial(
-    idx: PBWIndex, r_max: int, cap: int = DEFAULT_ORACLE_CAP
-) -> TruncatedElement:
-    return realize_word(pbw_word(idx), len(idx.matrix), r_max, cap)
+def pbw_monomial(idx: PBWIndex, r_max: int) -> TruncatedElement:
+    return realize_word(pbw_word(idx), len(idx.matrix), r_max)
 
 
 def pbw_family(n: int, bound: int) -> list[PBWIndex]:

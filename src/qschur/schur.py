@@ -17,7 +17,6 @@ are exactly what the verification suites compare against the oracle.
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 
 from .errors import DimensionMismatch, DomainError
@@ -143,9 +142,6 @@ class SchurElement:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(", ", ": "))
-
     def __repr__(self) -> str:
         return f"SchurElement(n={self.n}, r={self.r}, {len(self.terms)} terms)"
 
@@ -229,15 +225,9 @@ def multiply_lowering(h: int, m: int, a: Matrix) -> SchurElement:
     return SchurElement(n, mirror.r, {rev(b): c for b, c in mirror.terms.items()})
 
 
-def diag_mult(lam: IntVector, a: Matrix, side: str = "left") -> SchurElement:
-    """Multiply by a diagonal basis element on the given side."""
-    if side == "left":
-        keep = ro(a) == lam
-    elif side == "right":
-        keep = co(a) == lam
-    else:
-        raise DomainError("side must be 'left' or 'right'")
-    if keep:
+def diag_mult(lam: IntVector, a: Matrix) -> SchurElement:
+    """Left-multiply by the diagonal basis element diag(lam)."""
+    if ro(a) == lam:
         return SchurElement.basis(a)
     return SchurElement.zero(len(a), entry_sum(a))
 

@@ -16,7 +16,6 @@ from .errors import DomainError
 from .cyclo import eval_at_root
 from .vectors import IntVector, unit_vector, compositions
 from .matrices import Matrix, theta_pm, entry_sum, zero_matrix
-from .hecke import DEFAULT_ORACLE_CAP
 from .schur import SchurElement
 from .symbolic import SymbolicElement, TruncatedElement
 from . import linalg
@@ -73,33 +72,29 @@ def bk_indices(n: int, bound: int) -> list[tuple[Matrix, IntVector]]:
     return out
 
 
-def bk_member(
-    a: Matrix, lam: IntVector, l: int, r_max: int, cap: int = DEFAULT_ORACLE_CAP
-) -> TruncatedElement:
+def bk_member(a: Matrix, lam: IntVector, l: int, r_max: int) -> TruncatedElement:
     """Specialized product of a matrix element with zero torus part and
-    the torus element with opposite exponent and binomial vector lam."""
+    the torus element with opposite exponent and binomial vector lam.
+    The right factor's matrices are diagonal, so the product never
+    reaches the coset oracle."""
     n = len(a)
     left = SymbolicElement.gen(a, (0,) * n, (0,) * n).realize_truncated(r_max)
     neg = tuple(-x for x in lam)
     right = SymbolicElement.gen(zero_matrix(n), neg, lam).realize_truncated(r_max)
-    return specialize(left.multiply(right, cap=cap), l)
+    return specialize(left.multiply(right), l)
 
 
-def bk_family(
-    n: int, bound: int, l: int, r_max: int, cap: int = DEFAULT_ORACLE_CAP
-) -> list[TruncatedElement]:
-    return [bk_member(a, lam, l, r_max, cap) for a, lam in bk_indices(n, bound)]
+def bk_family(n: int, bound: int, l: int, r_max: int) -> list[TruncatedElement]:
+    return [bk_member(a, lam, l, r_max) for a, lam in bk_indices(n, bound)]
 
 
-def bk_independence(
-    n: int, bound: int, l: int, r_max: int, cap: int = DEFAULT_ORACLE_CAP
-) -> dict:
+def bk_independence(n: int, bound: int, l: int, r_max: int) -> dict:
     """Exact rank of the specialized family over the cyclotomic field.
 
     Independence at a finite truncation is a witness for the basis
     statement at this scale, not a proof of it.
     """
-    family = bk_family(n, bound, l, r_max, cap)
+    family = bk_family(n, bound, l, r_max)
     rows, cols = linalg.flatten_family(family)
     rank = linalg.exact_rank(rows)
     return {

@@ -565,7 +565,7 @@ def run_formula2(cfg: RunConfig) -> dict:
 
 def run_relations(cfg: RunConfig) -> dict:
     r_max = cfg.resolve_r_max(5)
-    rep = check_relations(cfg.n, r_max, cfg.oracle_cap)
+    rep = check_relations(cfg.n, r_max)
     notes = ["every relation checked in every degree up to r_max"]
     return _report(cfg, "relations", r_max, rep["instances"], rep["failures"], notes)
 
@@ -602,10 +602,10 @@ def run_triangular(cfg: RunConfig) -> dict:
 def run_pbw_independence(cfg: RunConfig) -> dict:
     r_max = cfg.resolve_r_max(6)
     family = pbw_family(cfg.n, cfg.bound)
-    elements = [pbw_monomial(idx, r_max, cfg.oracle_cap) for idx in family]
+    elements = [pbw_monomial(idx, r_max) for idx in family]
     rows, _ = linalg.flatten_family(elements)
     verdict = linalg.independence_verdict(rows)
-    deeper = [pbw_monomial(idx, r_max + 1, cfg.oracle_cap) for idx in family]
+    deeper = [pbw_monomial(idx, r_max + 1) for idx in family]
     rows2, _ = linalg.flatten_family(deeper)
     verdict2 = linalg.independence_verdict(rows2)
     failures = []
@@ -662,7 +662,7 @@ def run_specialization(cfg: RunConfig) -> dict:
         if lhs != rhs:
             failures.append({"detail": "specialization is not multiplicative"})
 
-    verdict = bk_independence(cfg.n, cfg.bound, cfg.l, r_max, cfg.oracle_cap)
+    verdict = bk_independence(cfg.n, cfg.bound, cfg.l, r_max)
     instances += verdict["rows"]
     if not verdict["independent"]:
         failures.append({"detail": "specialized family dependent", **verdict})
@@ -675,8 +675,7 @@ def run_specialization(cfg: RunConfig) -> dict:
             .multiply(
                 SymbolicElement.gen(
                     zero_matrix(cfg.n), tuple(-x for x in lam), lam
-                ).realize_truncated(r_max),
-                cap=cfg.oracle_cap,
+                ).realize_truncated(r_max)
             )
             for a, lam in bk_indices(cfg.n, cfg.bound)
         ]

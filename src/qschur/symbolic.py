@@ -27,7 +27,7 @@ corner-sum order.
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
+from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import product as _product
 
@@ -281,7 +281,6 @@ def _torus_factor(row: int, m: int, l: int, nu: int) -> LaurentPoly:
     return out
 
 
-@lru_cache(maxsize=1 << 18)
 def _torus_key(
     gamma: IntVector, mu: IntVector, a: Matrix, delta: IntVector, lam: IntVector
 ) -> tuple[tuple[SymbolicKey, LaurentPoly], ...]:
@@ -322,7 +321,6 @@ def torus_mult(gamma: IntVector, mu: IntVector, x: SymbolicElement) -> SymbolicE
     return out
 
 
-@lru_cache(maxsize=1 << 18)
 def _raising_key(
     m: int, h: int, a: Matrix, delta: IntVector, lam: IntVector
 ) -> tuple[tuple[SymbolicKey, LaurentPoly], ...]:
@@ -392,15 +390,14 @@ def _raising_key(
     return tuple(out.items())
 
 
-@lru_cache(maxsize=1 << 18)
 def _lowering_key(
     m: int, h: int, a: Matrix, delta: IntVector, lam: IntVector
 ) -> tuple[tuple[SymbolicKey, LaurentPoly], ...]:
     # reversing rows, columns and both vectors turns the lowering move
     # on rows (h, h+1) into the raising move on rows (n-h, n-h+1)
-    mirror = _raising_key.__wrapped__(m, len(a) - h, rev(a), delta[::-1], lam[::-1])
+    mirror = _raising_key(m, len(a) - h, rev(a), delta[::-1], lam[::-1])
     # one reversed matrix per distinct matrix, shared by its keys, as the
-    # cache holds every key
+    # product keeps every key
     mats = {b: rev(b) for (b, _, _), _ in mirror}
     return tuple(((mats[b], d[::-1], lb[::-1]), c) for (b, d, lb), c in mirror)
 

@@ -22,7 +22,6 @@ from qschur.matrices import theta_matrices
 from qschur.presentation import pbw_family, pbw_monomial
 from qschur.suites import run_suite
 
-CAP = 10
 SEED = 20260816
 
 
@@ -118,14 +117,14 @@ def test_criterion_6_monomial_family_independence_as_stated():
     n, bound, r_max = 2, 3, 6
     family = pbw_family(n, bound)
     rows, _ = linalg.flatten_family(
-        [pbw_monomial(idx, r_max, CAP) for idx in family]
+        [pbw_monomial(idx, r_max) for idx in family]
     )
     best = max(linalg.rank_at_point(rows, Fraction(x)) for x in (2, 3, 5, 7))
     independent = best == len(rows)
 
     # diagnostic: the same family two degrees deeper
     rows8, _ = linalg.flatten_family(
-        [pbw_monomial(idx, r_max + 2, CAP) for idx in family]
+        [pbw_monomial(idx, r_max + 2) for idx in family]
     )
     rank8 = linalg.rank_at_point(rows8, Fraction(2))
 

@@ -160,6 +160,23 @@ def test_negative_multiply_cap_exit_code():
     assert "domain error" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("multiply", SYMBOLIC, SYMBOLIC, "--rmax", "-1"),
+        ("multiply", SYMBOLIC, SYMBOLIC, "--rmax", "-2", "--mode", "both"),
+        ("expand", SYMBOLIC, "--rmax", "-1"),
+        ("expand", SYMBOLIC, "--rmax", "-2"),
+        ("verify", "closure", "--rmax", "-1"),
+    ],
+)
+def test_negative_rmax_is_a_usage_error(args):
+    res = run_cli(*args)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "domain error" in res.stderr
+
+
 def test_usage_exit_code():
     res = run_cli("frobnicate")
     assert res.returncode == 2

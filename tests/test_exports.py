@@ -1,9 +1,13 @@
+import ast
 import importlib
+import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import qschur
+from qschur import schur
 
 MODULES = sorted(
     info.name
@@ -21,3 +25,48 @@ def test_every_exported_name_exists(name):
 
 def test_the_walk_sees_the_modules():
     assert "qschur.suites" in MODULES and "qschur.laurent" in MODULES
+
+
+# The benchmark's worker imports library names and reads cache tables;
+# it is parsed here, never run, so a change that would break it fails.
+WORKER = ast.parse(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "worker.py").read_text(encoding="utf-8")
+)
+
+
+def _worker_imports() -> dict:
+    """Local name -> object for every name the worker takes from qschur."""
+    out = {}
+    for node in ast.walk(WORKER):
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "qschur":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+                out[alias.asname or alias.name] = getattr(module, alias.name)
+    return out
+
+
+def test_the_benchmark_worker_imports_resolve():
+    names = _worker_imports()
+    assert "general_product" in names and "schur" in names
+
+
+def test_the_benchmark_worker_caches_keep_cache_info():
+    names = _worker_imports()
+    (table,) = [
+        node.value
+        for node in ast.walk(WORKER)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "CACHES" for t in node.targets)
+    ]
+    assert table.values
+    for value in table.values:
+        assert isinstance(value, ast.Attribute) and isinstance(value.value, ast.Name)
+        fn = getattr(names[value.value.id], value.attr)
+        assert hasattr(fn, "cache_info"), ast.unparse(value)
+
+
+@pytest.mark.parametrize("fn", [schur.general_product, schur.force_oracle_product])
+def test_the_benchmark_worker_passes_the_oracle_cap_positionally(fn):
+    # perfbench/worker.py calls fn(left, right, ORACLE_CAP)
+    inspect.signature(fn).bind("left", "right", 7)

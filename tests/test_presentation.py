@@ -17,6 +17,8 @@ from qschur.presentation import (
     pbw_word,
     realize_word,
 )
+from qschur import schur
+from qschur.specialize import bk_independence
 from qschur.symbolic import TruncatedElement
 
 CAP = 10
@@ -24,7 +26,7 @@ CAP = 10
 
 def test_all_relations_hold_at_small_scale():
     for n, r_max in ((2, 4), (3, 3)):
-        rep = check_relations(n, r_max, CAP)
+        rep = check_relations(n, r_max)
         assert rep["ok"], rep["failures"]
         assert rep["failures"] == []
         assert rep["instances"] > 0
@@ -42,15 +44,15 @@ def test_generator_symbols_validate():
 def test_divided_power_merge():
     # E_h^(a) E_h^(b) realizes to the binomial multiple of E_h^(a+b)
     n, r_max = 2, 4
-    lhs = realize_word((DividedRaise(1, 1), DividedRaise(1, 2)), n, r_max, CAP)
-    rhs = realize_word((DividedRaise(1, 3),), n, r_max, CAP)
+    lhs = realize_word((DividedRaise(1, 1), DividedRaise(1, 2)), n, r_max)
+    rhs = realize_word((DividedRaise(1, 3),), n, r_max)
     assert lhs == rhs.scale(balanced_binomial(3, 1))
 
 
 def test_word_realization_is_right_to_left_composition():
     n, r_max = 2, 3
     word = (DividedRaise(1, 1), DividedLower(1, 1))
-    one_shot = realize_word(word, n, r_max, CAP)
+    one_shot = realize_word(word, n, r_max)
     staged = generator_element(DividedRaise(1, 1), n).realize_truncated(r_max).multiply(
         generator_element(DividedLower(1, 1), n).realize_truncated(r_max),
         cap=CAP,
@@ -59,7 +61,7 @@ def test_word_realization_is_right_to_left_composition():
 
 
 def test_empty_word_is_the_unit():
-    assert realize_word((), 2, 3, CAP) == TruncatedElement.unit(2, 3)
+    assert realize_word((), 2, 3) == TruncatedElement.unit(2, 3)
 
 
 def count_family(n, bound):
@@ -94,5 +96,24 @@ def test_pbw_word_shape():
 @settings(max_examples=10, deadline=None)
 @given(st.sampled_from(pbw_family(2, 2)))
 def test_pbw_monomials_realize_nonzero(idx):
-    el = pbw_monomial(idx, 4, CAP)
+    el = pbw_monomial(idx, 4)
     assert not el.is_zero()
+
+
+def test_generator_products_never_reach_the_oracle(monkeypatch):
+    # the reason these paths take no oracle cap: a single generator on
+    # the left, or a torus element on the right, always has a
+    # structured rule, even above the default cap of 6
+    def no_oracle(*args):
+        raise AssertionError(f"oracle reached: {args}")
+
+    monkeypatch.setattr(schur, "oracle_product", no_oracle)
+    schur._basis_product_cached.cache_clear()
+    try:
+        assert check_relations(2, 5)["ok"]
+        assert check_relations(3, 5)["ok"]
+        for idx in pbw_family(2, 2):
+            pbw_monomial(idx, 7)
+        assert bk_independence(2, 2, 3, 5)["independent"]
+    finally:
+        schur._basis_product_cached.cache_clear()

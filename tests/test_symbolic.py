@@ -168,7 +168,7 @@ def test_torus_key_matches_the_joint_sum():
     cases = [*torus_grid(2, 1), *torus_grid(3, 7), *torus_grid(4, 6007)]
     assert len(cases) == 486 + 2916 + 100
     for args in cases:
-        assert symbolic._torus_key.__wrapped__(*args) == joint_sum_torus_key(*args), args
+        assert symbolic._torus_key(*args) == joint_sum_torus_key(*args), args
 
 
 def worklist_delta_reduce(x):
