@@ -16,14 +16,11 @@ bound, and saturation at the family size certifies independence.
 
 import argparse
 import sys
-from fractions import Fraction
 
 sys.path.insert(0, "src")
 
-from qschur.linalg import flatten_family, rank_at_point
+from qschur.linalg import evaluation_rank, flatten_family
 from qschur.presentation import pbw_family, pbw_monomial
-
-POINTS = (Fraction(2), Fraction(3), Fraction(5), Fraction(7))
 
 
 def main() -> int:
@@ -41,7 +38,7 @@ def main() -> int:
     print(f"{'depth':>5}  {'rank':>5}  {'deficit':>7}")
     for r in range(args.depth_min, args.depth_max + 1):
         rows, _ = flatten_family([pbw_monomial(idx, r) for idx in family])
-        rank = max(rank_at_point(rows, p) for p in POINTS)
+        rank = evaluation_rank(rows)
         gap = size - rank
         marker = "  <- independent" if gap == 0 else ""
         print(f"{r:>5}  {rank:>5}  {gap:>7}{marker}")

@@ -61,7 +61,7 @@ from .symbolic import (
     triangular_word,
 )
 from .presentation import check_relations, pbw_family, pbw_monomial
-from .specialize import bk_independence, check_torus_power_trivial, specialize
+from .specialize import bk_independence, bk_products, check_torus_power_trivial, specialize
 from .linalg import exact_rank, flatten_family, independence_verdict
 from .config import RunConfig
 from .suites import SUITE_NAMES, run_suite
@@ -119,6 +119,7 @@ __all__ = [
     "pbw_monomial",
     "specialize",
     "check_torus_power_trivial",
+    "bk_products",
     "bk_independence",
     "flatten_family",
     "independence_verdict",

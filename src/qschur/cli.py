@@ -138,6 +138,8 @@ def parse_element(text: str):
             raise DimensionMismatch(
                 f"matrix size {len(a)} does not match n={n}"
             )
+        if any(x < 0 for row in a for x in row):
+            raise ParseError("symbolic matrices must be nonnegative")
         delta = _vector_from_json(term.get("delta", [0] * n), n)
         lam = _vector_from_json(term.get("lambda", [0] * n), n)
         if any(x < 0 for x in lam):

@@ -47,12 +47,10 @@ from .permutations import (
     reduced_word,
     young_subgroup,
 )
-from .vectors import IntVector, compositions
+from .vectors import IntVector
 
 __all__ = [
     "HeckeElt",
-    "Q_POLY",
-    "compositions",
     "hecke_unit",
     "hecke_add_into",
     "right_mult_gen",
@@ -69,8 +67,6 @@ __all__ = [
 ]
 
 HeckeElt = dict[Permutation, LaurentPoly]
-
-Q_POLY = LaurentPoly({2: 1})
 
 DEFAULT_ORACLE_CAP = 6
 

@@ -26,6 +26,7 @@ from .laurent import LaurentPoly, ZERO
 __all__ = [
     "flatten_family",
     "rank_at_point",
+    "evaluation_rank",
     "poly_kernel",
     "independence_verdict",
     "exact_rank",
@@ -178,17 +179,25 @@ def poly_kernel(rows: list[SparseRow], depth: int) -> list[list[LaurentPoly]]:
     return out
 
 
+def evaluation_rank(rows: list[SparseRow]) -> int:
+    """The best rank of the rows evaluated at the points 2, 3, 5, 7: a
+    lower bound for their rank over the Laurent field, reached at the
+    first point where it is the row count."""
+    best = 0
+    for x in DEFAULT_POINTS:
+        best = max(best, rank_at_point(rows, x))
+        if best == len(rows):
+            break
+    return best
+
+
 def _kernel_rank_bound(kernel: list[list[LaurentPoly]]) -> int:
     """Lower bound for the rank of the kernel vectors over the Laurent
     field, by evaluation.  Any lower bound here is an upper bound on
     the rank of the original rows."""
-    best = 0
-    rows = [
-        {i: c for i, c in enumerate(combo) if not c.is_zero()} for combo in kernel
-    ]
-    for x in DEFAULT_POINTS:
-        best = max(best, rank_at_point(rows, x))
-    return best
+    return evaluation_rank(
+        [{i: c for i, c in enumerate(combo) if not c.is_zero()} for combo in kernel]
+    )
 
 
 def _degree_spread(rows: list[SparseRow]) -> int:

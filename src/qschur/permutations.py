@@ -31,7 +31,6 @@ __all__ = [
     "reduced_word",
     "all_permutations",
     "block_ranges",
-    "row_blocks",
     "young_subgroup",
 ]
 
@@ -108,19 +107,6 @@ def block_ranges(lam: IntVector) -> tuple[range, ...]:
             raise DomainError("composition parts must be nonnegative")
         starts.append(starts[-1] + part)
     return tuple(range(starts[k], starts[k + 1]) for k in range(len(lam)))
-
-
-def row_blocks(lam: IntVector, i: int) -> frozenset[int]:
-    """The i-th consecutive block of {1, ..., r}, 1-based on both ends.
-
-    >>> sorted(row_blocks((2, 1), 1))
-    [1, 2]
-    >>> sorted(row_blocks((2, 1), 2))
-    [3]
-    """
-    if not 1 <= i <= len(lam):
-        raise DomainError(f"block index {i} out of range")
-    return frozenset(p + 1 for p in block_ranges(lam)[i - 1])
 
 
 @cache

@@ -1,111 +1,39 @@
 """Generator presentation of the truncated quantized envelope.
 
-Words in divided-power raising and lowering generators, invertible
-torus generators, and torus binomial generators are realized inside
-the direct sum of finite-rank algebras up to a degree bound.  Folding
-is right to left, so every elementary product goes through a fast
-structured path.  The module also checks the defining relations of
-the presentation and builds the monomial family indexed by
-(matrix, exponent vector, binomial vector) triples.
+A generator word is a tuple of symbolic keys, one per letter: divided
+raising and lowering powers are the transfer keys (m E_{h,h+1}; 0, 0)
+and (m E_{h+1,h}; 0, 0), the invertible torus generators are
+(0; +-e_i, 0) and the torus binomials of order t are (0; 0, t e_i).
+Words are realized inside the direct sum of finite-rank algebras up to
+a degree bound.  Folding is right to left, so every elementary product
+goes through a fast structured path.  The module also checks the
+defining relations of the presentation and builds the monomial family
+indexed by (matrix, exponent vector, binomial vector) keys.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Union
-
-from .errors import DimensionMismatch, DomainError
+from .errors import DimensionMismatch
 from .laurent import V, VINV, v_power, balanced_binomial
-from .vectors import IntVector, compositions, unit_vector, boxes
-from .matrices import (
-    Matrix,
-    entry_matrix,
-    entry_sum,
-    split_triangular,
-    theta_pm,
-    zero_matrix,
-)
+from .vectors import unit_vector, boxes
+from .matrices import entry_matrix, split_triangular, zero_matrix
+from .specialize import bk_indices
 from .symbolic import (
+    GeneratorWord,
     SymbolicElement,
+    SymbolicKey,
     TruncatedElement,
+    _generator_rule,
     triangular_word,
 )
 
 __all__ = [
-    "DividedRaise",
-    "DividedLower",
-    "TorusPower",
-    "TorusBinom",
-    "GeneratorWord",
-    "generator_element",
     "realize_word",
     "check_relations",
-    "PBWIndex",
     "pbw_word",
     "pbw_monomial",
     "pbw_family",
 ]
-
-
-class DividedRaise(NamedTuple):
-    """Divided power of the raising generator on row pair (h, h+1)."""
-
-    h: int
-    m: int
-
-
-class DividedLower(NamedTuple):
-    """Divided power of the lowering generator on row pair (h, h+1)."""
-
-    h: int
-    m: int
-
-
-class TorusPower(NamedTuple):
-    """Invertible torus generator for coordinate i, raised to sign s."""
-
-    i: int
-    s: int
-
-
-class TorusBinom(NamedTuple):
-    """Torus binomial generator of order t for coordinate i."""
-
-    i: int
-    t: int
-
-
-GeneratorSymbol = Union[DividedRaise, DividedLower, TorusPower, TorusBinom]
-GeneratorWord = tuple[GeneratorSymbol, ...]
-
-
-def _symbol_key(sym: GeneratorSymbol, n: int):
-    """Symbolic basis key (matrix, exponents, binomials) for one symbol."""
-    if isinstance(sym, DividedRaise):
-        if not (1 <= sym.h < n and sym.m >= 0):
-            raise DomainError(f"raising symbol out of range: {sym}")
-        a = entry_matrix(n, sym.h, sym.h + 1, sym.m)
-        return a, (0,) * n, (0,) * n
-    if isinstance(sym, DividedLower):
-        if not (1 <= sym.h < n and sym.m >= 0):
-            raise DomainError(f"lowering symbol out of range: {sym}")
-        a = entry_matrix(n, sym.h + 1, sym.h, sym.m)
-        return a, (0,) * n, (0,) * n
-    if isinstance(sym, TorusPower):
-        if not (1 <= sym.i <= n and sym.s in (1, -1)):
-            raise DomainError(f"torus power out of range: {sym}")
-        delta = tuple(sym.s * e for e in unit_vector(n, sym.i))
-        return zero_matrix(n), delta, (0,) * n
-    if isinstance(sym, TorusBinom):
-        if not (1 <= sym.i <= n and sym.t >= 0):
-            raise DomainError(f"torus binomial out of range: {sym}")
-        lam = tuple(sym.t * e for e in unit_vector(n, sym.i))
-        return zero_matrix(n), (0,) * n, lam
-    raise DomainError(f"unknown generator symbol: {sym!r}")
-
-
-def generator_element(sym: GeneratorSymbol, n: int) -> SymbolicElement:
-    a, delta, lam = _symbol_key(sym, n)
-    return SymbolicElement.gen(a, delta, lam)
 
 
 def realize_word(word: GeneratorWord, n: int, r_max: int) -> TruncatedElement:
@@ -113,11 +41,13 @@ def realize_word(word: GeneratorWord, n: int, r_max: int) -> TruncatedElement:
 
     The fold runs right to left, so the left factor of every product
     is a single elementary generator and the multiplication dispatches
-    to a structured formula rather than the coset oracle.
+    to a structured formula rather than the coset oracle.  A key that
+    is not one generator raises DomainError.
     """
     acc = TruncatedElement.unit(n, r_max)
-    for sym in reversed(word):
-        gen = generator_element(sym, n).realize_truncated(r_max)
+    for key in reversed(word):
+        _generator_rule(key)
+        gen = SymbolicElement.gen(*key).realize_truncated(r_max)
         acc = gen.multiply(acc)
     return acc
 
@@ -133,9 +63,10 @@ def check_relations(n: int, r_max: int) -> dict:
     rather than comparing cleared forms."""
     if n < 2:
         raise DimensionMismatch("relations need n >= 2")
-    E = lambda h, m=1: DividedRaise(h, m)
-    F = lambda h, m=1: DividedLower(h, m)
-    K = lambda i, s=1: TorusPower(i, s)
+    z = (0,) * n
+    E = lambda h, m=1: (entry_matrix(n, h, h + 1, m), z, z)
+    F = lambda h, m=1: (entry_matrix(n, h + 1, h, m), z, z)
+    K = lambda i, s=1: (zero_matrix(n), tuple(s * e for e in unit_vector(n, i)), z)
     rw = lambda word: realize_word(tuple(word), n, r_max)
     v_minus_vinv = V - VINV
 
@@ -223,50 +154,33 @@ def check_relations(n: int, r_max: int) -> dict:
     }
 
 
-class PBWIndex(NamedTuple):
-    """Index triple for a monomial in the triangular generator order."""
-
-    matrix: Matrix
-    delta: IntVector
-    lam: IntVector
-
-
-def pbw_word(idx: PBWIndex) -> GeneratorWord:
-    """Generator word for the monomial at idx: divided raising powers
-    for the upper part, torus powers and binomials in the middle,
-    divided lowering powers for the lower part."""
-    a = idx.matrix
+def pbw_word(key: SymbolicKey) -> GeneratorWord:
+    """Generator word for the monomial at key (A; delta, lam): divided
+    raising powers for the upper part of A, then for each coordinate i
+    |delta_i| torus powers and one binomial of order lam_i, then divided
+    lowering powers for the lower part of A."""
+    a, delta, lam = key
     n = len(a)
-    if len(idx.delta) != n or len(idx.lam) != n:
+    if len(delta) != n or len(lam) != n:
         raise DimensionMismatch("index vectors must match matrix size")
     upper, lower = split_triangular(a)
-    word: list[GeneratorSymbol] = []
-    for _kind, h, m in triangular_word(upper):
-        word.append(DividedRaise(h, m))
+    zero, z = zero_matrix(n), (0,) * n
+    middle: list[SymbolicKey] = []
     for i in range(1, n + 1):
-        d = idx.delta[i - 1]
-        s = 1 if d > 0 else -1
-        for _ in range(abs(d)):
-            word.append(TorusPower(i, s))
-        if idx.lam[i - 1] > 0:
-            word.append(TorusBinom(i, idx.lam[i - 1]))
-    for _kind, h, m in triangular_word(lower):
-        word.append(DividedLower(h, m))
-    return tuple(word)
+        e = unit_vector(n, i)
+        d, t = delta[i - 1], lam[i - 1]
+        sign = 1 if d > 0 else -1
+        middle += [(zero, tuple(sign * x for x in e), z)] * abs(d)
+        if t > 0:
+            middle.append((zero, z, tuple(t * x for x in e)))
+    return triangular_word(upper) + tuple(middle) + triangular_word(lower)
 
 
-def pbw_monomial(idx: PBWIndex, r_max: int) -> TruncatedElement:
-    return realize_word(pbw_word(idx), len(idx.matrix), r_max)
+def pbw_monomial(key: SymbolicKey, r_max: int) -> TruncatedElement:
+    return realize_word(pbw_word(key), len(key[0]), r_max)
 
 
-def pbw_family(n: int, bound: int) -> list[PBWIndex]:
-    """All index triples with total matrix weight plus binomial weight
-    at most the bound and exponent vector entries in {0, 1}."""
-    out: list[PBWIndex] = []
-    for a in theta_pm(n, bound):
-        lam_budget = bound - entry_sum(a)
-        for ls in range(lam_budget + 1):
-            for lam in compositions(n, ls):
-                for delta in boxes(0, 1, n):
-                    out.append(PBWIndex(a, delta, lam))
-    return out
+def pbw_family(n: int, bound: int) -> list[SymbolicKey]:
+    """All keys with total matrix weight plus binomial weight at most
+    the bound and exponent vector entries in {0, 1}."""
+    return [(a, delta, lam) for a, lam in bk_indices(n, bound) for delta in boxes(0, 1, n)]

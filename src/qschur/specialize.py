@@ -6,8 +6,8 @@ of specialized elements are computed through the integral structure
 constants and then evaluated, so specialization is a ring homomorphism
 by construction and the tests can verify it as one.  The module also
 checks the degeneration that makes the torus generators l-torsion and
-builds the basis family of specialized products used by the
-independence witness.
+builds the basis family of products whose specialization the
+independence witness ranks.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ __all__ = [
     "specialize",
     "check_torus_power_trivial",
     "bk_indices",
-    "bk_family",
+    "bk_products",
     "bk_independence",
 ]
 
@@ -72,36 +72,33 @@ def bk_indices(n: int, bound: int) -> list[tuple[Matrix, IntVector]]:
     return out
 
 
-def bk_member(a: Matrix, lam: IntVector, l: int, r_max: int) -> TruncatedElement:
-    """Specialized product of a matrix element with zero torus part and
-    the torus element with opposite exponent and binomial vector lam.
+def bk_products(n: int, bound: int, r_max: int) -> list[TruncatedElement]:
+    """For each index pair (A, lam), the unspecialized product of the
+    matrix element (A; 0, 0) and the torus element (0; -lam, lam).
     The right factor's matrices are diagonal, so the product never
     reaches the coset oracle."""
-    n = len(a)
-    left = SymbolicElement.gen(a, (0,) * n, (0,) * n).realize_truncated(r_max)
-    neg = tuple(-x for x in lam)
-    right = SymbolicElement.gen(zero_matrix(n), neg, lam).realize_truncated(r_max)
-    return specialize(left.multiply(right), l)
+    zero, z = zero_matrix(n), (0,) * n
+    return [
+        SymbolicElement.gen(a, z, z)
+        .realize_truncated(r_max)
+        .multiply(
+            SymbolicElement.gen(zero, tuple(-x for x in lam), lam).realize_truncated(r_max)
+        )
+        for a, lam in bk_indices(n, bound)
+    ]
 
 
-def bk_family(n: int, bound: int, l: int, r_max: int) -> list[TruncatedElement]:
-    return [bk_member(a, lam, l, r_max) for a, lam in bk_indices(n, bound)]
-
-
-def bk_independence(n: int, bound: int, l: int, r_max: int) -> dict:
-    """Exact rank of the specialized family over the cyclotomic field.
+def bk_independence(products: list[TruncatedElement], l: int) -> dict:
+    """Exact rank of the products specialized at the root of order l,
+    over the cyclotomic field.
 
     Independence at a finite truncation is a witness for the basis
     statement at this scale, not a proof of it.
     """
-    family = bk_family(n, bound, l, r_max)
-    rows, cols = linalg.flatten_family(family)
+    rows, cols = linalg.flatten_family([specialize(x, l) for x in products])
     rank = linalg.exact_rank(rows)
     return {
-        "n": n,
-        "bound": bound,
         "l": l,
-        "r_max": r_max,
         "rows": len(rows),
         "columns": cols,
         "rank": rank,

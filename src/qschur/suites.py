@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import random
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 from functools import partial
 from itertools import islice, product
 
@@ -42,6 +41,7 @@ from .matrices import (
     Matrix,
     add_to_entry,
     diag_matrix,
+    entry_matrix,
     entry_sum,
     ro,
     theta_matrices,
@@ -53,6 +53,7 @@ from .schur import multiply_lowering, multiply_raising
 from .symbolic import (
     SymbolicElement,
     delta_reduce,
+    fold_word,
     lowering_mult,
     raising_mult,
     torus_mult,
@@ -62,7 +63,7 @@ from . import linalg
 from .presentation import check_relations, pbw_family, pbw_monomial
 from .specialize import (
     bk_independence,
-    bk_indices,
+    bk_products,
     check_torus_power_trivial,
     specialize,
 )
@@ -662,27 +663,20 @@ def run_specialization(cfg: RunConfig) -> dict:
         if lhs != rhs:
             failures.append({"detail": "specialization is not multiplicative"})
 
-    verdict = bk_independence(cfg.n, cfg.bound, cfg.l, r_max)
+    # one family, ranked after specialization for the verdict and
+    # before it for the rank drop record
+    products = bk_products(cfg.n, cfg.bound, r_max)
+    verdict = {
+        "n": cfg.n,
+        "bound": cfg.bound,
+        "r_max": r_max,
+        **bk_independence(products, cfg.l),
+    }
     instances += verdict["rows"]
     if not verdict["independent"]:
         failures.append({"detail": "specialized family dependent", **verdict})
-
-    # rank drop record: the same family before and after specialization
-    laurent_rows, _ = linalg.flatten_family(
-        [
-            SymbolicElement.gen(a, (0,) * cfg.n, (0,) * cfg.n)
-            .realize_truncated(r_max)
-            .multiply(
-                SymbolicElement.gen(
-                    zero_matrix(cfg.n), tuple(-x for x in lam), lam
-                ).realize_truncated(r_max)
-            )
-            for a, lam in bk_indices(cfg.n, cfg.bound)
-        ]
-    )
-    laurent_rank = max(
-        linalg.rank_at_point(laurent_rows, Fraction(x)) for x in (2, 3, 5, 7)
-    )
+    laurent_rows, _ = linalg.flatten_family(products)
+    laurent_rank = linalg.evaluation_rank(laurent_rows)
     notes = [
         "torus power triviality, multiplicativity on random pairs, and "
         "the specialized family rank are all exact",
@@ -705,6 +699,7 @@ def run_closure(cfg: RunConfig) -> dict:
     count = max(10, cfg.random_instances // 4)
     failures: list[dict] = []
     n = cfg.n
+    zero, z = zero_matrix(n), (0,) * n
     for idx in range(count):
         x = SymbolicElement.gen(
             _rand_theta_pm(rng, n, 2), _rand_vec(rng, n, -2, 2), _rand_vec(rng, n, 0, 2)
@@ -713,17 +708,13 @@ def run_closure(cfg: RunConfig) -> dict:
         for _ in range(rng.randint(1, 4)):
             kind = rng.choice(("E", "F", "T"))
             if kind == "T":
-                word.append(("T", _rand_vec(rng, n, -2, 2), _rand_vec(rng, n, 0, 2)))
+                word.append((zero, _rand_vec(rng, n, -2, 2), _rand_vec(rng, n, 0, 2)))
             else:
-                word.append((kind, rng.randint(1, 2), rng.randint(1, n - 1)))
-        y = x
-        for sym in word:
-            if sym[0] == "T":
-                y = torus_mult(sym[1], sym[2], y)
-            elif sym[0] == "E":
-                y = raising_mult(sym[1], sym[2], y)
-            else:
-                y = lowering_mult(sym[1], sym[2], y)
+                m, h = rng.randint(1, 2), rng.randint(1, n - 1)
+                i, j = (h, h + 1) if kind == "E" else (h + 1, h)
+                word.append((entry_matrix(n, i, j, m), z, z))
+        # the first letter drawn acts first
+        y = fold_word(word[::-1], x)
         reduced = delta_reduce(y)
         bad_exponent = any(
             not all(0 <= d <= 1 for d in key[1]) for key in reduced.terms
@@ -734,8 +725,7 @@ def run_closure(cfg: RunConfig) -> dict:
                 {
                     "index": idx,
                     "word": [
-                        [w[0], list(w[1]), list(w[2])] if w[0] == "T" else list(w)
-                        for w in word
+                        [[list(rw) for rw in a], list(d), list(lam)] for a, d, lam in word
                     ],
                     "detail": "reduction left stray exponents"
                     if bad_exponent

@@ -18,6 +18,10 @@ element without leaving the symbolic side:
 * `raising_mult`  -- left factor (m E_{h,h+1}; 0, 0);
 * `lowering_mult` -- left factor (m E_{h+1,h}; 0, 0).
 
+Every generator is its own key, so a generator word is a tuple of
+keys: `gen_mult` sends a one-generator key to its rule, and
+`fold_word` folds a word onto any element, right to left.
+
 `delta_reduce` rewrites every key until its exponent vector lies in
 {0,1}^n, using the two-term recurrences satisfied by the torus part;
 `triangular_product` folds the canonical raising/lowering word of a
@@ -43,6 +47,7 @@ from .laurent import (
 )
 from .matrices import (
     Matrix,
+    entry_matrix,
     has_zero_diagonal,
     is_nonnegative,
     matrix_norm,
@@ -51,18 +56,28 @@ from .matrices import (
     ro,
     zero_matrix,
 )
-from .schur import SchurElement, diag_sum, force_oracle_product, general_product
+from .schur import (
+    SchurElement,
+    diag_sum,
+    force_oracle_product,
+    general_product,
+    lowering_shape,
+    raising_shape,
+)
 from .hecke import DEFAULT_ORACLE_CAP
 from .vectors import IntVector, compositions, dot, is_natural, vadd, vsub
 
 __all__ = [
     "SymbolicKey",
+    "GeneratorWord",
     "SymbolicElement",
     "TruncatedElement",
     "torus_mult",
     "raising_mult",
     "lowering_mult",
     "delta_reduce",
+    "gen_mult",
+    "fold_word",
     "triangular_word",
     "triangular_product",
     "precedes",
@@ -70,6 +85,7 @@ __all__ = [
 ]
 
 SymbolicKey = tuple[Matrix, IntVector, IntVector]
+GeneratorWord = tuple[SymbolicKey, ...]
 
 
 def _check_key(a: Matrix, delta: IntVector, lam: IntVector) -> None:
@@ -475,49 +491,66 @@ def delta_reduce(x: SymbolicElement) -> SymbolicElement:
 
 
 # ---------------------------------------------------------------------------
-# triangular words
+# generator words
 
 
-def triangular_word(a: Matrix) -> list[tuple[str, int, int]]:
+def _generator_rule(key: SymbolicKey):
+    """The product rule that left-multiplies by a one-generator key,
+    with its leading arguments: `torus_mult` for (0; delta, lam),
+    `raising_mult` for (m E_{h,h+1}; 0, 0) and `lowering_mult` for
+    (m E_{h+1,h}; 0, 0), m > 0.  Any other key raises DomainError."""
+    a, delta, lam = key
+    _check_key(a, delta, lam)
+    if not any(map(any, a)):
+        return torus_mult, (delta, lam)
+    if not any(delta) and not any(lam):
+        for shape_of, rule in ((raising_shape, raising_mult), (lowering_shape, lowering_mult)):
+            shape = shape_of(a)
+            if shape is not None and shape[1] > 0:
+                return rule, (shape[1], shape[0])
+    raise DomainError(f"not a generator key: {key!r}")
+
+
+def gen_mult(key: SymbolicKey, x: SymbolicElement) -> SymbolicElement:
+    """Left-multiply by the generator whose symbolic key is ``key``."""
+    if len(key[0]) != x.n:
+        raise DimensionMismatch("key size differs from the element size")
+    rule, args = _generator_rule(key)
+    return rule(*args, x)
+
+
+def fold_word(word: GeneratorWord, x: SymbolicElement) -> SymbolicElement:
+    """The product word[0] * ... * word[-1] * x, folded right to left."""
+    for key in reversed(word):
+        x = gen_mult(key, x)
+    return x
+
+
+def triangular_word(a: Matrix) -> GeneratorWord:
     """The canonical generator word of a zero-diagonal matrix: raising
-    symbols for the upper part (columns outermost-first), then lowering
-    symbols for the lower part, each entry contributing a chain between
-    its row and the diagonal.  Symbols are ("E"|"F", h, m) with m > 0.
+    keys for the upper part (columns outermost-first), then lowering
+    keys for the lower part, each entry m contributing a chain of
+    transfer keys (m E_{h,h+1}; 0, 0) or (m E_{h+1,h}; 0, 0) between
+    its row and the diagonal.
     """
     n = len(a)
     if not has_zero_diagonal(a):
         raise DomainError("triangular words need zero-diagonal matrices")
-    word: list[tuple[str, int, int]] = []
+    zero = (0,) * n
+    word: list[SymbolicKey] = []
     for jcol in range(n, 1, -1):
         for irow in range(jcol - 1, 0, -1):
             mval = a[irow - 1][jcol - 1]
             if mval:
                 for h in range(irow, jcol):
-                    word.append(("E", h, mval))
+                    word.append((entry_matrix(n, h, h + 1, mval), zero, zero))
     for jcol in range(2, n + 1):
         for irow in range(1, jcol):
             mval = a[jcol - 1][irow - 1]
             if mval:
                 for h in range(jcol - 1, irow - 1, -1):
-                    word.append(("F", h, mval))
-    return word
-
-
-def apply_symbol(sym: tuple[str, int, int], x: SymbolicElement) -> SymbolicElement:
-    kind, h, m = sym
-    if kind == "E":
-        return raising_mult(m, h, x)
-    if kind == "F":
-        return lowering_mult(m, h, x)
-    raise DomainError(f"unknown symbol kind {kind!r}")
-
-
-def fold_word(word: list[tuple[str, int, int]], n: int) -> SymbolicElement:
-    """Right-to-left product of a generator word on the symbolic side."""
-    acc = SymbolicElement.unit(n)
-    for sym in reversed(word):
-        acc = apply_symbol(sym, acc)
-    return acc
+                    word.append((entry_matrix(n, h + 1, h, mval), zero, zero))
+    return tuple(word)
 
 
 def triangular_product(a: Matrix, r_max: int) -> tuple[TruncatedElement, dict]:
@@ -528,7 +561,7 @@ def triangular_product(a: Matrix, r_max: int) -> tuple[TruncatedElement, dict]:
     ``a`` in the corner-sum order with strictly smaller norm.
     """
     n = len(a)
-    folded = delta_reduce(fold_word(triangular_word(a), n))
+    folded = delta_reduce(fold_word(triangular_word(a), SymbolicElement.unit(n)))
     zero = (0,) * n
     lead = folded.terms.get((a, zero, zero), ZERO)
     lower_ok = True

@@ -135,6 +135,28 @@ def test_non_integer_numbers_are_rejected(command, element):
     assert res.stdout == ""
 
 
+NEGATIVE_ENTRY = json.dumps({"n": 2, "terms": [{"matrix": [[0, -1], [0, 0]]}]})
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("expand", NEGATIVE_ENTRY, "--rmax", "1"),
+        ("expand", NEGATIVE_ENTRY),
+        ("multiply", NEGATIVE_ENTRY, NEGATIVE_ENTRY, "--rmax", "1"),
+        ("multiply", SYMBOLIC, NEGATIVE_ENTRY, "--rmax", "1"),
+    ],
+    ids=["expand-rmax", "expand", "multiply-both", "multiply-right"],
+)
+def test_negative_symbolic_entries_are_rejected(args):
+    # such a term used to be dropped without a word: the element read as
+    # zero and the command printed an empty result with exit 0
+    res = run_cli(*args)
+    assert res.returncode == 2, res.stderr
+    assert res.stdout == ""
+    assert "parse error" in res.stderr
+
+
 def test_dimension_mismatch_exit_code():
     other = json.dumps({"n": 2, "r": 3, "terms": []})
     res = run_cli("multiply", ELEMENT_A, other)

@@ -27,18 +27,23 @@ def test_the_walk_sees_the_modules():
     assert "qschur.suites" in MODULES and "qschur.laurent" in MODULES
 
 
-# The benchmark's worker imports library names and reads cache tables;
-# it is parsed here, never run, so a change that would break it fails.
-WORKER = ast.parse(
-    (Path(__file__).resolve().parents[1] / "perfbench" / "worker.py").read_text(encoding="utf-8")
-)
+# The scripts and the benchmark import library names, and the
+# benchmark's worker reads cache tables; they are parsed here, never
+# run, so a change that would break one of them fails.
+ROOT = Path(__file__).resolve().parents[1]
+READERS = sorted([*ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py")])
+WORKER = ast.parse((ROOT / "perfbench" / "worker.py").read_text(encoding="utf-8"))
 
 
-def _worker_imports() -> dict:
-    """Local name -> object for every name the worker takes from qschur."""
+def _qschur_imports(tree: ast.AST) -> dict:
+    """Local name -> object for every name a file takes from qschur."""
     out = {}
-    for node in ast.walk(WORKER):
-        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "qschur":
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.ImportFrom)
+            and node.module
+            and node.module.split(".")[0] == "qschur"
+        ):
             module = importlib.import_module(node.module)
             for alias in node.names:
                 assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
@@ -46,13 +51,23 @@ def _worker_imports() -> dict:
     return out
 
 
+@pytest.mark.parametrize("path", READERS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_script_and_benchmark_imports_resolve(path):
+    _qschur_imports(ast.parse(path.read_text(encoding="utf-8")))
+
+
+def test_the_reader_walk_sees_the_scripts():
+    names = {f"{p.parent.name}/{p.name}" for p in READERS}
+    assert {"scripts/depth_study.py", "perfbench/worker.py", "perfbench/selftest.py"} <= names
+
+
 def test_the_benchmark_worker_imports_resolve():
-    names = _worker_imports()
+    names = _qschur_imports(WORKER)
     assert "general_product" in names and "schur" in names
 
 
 def test_the_benchmark_worker_caches_keep_cache_info():
-    names = _worker_imports()
+    names = _qschur_imports(WORKER)
     (table,) = [
         node.value
         for node in ast.walk(WORKER)

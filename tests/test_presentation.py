@@ -3,23 +3,27 @@ from hypothesis import given, settings, strategies as st
 
 from qschur.errors import DomainError
 from qschur.laurent import balanced_binomial
-from qschur.matrices import zero_matrix
+from qschur.matrices import entry_matrix, zero_matrix
 from qschur.presentation import (
-    DividedLower,
-    DividedRaise,
-    PBWIndex,
-    TorusBinom,
-    TorusPower,
     check_relations,
-    generator_element,
     pbw_family,
     pbw_monomial,
     pbw_word,
     realize_word,
 )
 from qschur import schur
-from qschur.specialize import bk_independence
-from qschur.symbolic import TruncatedElement
+from qschur.specialize import bk_independence, bk_products
+from qschur.symbolic import SymbolicElement, TruncatedElement, fold_word
+
+Z = (0, 0)
+
+
+def E(m=1):
+    return (entry_matrix(2, 1, 2, m), Z, Z)
+
+
+def F(m=1):
+    return (entry_matrix(2, 2, 1, m), Z, Z)
 
 CAP = 10
 
@@ -33,31 +37,45 @@ def test_all_relations_hold_at_small_scale():
 
 
 def test_generator_symbols_validate():
-    with pytest.raises(DomainError):
-        generator_element(DividedRaise(0, 1), 2)
-    with pytest.raises(DomainError):
-        generator_element(DividedRaise(2, 1), 2)
-    with pytest.raises(DomainError):
-        generator_element(TorusPower(3, 1), 2)
+    # a letter is one generator key; realize_word refuses anything else
+    for key in (
+        (((0, 1), (1, 0)), Z, Z),
+        (((0, 1), (0, 0)), (0, 1), Z),
+        (((0, 2), (0, 0)), Z, (1, 0)),
+    ):
+        with pytest.raises(DomainError):
+            realize_word((key,), 2, 2)
+        with pytest.raises(DomainError):
+            realize_word((E(), key, F()), 2, 2)
 
 
 def test_divided_power_merge():
     # E_h^(a) E_h^(b) realizes to the binomial multiple of E_h^(a+b)
     n, r_max = 2, 4
-    lhs = realize_word((DividedRaise(1, 1), DividedRaise(1, 2)), n, r_max)
-    rhs = realize_word((DividedRaise(1, 3),), n, r_max)
+    lhs = realize_word((E(1), E(2)), n, r_max)
+    rhs = realize_word((E(3),), n, r_max)
     assert lhs == rhs.scale(balanced_binomial(3, 1))
 
 
 def test_word_realization_is_right_to_left_composition():
     n, r_max = 2, 3
-    word = (DividedRaise(1, 1), DividedLower(1, 1))
-    one_shot = realize_word(word, n, r_max)
-    staged = generator_element(DividedRaise(1, 1), n).realize_truncated(r_max).multiply(
-        generator_element(DividedLower(1, 1), n).realize_truncated(r_max),
+    one_shot = realize_word((E(), F()), n, r_max)
+    staged = SymbolicElement.gen(*E()).realize_truncated(r_max).multiply(
+        SymbolicElement.gen(*F()).realize_truncated(r_max),
         cap=CAP,
     )
     assert one_shot == staged
+
+
+def test_symbolic_fold_realizes_to_the_word():
+    # the two routes share only the word: torus, raising and lowering
+    # letters folded on the symbolic side, then realized, against the
+    # letters realized first and multiplied degree by degree
+    unit = SymbolicElement.unit(2)
+    for key in pbw_family(2, 2):
+        word = pbw_word(key)
+        folded = fold_word(word, unit).realize_truncated(4)
+        assert folded == realize_word(word, 2, 4), key
 
 
 def test_empty_word_is_the_unit():
@@ -84,19 +102,22 @@ def test_family_size_matches_the_counting_formula():
 
 
 def test_pbw_word_shape():
-    idx = PBWIndex(((0, 1), (1, 0)), (1, 0), (2, 0))
-    word = pbw_word(idx)
-    kinds = [type(sym).__name__ for sym in word]
-    # raising block, torus block, lowering block, in that order
-    first_lower = kinds.index("DividedLower")
-    assert all(k != "DividedRaise" for k in kinds[first_lower:])
-    assert "TorusPower" in kinds or "TorusBinom" in kinds
+    # raising block, then per coordinate the torus powers and the
+    # binomial, then the lowering block
+    zero = zero_matrix(2)
+    assert pbw_word((((0, 1), (1, 0)), (1, 0), (2, 0))) == (
+        E(),
+        (zero, (1, 0), Z),
+        (zero, Z, (2, 0)),
+        F(),
+    )
+    assert pbw_word((zero, (0, -2), Z)) == ((zero, (0, -1), Z),) * 2
 
 
 @settings(max_examples=10, deadline=None)
 @given(st.sampled_from(pbw_family(2, 2)))
-def test_pbw_monomials_realize_nonzero(idx):
-    el = pbw_monomial(idx, 4)
+def test_pbw_monomials_realize_nonzero(key):
+    el = pbw_monomial(key, 4)
     assert not el.is_zero()
 
 
@@ -112,8 +133,8 @@ def test_generator_products_never_reach_the_oracle(monkeypatch):
     try:
         assert check_relations(2, 5)["ok"]
         assert check_relations(3, 5)["ok"]
-        for idx in pbw_family(2, 2):
-            pbw_monomial(idx, 7)
-        assert bk_independence(2, 2, 3, 5)["independent"]
+        for key in pbw_family(2, 2):
+            pbw_monomial(key, 7)
+        assert bk_independence(bk_products(2, 2, 5), 3)["independent"]
     finally:
         schur._basis_product_cached.cache_clear()

@@ -8,9 +8,9 @@ from qschur.linalg import exact_rank, flatten_family
 from qschur.matrices import theta_pm, zero_matrix
 from qschur.schur import SchurElement
 from qschur.specialize import (
-    bk_family,
     bk_independence,
     bk_indices,
+    bk_products,
     check_torus_power_trivial,
     specialize,
 )
@@ -24,7 +24,7 @@ def test_even_order_is_rejected():
     with pytest.raises(DomainError):
         specialize(x, 2)
     with pytest.raises(DomainError):
-        bk_independence(2, 1, 4, 3)
+        bk_independence(bk_products(2, 1, 3), 4)
 
 
 def test_torus_powers_become_trivial_at_the_root():
@@ -73,7 +73,7 @@ def test_specialized_unit_is_neutral():
 
 
 def test_family_is_independent_at_small_scale():
-    rep = bk_independence(2, 2, 3, 5)
+    rep = bk_independence(bk_products(2, 2, 5), 3)
     assert rep["independent"]
     assert rep["rank"] == rep["rows"] == len(bk_indices(2, 2))
     assert "witness" in rep["note"]
@@ -83,7 +83,7 @@ def test_duplicated_member_is_detected_as_dependent():
     # appending a scalar multiple of the first member must drop the
     # verdict to dependent over the cyclotomic field
     n, bound, l, r_max = 2, 1, 3, 3
-    family = bk_family(n, bound, l, r_max)
+    family = [specialize(x, l) for x in bk_products(n, bound, r_max)]
     eps = eval_at_root(V, l)
     extra = family[0].scale(eps)
     rows, _ = flatten_family(family + [extra])

@@ -1,12 +1,15 @@
 import time
 from itertools import product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qschur import symbolic
+from qschur.errors import DimensionMismatch, DomainError
 from qschur.laurent import ONE, ZERO, v_power, vector_binomial, vector_trinomial
 from qschur.matrices import (
     add_to_entry,
+    entry_matrix,
     entry_sum,
     ro,
     theta_pm,
@@ -17,6 +20,8 @@ from qschur.symbolic import (
     SymbolicElement,
     TruncatedElement,
     delta_reduce,
+    fold_word,
+    gen_mult,
     lowering_mult,
     raising_mult,
     torus_mult,
@@ -98,13 +103,51 @@ def test_delta_reduce_normalizes_without_changing_the_realization(n, data):
 
 
 def test_triangular_word_splits_off_diagonal_mass():
-    a = ((0, 2), (1, 0))
-    word = triangular_word(a)
-    kinds = [w[0] for w in word]
-    # raises first, then lowers; total transfer equals the mass
-    assert kinds == sorted(kinds, key=lambda k: 0 if k == "E" else 1)
-    total = sum(w[2] for w in word)
-    assert total == entry_sum(a)
+    # raising keys first, then lowering keys; each entry is one letter
+    # at n = 2, so the transfers add up to the mass
+    z = (0, 0)
+    assert triangular_word(((0, 2), (1, 0))) == (
+        (((0, 2), (0, 0)), z, z),
+        (((0, 0), (1, 0)), z, z),
+    )
+
+
+def test_gen_mult_dispatches_each_kind_of_generator():
+    n = 3
+    z = (0,) * n
+    x = SymbolicElement.gen(((0, 1, 0), (0, 0, 2), (1, 0, 0)), (1, -1, 0), (0, 1, 2))
+    assert gen_mult((zero_matrix(n), (1, 0, -2), (0, 2, 1)), x) == torus_mult(
+        (1, 0, -2), (0, 2, 1), x
+    )
+    assert gen_mult((entry_matrix(n, 2, 3, 2), z, z), x) == raising_mult(2, 2, x)
+    assert gen_mult((entry_matrix(n, 2, 1, 1), z, z), x) == lowering_mult(1, 1, x)
+    with pytest.raises(DimensionMismatch):
+        gen_mult((entry_matrix(2, 1, 2, 1), (0, 0), (0, 0)), x)
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        (((0, 1), (1, 0)), (0, 0), (0, 0)),
+        (((0, 1), (0, 0)), (1, 0), (0, 0)),
+        (((0, 0), (2, 0)), (0, 0), (0, 1)),
+        (((0, -1), (0, 0)), (0, 0), (0, 0)),
+        (((0, 0, 1), (0, 0, 0), (0, 0, 0)), (0, 0, 0), (0, 0, 0)),
+    ],
+    ids=["two-entries", "transfer-with-delta", "transfer-with-lambda",
+         "negative-entry", "non-adjacent"],
+)
+def test_gen_mult_rejects_non_generator_keys(key):
+    with pytest.raises(DomainError):
+        gen_mult(key, SymbolicElement.unit(len(key[0])))
+
+
+def test_fold_word_acts_on_any_element():
+    x = SymbolicElement.gen(((0, 1), (0, 0)), (0, 1), (1, 0))
+    e = (((0, 1), (0, 0)), (0, 0), (0, 0))
+    f = (((0, 0), (1, 0)), (0, 0), (0, 0))
+    assert fold_word((), x) == x
+    assert fold_word((e, f), x) == raising_mult(1, 1, lowering_mult(1, 1, x))
 
 
 def test_triangular_product_report_structure():
