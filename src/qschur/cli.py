@@ -26,7 +26,7 @@ from .errors import DimensionMismatch, DomainError, ParseError, ResourceLimit
 from .laurent import LaurentPoly
 from .matrices import entry_sum
 from .schur import SchurElement, force_oracle_product, general_product
-from .symbolic import SymbolicElement, delta_reduce
+from .symbolic import SymbolicElement, TruncatedElement, delta_reduce
 from .suites import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
@@ -188,37 +188,34 @@ def _cmd_multiply(args, started: float) -> int:
     if isinstance(left, SchurElement):
         if left.r != right.r:
             raise DimensionMismatch(f"degree mismatch: {left.r} vs {right.r}")
-        out: dict = {"n": left.n, "r": left.r, "engines": {}}
-        if args.mode in ("formula", "both"):
-            prod = general_product(left, right, args.oracle_cap)
-            out["engines"]["formula"] = prod.to_json_obj()["terms"]
-        if args.mode in ("oracle", "both"):
-            prod = force_oracle_product(left, right, args.oracle_cap)
-            out["engines"]["oracle"] = prod.to_json_obj()["terms"]
-        if args.mode == "both":
-            out["agree"] = out["engines"]["formula"] == out["engines"]["oracle"]
-        _emit(out, f"multiply: degree {left.r}, mode {args.mode}", started)
-        if args.mode == "both" and not out["agree"]:
-            return EXIT_VERIFY
-        return EXIT_OK
-    if args.rmax is None:
-        raise ParseError("--rmax is required for symbolic elements")
-    _check_rmax(args.rmax)
-    lt = left.realize_truncated(args.rmax)
-    rt = right.realize_truncated(args.rmax)
-    out = {"n": left.n, "r_max": args.rmax, "engines": {}}
-    if args.mode in ("formula", "both"):
-        prod = lt.multiply(rt, cap=args.oracle_cap, engine="fast")
-        out["engines"]["formula"] = prod.to_json_obj()
-    if args.mode in ("oracle", "both"):
-        prod = lt.multiply(rt, cap=args.oracle_cap, engine="oracle")
-        out["engines"]["oracle"] = prod.to_json_obj()
+        out: dict = {"n": left.n, "r": left.r}
+        summary = f"multiply: degree {left.r}, mode {args.mode}"
+        engines = {"formula": general_product, "oracle": force_oracle_product}
+
+        def show(prod):
+            return prod.to_json_obj()["terms"]
+    else:
+        if args.rmax is None:
+            raise ParseError("--rmax is required for symbolic elements")
+        _check_rmax(args.rmax)
+        out = {"n": left.n, "r_max": args.rmax}
+        summary = f"multiply: symbolic through degree {args.rmax}"
+        left = left.realize_truncated(args.rmax)
+        right = right.realize_truncated(args.rmax)
+        engines = {
+            "formula": lambda x, y, cap: x.multiply(y, cap=cap, engine="fast"),
+            "oracle": lambda x, y, cap: x.multiply(y, cap=cap, engine="oracle"),
+        }
+        show = TruncatedElement.to_json_obj
+    out["engines"] = {
+        name: show(engines[name](left, right, args.oracle_cap))
+        for name in ("formula", "oracle")
+        if args.mode in (name, "both")
+    }
     if args.mode == "both":
         out["agree"] = out["engines"]["formula"] == out["engines"]["oracle"]
-    _emit(out, f"multiply: symbolic through degree {args.rmax}", started)
-    if args.mode == "both" and not out["agree"]:
-        return EXIT_VERIFY
-    return EXIT_OK
+    _emit(out, summary, started)
+    return EXIT_VERIFY if out.get("agree") is False else EXIT_OK
 
 
 def _cmd_expand(args, started: float) -> int:

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import gcd
 
-from .errors import DomainError, ExactDivisionError
+from .errors import ConsistencyError, DomainError, ExactDivisionError
 from .laurent import LaurentPoly
 
 __all__ = ["cyclotomic_coeffs", "CycloScalar", "eval_at_root"]
@@ -158,32 +159,23 @@ class CycloScalar:
     __rmul__ = __mul__
 
     def inv(self) -> "CycloScalar":
-        """Multiplicative inverse via the extended Euclid algorithm in Q[v]."""
+        """Multiplicative inverse via the Galois norm.
+
+        With b the product of the conjugates sigma_k(self), eps -> eps^k,
+        over 1 < k < l coprime to l, self * b is the norm N(self), a
+        nonzero rational, so self^-1 = b / N(self).
+        """
         if self.is_zero():
             raise ExactDivisionError("inverse of zero")
-        phi = [Fraction(c) for c in cyclotomic_coeffs(self.l)]
-        a = list(self.coeffs)
-        # invariants: s * self = a (mod Phi), t * self = b (mod Phi)
-        b = phi
-        s: list[Fraction] = [Fraction(1)]
-        t: list[Fraction] = []
-
-        def strip(p: list[Fraction]) -> list[Fraction]:
-            while p and not p[-1]:
-                p.pop()
-            return p
-
-        a = strip(a)
-        b = strip(list(b))
-        while b:
-            q, r = _polydiv(a, b)
-            a, b = b, strip(r)
-            s, t = t, _polysub(s, _polymul(q, t))
-        # a is now a nonzero constant gcd; s * self = a (mod Phi)
-        c = a[0]
-        deg = len(self.coeffs)
-        inv_coeffs = [x / c for x in s] + [Fraction(0)] * deg
-        return CycloScalar._raw(self.l, tuple(inv_coeffs[:deg]))
+        l = self.l
+        b = CycloScalar.one(l)
+        for k in range(2, l):
+            if gcd(k, l) == 1:
+                b = b * _combine(l, ((i * k, c) for i, c in enumerate(self.coeffs)))
+        norm = self * b
+        if not norm.coeffs[0] or any(norm.coeffs[1:]):
+            raise ConsistencyError("Galois norm of a nonzero scalar is not a nonzero rational")
+        return b * (1 / norm.coeffs[0])
 
     def __truediv__(self, other: "CycloScalar") -> "CycloScalar":
         return self * other.inv()
@@ -192,47 +184,15 @@ class CycloScalar:
         return f"CycloScalar(l={self.l}, {[str(c) for c in self.coeffs]})"
 
 
-def _polydiv(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    # quotient and remainder in Q[v]; b nonzero
-    r = list(a)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    while len(r) >= len(b) and any(r):
-        while r and not r[-1]:
-            r.pop()
-        if len(r) < len(b):
-            break
-        c = r[-1] / b[-1]
-        k = len(r) - len(b)
-        q[k] = c
-        for i, bc in enumerate(b):
-            r[k + i] -= c * bc
-        r.pop()
-    while r and not r[-1]:
-        r.pop()
-    return q, r
-
-
-def _polymul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _polysub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    while out and not out[-1]:
-        out.pop()
-    return out
+def _combine(l: int, pairs) -> CycloScalar:
+    # sum of c * eps^e over the (e, c) pairs, through the reduced powers
+    powers = _root_powers(l)
+    acc = [Fraction(0)] * len(powers[0])
+    for e, c in pairs:
+        vec = powers[e % l]
+        for i in range(len(acc)):
+            acc[i] += c * vec[i]
+    return CycloScalar._raw(l, tuple(acc))
 
 
 def eval_at_root(p: LaurentPoly, l: int) -> CycloScalar:
@@ -249,11 +209,4 @@ def eval_at_root(p: LaurentPoly, l: int) -> CycloScalar:
     """
     if l < 1 or l % 2 == 0:
         raise DomainError("root-of-unity order must be odd and positive")
-    powers = _root_powers(l)
-    deg = len(cyclotomic_coeffs(l)) - 1
-    acc = [Fraction(0)] * deg
-    for e, c in p.to_pairs():
-        vec = powers[e % l]
-        for i in range(deg):
-            acc[i] += c * vec[i]
-    return CycloScalar._raw(l, tuple(acc))
+    return _combine(l, p.to_pairs())

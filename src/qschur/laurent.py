@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import DimensionMismatch, DomainError, ExactDivisionError
 
@@ -186,23 +186,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            if len(self._terms) == 1:
-                ((e, c),) = self._terms.items()
-                if c in (1, -1):
-                    return LaurentPoly._raw({e * n: 1 if n % 2 == 0 else c})
-            raise DomainError("negative powers only defined for unit monomials")
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
     def shift(self, e: int) -> "LaurentPoly":
         """Multiply by the monomial v^e."""
         if not e:
@@ -290,9 +273,6 @@ class LaurentPoly:
             else:
                 chunks.append(("+ " if c > 0 else "- ") + t)
         return " ".join(chunks)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.to_pairs())
 
 
 ZERO = LaurentPoly._raw({})

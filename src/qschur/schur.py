@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .errors import DimensionMismatch, DomainError
 from .hecke import DEFAULT_ORACLE_CAP, oracle_product
-from .laurent import ONE, ZERO, LaurentPoly, unbalanced_binomial, v_power, vector_binomial
+from .laurent import ONE, LaurentPoly, unbalanced_binomial, v_power, vector_binomial
 from .matrices import (
     Matrix,
     add_diag,
@@ -42,7 +42,6 @@ __all__ = [
     "force_oracle_product",
     "multiply_raising",
     "multiply_lowering",
-    "diag_mult",
     "diag_sum",
     "raising_shape",
     "lowering_shape",
@@ -122,12 +121,6 @@ class SchurElement:
         if not isinstance(other, SchurElement):
             return NotImplemented
         return self.n == other.n and self.r == other.r and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.r, frozenset(self.terms.items())))
-
-    def coeff(self, a: Matrix) -> LaurentPoly:
-        return self.terms.get(a, ZERO)
 
     def sorted_terms(self) -> list[tuple[Matrix, LaurentPoly]]:
         return [(a, self.terms[a]) for a in sorted(self.terms)]
@@ -223,13 +216,6 @@ def multiply_lowering(h: int, m: int, a: Matrix) -> SchurElement:
         raise DomainError("transfer amount exceeds the available row sum")
     mirror = multiply_raising.__wrapped__(n - h, m, rev(a))
     return SchurElement(n, mirror.r, {rev(b): c for b, c in mirror.terms.items()})
-
-
-def diag_mult(lam: IntVector, a: Matrix) -> SchurElement:
-    """Left-multiply by the diagonal basis element diag(lam)."""
-    if ro(a) == lam:
-        return SchurElement.basis(a)
-    return SchurElement.zero(len(a), entry_sum(a))
 
 
 @lru_cache(maxsize=1 << 18)

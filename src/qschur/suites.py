@@ -314,31 +314,6 @@ def _formula1_random_instances(cfg: RunConfig):
         )
 
 
-def _formula1_oracle_instances(cfg: RunConfig):
-    yield from islice(_formula1_core_instances(cfg), 12)
-
-
-def _check_formula1(cfg: RunConfig, inst, engine: str = "fast"):
-    gamma, mu, a, delta, lam = inst
-    n = len(gamma)
-    r_max = cfg.resolve_r_max(4)
-    x = SymbolicElement.gen(a, delta, lam)
-    got = torus_mult(gamma, mu, x).realize_truncated(r_max)
-    left = SymbolicElement.gen(zero_matrix(n), gamma, mu).realize_truncated(r_max)
-    right = x.realize_truncated(r_max)
-    want = left.multiply(right, cap=cfg.oracle_cap, engine=engine)
-    if got != want:
-        return {
-            "instance": {
-                "gamma": list(gamma), "mu": list(mu),
-                "matrix": [list(rw) for rw in a],
-                "delta": list(delta), "lambda": list(lam),
-            },
-            "detail": f"torus formula vs truncated product ({engine})",
-        }
-    return None
-
-
 # -- transfer formulas (left multiplication by one-row transfer elements) ----
 
 
@@ -376,36 +351,43 @@ def _formula2_random_instances(cfg: RunConfig):
         )
 
 
-def _formula2_oracle_instances(cfg: RunConfig):
-    yield from islice(_formula2_core_instances(cfg), 12)
+# -- formula checks: a symbolic rule against the truncated product -----------
 
 
-def _check_formula2(cfg: RunConfig, inst, engine: str = "fast"):
+def _formula_sides(inst):
+    """The left generator key, the symbolic rule with its leading
+    arguments, and the right key of a formula1 or formula2 instance."""
+    if len(inst) == 5:
+        gamma, mu, a, delta, lam = inst
+        return (zero_matrix(len(a)), gamma, mu), partial(torus_mult, gamma, mu), (a, delta, lam)
     kind, m, h, a, delta, lam = inst
     n = len(a)
+    zero = (0,) * n
+    i, j, rule = (h, h + 1, raising_mult) if kind == "E" else (h + 1, h, lowering_mult)
+    return (entry_matrix(n, i, j, m), zero, zero), partial(rule, m, h), (a, delta, lam)
+
+
+def _check_formula(cfg: RunConfig, inst, engine: str = "fast"):
+    left_key, rule, right_key = _formula_sides(inst)
     r_max = cfg.resolve_r_max(4)
-    x = SymbolicElement.gen(a, delta, lam)
-    if kind == "E":
-        sym = raising_mult(m, h, x)
-        gen_matrix = add_to_entry(zero_matrix(n), h, h + 1, m)
+    x = SymbolicElement.gen(*right_key)
+    got = rule(x).realize_truncated(r_max)
+    left = SymbolicElement.gen(*left_key).realize_truncated(r_max)
+    want = left.multiply(x.realize_truncated(r_max), cap=cfg.oracle_cap, engine=engine)
+    if got == want:
+        return None
+    if len(inst) == 5:
+        rule_name, fields = "torus", ("gamma", "mu", "matrix", "delta", "lambda")
     else:
-        sym = lowering_mult(m, h, x)
-        gen_matrix = add_to_entry(zero_matrix(n), h + 1, h, m)
-    got = sym.realize_truncated(r_max)
-    zero_vec = (0,) * n
-    left = SymbolicElement.gen(gen_matrix, zero_vec, zero_vec).realize_truncated(r_max)
-    right = x.realize_truncated(r_max)
-    want = left.multiply(right, cap=cfg.oracle_cap, engine=engine)
-    if got != want:
-        return {
-            "instance": {
-                "kind": kind, "m": m, "h": h,
-                "matrix": [list(rw) for rw in a],
-                "delta": list(delta), "lambda": list(lam),
-            },
-            "detail": f"transfer formula vs truncated product ({engine})",
-        }
-    return None
+        rule_name, fields = "transfer", ("kind", "m", "h", "matrix", "delta", "lambda")
+    return {
+        "instance": {f: _as_lists(v) for f, v in zip(fields, inst)},
+        "detail": f"{rule_name} formula vs truncated product ({engine})",
+    }
+
+
+def _as_lists(v):
+    return [_as_lists(x) for x in v] if isinstance(v, tuple) else v
 
 
 # -- stratum registry and the parallel runner --------------------------------
@@ -417,12 +399,18 @@ _STRATA = {
     "binomials:vector1": (_binomial_vector1_instances, _binomial_vector1_check),
     "binomials:vector2": (_binomial_vector2_instances, _binomial_vector2_check),
     "transfer:main": (_transfer_instances, _transfer_check),
-    "formula1:core": (_formula1_core_instances, _check_formula1),
-    "formula1:random": (_formula1_random_instances, _check_formula1),
-    "formula1:oracle": (_formula1_oracle_instances, partial(_check_formula1, engine="oracle")),
-    "formula2:core": (_formula2_core_instances, _check_formula2),
-    "formula2:random": (_formula2_random_instances, _check_formula2),
-    "formula2:oracle": (_formula2_oracle_instances, partial(_check_formula2, engine="oracle")),
+    "formula1:core": (_formula1_core_instances, _check_formula),
+    "formula1:random": (_formula1_random_instances, _check_formula),
+    "formula1:oracle": (
+        lambda cfg: islice(_formula1_core_instances(cfg), 12),
+        partial(_check_formula, engine="oracle"),
+    ),
+    "formula2:core": (_formula2_core_instances, _check_formula),
+    "formula2:random": (_formula2_random_instances, _check_formula),
+    "formula2:oracle": (
+        lambda cfg: islice(_formula2_core_instances(cfg), 12),
+        partial(_check_formula, engine="oracle"),
+    ),
 }
 
 

@@ -80,8 +80,6 @@ __all__ = [
     "fold_word",
     "triangular_word",
     "triangular_product",
-    "precedes",
-    "matrix_norm",
 ]
 
 SymbolicKey = tuple[Matrix, IntVector, IntVector]
@@ -94,6 +92,8 @@ def _check_key(a: Matrix, delta: IntVector, lam: IntVector) -> None:
         raise DimensionMismatch("vector lengths disagree with the matrix size")
     if not has_zero_diagonal(a):
         raise DomainError("symbolic keys use zero-diagonal matrices")
+    if not is_nonnegative(a):
+        raise DomainError("symbolic key matrices have nonnegative entries")
     if not is_natural(lam):
         raise DomainError("binomial depths must be nonnegative")
 
@@ -117,7 +117,7 @@ class SymbolicElement:
     ) -> "SymbolicElement":
         _check_key(a, delta, lam)
         out = cls(len(a))
-        if is_nonnegative(a) and not coeff.is_zero():
+        if not coeff.is_zero():
             out.terms[(a, delta, lam)] = coeff
         return out
 

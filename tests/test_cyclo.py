@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from qschur.cyclo import CycloScalar, cyclotomic_coeffs, eval_at_root
-from qschur.errors import DomainError
+from qschur.errors import DomainError, ExactDivisionError
 from qschur.laurent import V, LaurentPoly, ONE, unbalanced_bracket, v_power
 
 # frozen from sympy.cyclotomic_poly, ascending coefficients
@@ -36,7 +36,9 @@ def scalars(l):
     )
 
 
-@given(st.sampled_from((3, 5, 7)), st.data())
+# l = 1 has no conjugates to multiply; 9 and 15 skip the k sharing a
+# factor with l
+@given(st.sampled_from((1, 3, 5, 7, 9, 15)), st.data())
 def test_field_axioms(l, data):
     a = data.draw(scalars(l))
     b = data.draw(scalars(l))
@@ -47,6 +49,24 @@ def test_field_axioms(l, data):
     assert a - a == a * CycloScalar.zero(l)
     if not a.is_zero():
         assert a * a.inv() == CycloScalar.one(l)
+    if not b.is_zero():
+        assert (a / b) * b == a
+
+
+@pytest.mark.parametrize("l, d", [(9, 3), (15, 3), (15, 5)])
+def test_divisor_factor_is_inverted(l, d):
+    # Phi_d(v), d | l, is nonzero in Q(eps) but vanishes under eps -> eps^k
+    # for gcd(k, l) = l / d: such k give no conjugate
+    deg = len(cyclotomic_coeffs(l)) - 1
+    phi = cyclotomic_coeffs(d)
+    a = CycloScalar(l, tuple(Fraction(c) for c in phi) + (Fraction(0),) * (deg - len(phi)))
+    assert a * a.inv() == CycloScalar.one(l)
+
+
+def test_zero_has_no_inverse():
+    for l in (1, 3, 5):
+        with pytest.raises(ExactDivisionError):
+            CycloScalar.zero(l).inv()
 
 
 @given(st.sampled_from((1, 3, 5, 9)))

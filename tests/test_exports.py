@@ -23,6 +23,19 @@ def test_every_exported_name_exists(name):
     assert missing == []
 
 
+@pytest.mark.parametrize("name", MODULES)
+def test_submodules_export_only_their_own_definitions(name):
+    # each function and class has one home module; only the package
+    # root gathers names from the others
+    module = importlib.import_module(name)
+    foreign = []
+    for x in getattr(module, "__all__", ()):
+        obj = inspect.unwrap(getattr(module, x))
+        if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ != name:
+            foreign.append(x)
+    assert foreign == []
+
+
 def test_the_walk_sees_the_modules():
     assert "qschur.suites" in MODULES and "qschur.laurent" in MODULES
 

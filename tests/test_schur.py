@@ -19,7 +19,6 @@ from qschur.matrices import (
 from qschur.schur import (
     SchurElement,
     basis_product,
-    diag_mult,
     diag_sum,
     force_oracle_product,
     general_product,
@@ -104,13 +103,6 @@ def test_transfer_rejects_overdrawn_multiplicity():
         multiply_raising(1, 2, a)
     with pytest.raises(DomainError):
         multiply_lowering(1, 2, a)
-
-
-def test_diag_mult_scales_by_weight_match():
-    # [diag(lam)][A] is [A] when lam = ro(A) and zero otherwise
-    a = ((1, 1), (0, 1))
-    assert diag_mult(ro(a), a).terms == {a: ONE}
-    assert diag_mult((3, 0), a).is_zero()
 
 
 @settings(max_examples=40, deadline=None)

@@ -142,6 +142,13 @@ def test_gen_mult_rejects_non_generator_keys(key):
         gen_mult(key, SymbolicElement.unit(len(key[0])))
 
 
+@pytest.mark.parametrize("a", [((0, -1), (0, 0)), ((0, 0), (-2, 0))])
+def test_negative_key_entries_are_rejected(a):
+    # such a key names no basis element; it used to yield the zero element
+    with pytest.raises(DomainError):
+        SymbolicElement.gen(a, (0, 0), (0, 0))
+
+
 def test_fold_word_acts_on_any_element():
     x = SymbolicElement.gen(((0, 1), (0, 0)), (0, 1), (1, 0))
     e = (((0, 1), (0, 0)), (0, 0), (0, 0))
