@@ -71,6 +71,17 @@ def _vector_from_json(obj, n: int) -> tuple[int, ...]:
     return tuple(obj)
 
 
+def _term_matrix(term, n: int) -> tuple[tuple[int, ...], ...]:
+    if not isinstance(term, dict) or "matrix" not in term:
+        raise ParseError("each term needs a 'matrix'")
+    a = _matrix_from_json(term["matrix"])
+    if len(a) != n:
+        raise DimensionMismatch(f"matrix size {len(a)} does not match n={n}")
+    if any(x < 0 for row in a for x in row):
+        raise ParseError("term matrices must be nonnegative")
+    return a
+
+
 def parse_element(text: str):
     """Parse an element from JSON text.
 
@@ -112,15 +123,7 @@ def parse_element(text: str):
             raise ParseError("'r' must be nonnegative")
         el = SchurElement.zero(n, r)
         for term in terms:
-            if not isinstance(term, dict) or "matrix" not in term:
-                raise ParseError("each term needs a 'matrix'")
-            a = _matrix_from_json(term["matrix"])
-            if len(a) != n:
-                raise DimensionMismatch(
-                    f"matrix size {len(a)} does not match n={n}"
-                )
-            if any(x < 0 for row in a for x in row):
-                raise ParseError("basis matrices must be nonnegative")
+            a = _term_matrix(term, n)
             if entry_sum(a) != r:
                 raise DimensionMismatch(
                     f"matrix weight {entry_sum(a)} does not match r={r}"
@@ -131,15 +134,7 @@ def parse_element(text: str):
 
     el = SymbolicElement.zero(n)
     for term in terms:
-        if not isinstance(term, dict) or "matrix" not in term:
-            raise ParseError("each term needs a 'matrix'")
-        a = _matrix_from_json(term["matrix"])
-        if len(a) != n:
-            raise DimensionMismatch(
-                f"matrix size {len(a)} does not match n={n}"
-            )
-        if any(x < 0 for row in a for x in row):
-            raise ParseError("symbolic matrices must be nonnegative")
+        a = _term_matrix(term, n)
         delta = _vector_from_json(term.get("delta", [0] * n), n)
         lam = _vector_from_json(term.get("lambda", [0] * n), n)
         if any(x < 0 for x in lam):

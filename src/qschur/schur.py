@@ -13,6 +13,8 @@ entry sum r.  Products fall into layers:
 
 `general_product` dispatches between the layers; the structured layers
 are exactly what the verification suites compare against the oracle.
+`Combination` holds the term arithmetic that `SchurElement` shares with
+the symbolic elements.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .matrices import (
 from .vectors import IntVector, compositions, compositions_capped, dot, is_natural
 
 __all__ = [
+    "Combination",
     "SchurElement",
     "basis_product",
     "general_product",
@@ -48,23 +51,74 @@ __all__ = [
 ]
 
 
-class SchurElement:
+class Combination:
+    """A finite combination of keys with nonzero coefficients in the
+    algebra named by a header.  A subclass gives its header slots,
+    `_header`, and a constructor that takes the header, then the terms,
+    and keeps only the nonzero ones; that constructor is inline because
+    every product and realization builds an element."""
+
+    __slots__ = ("terms",)
+
+    @classmethod
+    def zero(cls, *header):
+        return cls(*header)
+
+    def _check(self, other: "Combination") -> None:
+        if self._header() != other._header():
+            raise DimensionMismatch("elements live in different algebras")
+
+    def add_into(self, key, c) -> None:
+        s = self.terms.get(key)
+        s = c if s is None else s + c
+        if s.is_zero():
+            self.terms.pop(key, None)
+        else:
+            self.terms[key] = s
+
+    def __add__(self, other):
+        self._check(other)
+        out = self.zero(*self._header())
+        out.terms = dict(self.terms)
+        for k, c in other.terms.items():
+            out.add_into(k, c)
+        return out
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        if isinstance(c, int):
+            c = LaurentPoly.from_int(c)
+        out = self.zero(*self._header())
+        if not c.is_zero():
+            out.terms = {k: x * c for k, x in self.terms.items()}
+        return out
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._header() == other._header() and self.terms == other.terms
+
+    def sorted_terms(self) -> list:
+        return [(k, self.terms[k]) for k in sorted(self.terms)]
+
+
+class SchurElement(Combination):
     """A finite Laurent-combination of basis matrices of one degree."""
 
-    __slots__ = ("n", "r", "terms")
+    __slots__ = ("n", "r")
 
     def __init__(self, n: int, r: int, terms: dict[Matrix, LaurentPoly] | None = None):
         self.n = n
         self.r = r
-        self.terms: dict[Matrix, LaurentPoly] = {}
-        if terms:
-            for a, c in terms.items():
-                if not c.is_zero():
-                    self.terms[a] = c
+        self.terms = {a: c for a, c in terms.items() if not c.is_zero()} if terms else {}
 
-    @classmethod
-    def zero(cls, n: int, r: int) -> "SchurElement":
-        return cls(n, r)
+    def _header(self) -> tuple[int, int]:
+        return (self.n, self.r)
 
     @classmethod
     def basis(cls, a: Matrix) -> "SchurElement":
@@ -76,54 +130,6 @@ class SchurElement:
     def unit(cls, n: int, r: int) -> "SchurElement":
         """Sum of all diagonal basis elements of the given degree."""
         return cls(n, r, {diag_matrix(mu): ONE for mu in compositions(n, r)})
-
-    def _check(self, other: "SchurElement") -> None:
-        if self.n != other.n or self.r != other.r:
-            raise DimensionMismatch("elements live in different algebras")
-
-    def __add__(self, other: "SchurElement") -> "SchurElement":
-        self._check(other)
-        out = dict(self.terms)
-        for a, c in other.terms.items():
-            s = out.get(a)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(a, None)
-            else:
-                out[a] = s
-        res = SchurElement(self.n, self.r)
-        res.terms = out
-        return res
-
-    def __sub__(self, other: "SchurElement") -> "SchurElement":
-        return self + other.scale(LaurentPoly.from_int(-1))
-
-    def scale(self, c: LaurentPoly | int) -> "SchurElement":
-        if isinstance(c, int):
-            c = LaurentPoly.from_int(c)
-        res = SchurElement(self.n, self.r)
-        if not c.is_zero():
-            res.terms = {a: x * c for a, x in self.terms.items()}
-        return res
-
-    def add_into(self, a: Matrix, c: LaurentPoly) -> None:
-        s = self.terms.get(a)
-        s = c if s is None else s + c
-        if s.is_zero():
-            self.terms.pop(a, None)
-        else:
-            self.terms[a] = s
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SchurElement):
-            return NotImplemented
-        return self.n == other.n and self.r == other.r and self.terms == other.terms
-
-    def sorted_terms(self) -> list[tuple[Matrix, LaurentPoly]]:
-        return [(a, self.terms[a]) for a in sorted(self.terms)]
 
     def to_json_obj(self) -> dict:
         return {

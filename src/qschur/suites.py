@@ -102,14 +102,13 @@ def _rand_theta_pm(rng: random.Random, n: int, smax: int) -> Matrix:
     return a
 
 
+def _rand_key(rng: random.Random, n: int):
+    """A random symbolic key: off-diagonal weight, exponents and depths
+    at most 2 in size."""
+    return _rand_theta_pm(rng, n, 2), _rand_vec(rng, n, -2, 2), _rand_vec(rng, n, 0, 2)
+
+
 # -- binomials ---------------------------------------------------------------
-
-
-def _binomial_scalar1_instances(cfg: RunConfig):
-    for m in range(-6, 7):
-        for nn in range(-6, 7):
-            for a in range(5):
-                yield (m, nn, a)
 
 
 def _binomial_scalar1_check(cfg: RunConfig, inst):
@@ -129,13 +128,6 @@ def _binomial_scalar1_check(cfg: RunConfig, inst):
     return None
 
 
-def _binomial_scalar2_instances(cfg: RunConfig):
-    for m in range(-6, 7):
-        for a in range(5):
-            for b in range(5):
-                yield (m, a, b)
-
-
 def _binomial_scalar2_check(cfg: RunConfig, inst):
     m, a, b = inst
     lhs = unbalanced_binomial(m, a) * unbalanced_binomial(m, b)
@@ -153,12 +145,6 @@ def _binomial_scalar2_check(cfg: RunConfig, inst):
     return None
 
 
-def _binomial_bridge_instances(cfg: RunConfig):
-    for big_n in range(-6, 7):
-        for t in range(5):
-            yield (big_n, t)
-
-
 def _binomial_bridge_check(cfg: RunConfig, inst):
     big_n, t = inst
     lhs = unbalanced_binomial(big_n, t)
@@ -167,18 +153,18 @@ def _binomial_bridge_check(cfg: RunConfig, inst):
     return None
 
 
-def _binomial_vector1_instances(cfg: RunConfig):
-    for alpha in boxes(-2, 2, 2):
-        for beta in boxes(-2, 2, 2):
-            for lam in boxes(0, 2, 2):
-                yield ("core", alpha, beta, lam)
-    rng = _rng(cfg, "binomials:vector1")
+def _binomial_vector_instances(stratum: str, core_lo: int, random_lo: int, cfg: RunConfig):
+    """Triples of vectors: an exhaustive rank-2 core, then seeded random
+    draws.  Only the second vector's lower bound differs between strata."""
+    for inst in product(boxes(-2, 2, 2), boxes(core_lo, 2, 2), boxes(0, 2, 2)):
+        yield ("core", *inst)
+    rng = _rng(cfg, stratum)
     for _ in range(cfg.random_instances):
         n = rng.choice((2, 3))
         yield (
             "random",
             _rand_vec(rng, n, -4, 4),
-            _rand_vec(rng, n, -4, 4),
+            _rand_vec(rng, n, random_lo, 4),
             _rand_vec(rng, n, 0, 4),
         )
 
@@ -196,22 +182,6 @@ def _binomial_vector1_check(cfg: RunConfig, inst):
     if lhs != rhs:
         return {"instance": [list(x) for x in inst[1:]], "detail": "vector splitting"}
     return None
-
-
-def _binomial_vector2_instances(cfg: RunConfig):
-    for alpha in boxes(-2, 2, 2):
-        for lam in boxes(0, 2, 2):
-            for mu in boxes(0, 2, 2):
-                yield ("core", alpha, lam, mu)
-    rng = _rng(cfg, "binomials:vector2")
-    for _ in range(cfg.random_instances):
-        n = rng.choice((2, 3))
-        yield (
-            "random",
-            _rand_vec(rng, n, -4, 4),
-            _rand_vec(rng, n, 0, 4),
-            _rand_vec(rng, n, 0, 4),
-        )
 
 
 def _binomial_vector2_check(cfg: RunConfig, inst):
@@ -393,11 +363,26 @@ def _as_lists(v):
 # -- stratum registry and the parallel runner --------------------------------
 
 _STRATA = {
-    "binomials:scalar1": (_binomial_scalar1_instances, _binomial_scalar1_check),
-    "binomials:scalar2": (_binomial_scalar2_instances, _binomial_scalar2_check),
-    "binomials:bridge": (_binomial_bridge_instances, _binomial_bridge_check),
-    "binomials:vector1": (_binomial_vector1_instances, _binomial_vector1_check),
-    "binomials:vector2": (_binomial_vector2_instances, _binomial_vector2_check),
+    "binomials:scalar1": (
+        lambda cfg: product(range(-6, 7), range(-6, 7), range(5)),
+        _binomial_scalar1_check,
+    ),
+    "binomials:scalar2": (
+        lambda cfg: product(range(-6, 7), range(5), range(5)),
+        _binomial_scalar2_check,
+    ),
+    "binomials:bridge": (
+        lambda cfg: product(range(-6, 7), range(5)),
+        _binomial_bridge_check,
+    ),
+    "binomials:vector1": (
+        partial(_binomial_vector_instances, "binomials:vector1", -2, -4),
+        _binomial_vector1_check,
+    ),
+    "binomials:vector2": (
+        partial(_binomial_vector_instances, "binomials:vector2", 0, 0),
+        _binomial_vector2_check,
+    ),
     "transfer:main": (_transfer_instances, _transfer_check),
     "formula1:core": (_formula1_core_instances, _check_formula),
     "formula1:random": (_formula1_random_instances, _check_formula),
@@ -568,7 +553,7 @@ def run_triangular(cfg: RunConfig) -> dict:
         if entry_sum(a) == 0:
             continue
         instances += 1
-        _, rep = triangular_product(a, r_max)
+        _, rep = triangular_product(a)
         ok = (
             rep["leading_is_one"]
             and rep["lower_terms_precede"]
@@ -640,12 +625,8 @@ def run_specialization(cfg: RunConfig) -> dict:
     for _ in range(pairs):
         instances += 1
         n = cfg.n
-        x = SymbolicElement.gen(
-            _rand_theta_pm(rng, n, 2), _rand_vec(rng, n, -2, 2), _rand_vec(rng, n, 0, 2)
-        ).realize_truncated(min(r_max, 4))
-        y = SymbolicElement.gen(
-            _rand_theta_pm(rng, n, 2), _rand_vec(rng, n, -2, 2), _rand_vec(rng, n, 0, 2)
-        ).realize_truncated(min(r_max, 4))
+        x = SymbolicElement.gen(*_rand_key(rng, n)).realize_truncated(min(r_max, 4))
+        y = SymbolicElement.gen(*_rand_key(rng, n)).realize_truncated(min(r_max, 4))
         lhs = specialize(x.multiply(y, cap=cfg.oracle_cap), cfg.l)
         rhs = specialize(x, cfg.l).multiply(specialize(y, cfg.l), cfg.oracle_cap)
         if lhs != rhs:
@@ -689,9 +670,7 @@ def run_closure(cfg: RunConfig) -> dict:
     n = cfg.n
     zero, z = zero_matrix(n), (0,) * n
     for idx in range(count):
-        x = SymbolicElement.gen(
-            _rand_theta_pm(rng, n, 2), _rand_vec(rng, n, -2, 2), _rand_vec(rng, n, 0, 2)
-        )
+        x = SymbolicElement.gen(*_rand_key(rng, n))
         word = []
         for _ in range(rng.randint(1, 4)):
             kind = rng.choice(("E", "F", "T"))

@@ -31,6 +31,7 @@ corner-sum order.
 
 from __future__ import annotations
 
+import operator
 from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import product as _product
@@ -57,6 +58,7 @@ from .matrices import (
     zero_matrix,
 )
 from .schur import (
+    Combination,
     SchurElement,
     diag_sum,
     force_oracle_product,
@@ -98,75 +100,29 @@ def _check_key(a: Matrix, delta: IntVector, lam: IntVector) -> None:
         raise DomainError("binomial depths must be nonnegative")
 
 
-class SymbolicElement:
+class SymbolicElement(Combination):
     """Laurent-combination of symbolic keys of one common size n."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n",)
 
     def __init__(self, n: int, terms: dict[SymbolicKey, LaurentPoly] | None = None):
         self.n = n
-        self.terms: dict[SymbolicKey, LaurentPoly] = {}
-        if terms:
-            for k, c in terms.items():
-                if not c.is_zero():
-                    self.terms[k] = c
+        self.terms = {k: c for k, c in terms.items() if not c.is_zero()} if terms else {}
+
+    def _header(self) -> tuple[int]:
+        return (self.n,)
 
     @classmethod
     def gen(
         cls, a: Matrix, delta: IntVector, lam: IntVector, coeff: LaurentPoly = ONE
     ) -> "SymbolicElement":
         _check_key(a, delta, lam)
-        out = cls(len(a))
-        if not coeff.is_zero():
-            out.terms[(a, delta, lam)] = coeff
-        return out
+        return cls(len(a), {(a, delta, lam): coeff})
 
     @classmethod
     def unit(cls, n: int) -> "SymbolicElement":
         z = (0,) * n
         return cls(n, {(zero_matrix(n), z, z): ONE})
-
-    @classmethod
-    def zero(cls, n: int) -> "SymbolicElement":
-        return cls(n)
-
-    def add_into(self, key: SymbolicKey, c: LaurentPoly) -> None:
-        s = self.terms.get(key)
-        s = c if s is None else s + c
-        if s.is_zero():
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = s
-
-    def __add__(self, other: "SymbolicElement") -> "SymbolicElement":
-        if self.n != other.n:
-            raise DimensionMismatch("sizes differ")
-        out = SymbolicElement(self.n, self.terms)
-        for k, c in other.terms.items():
-            out.add_into(k, c)
-        return out
-
-    def __sub__(self, other: "SymbolicElement") -> "SymbolicElement":
-        return self + other.scale(LaurentPoly.from_int(-1))
-
-    def scale(self, c: LaurentPoly | int) -> "SymbolicElement":
-        if isinstance(c, int):
-            c = LaurentPoly.from_int(c)
-        out = SymbolicElement(self.n)
-        if not c.is_zero():
-            out.terms = {k: c * x for k, x in self.terms.items()}
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SymbolicElement):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def sorted_terms(self) -> list[tuple[SymbolicKey, LaurentPoly]]:
-        return [(k, self.terms[k]) for k in sorted(self.terms)]
 
     def realize(self, r: int) -> SchurElement:
         out = SchurElement(self.n, r)
@@ -217,44 +173,34 @@ class TruncatedElement:
     def unit(cls, n: int, r_max: int) -> "TruncatedElement":
         return cls(n, r_max, tuple(SchurElement.unit(n, r) for r in range(r_max + 1)))
 
-    def _check(self, other: "TruncatedElement") -> None:
+    def _zip(self, other: "TruncatedElement", op) -> "TruncatedElement":
         if self.n != other.n or self.r_max != other.r_max:
             raise DimensionMismatch("truncations differ")
+        return TruncatedElement(
+            self.n, self.r_max, tuple(map(op, self.components, other.components))
+        )
 
     def __add__(self, other: "TruncatedElement") -> "TruncatedElement":
-        self._check(other)
-        return TruncatedElement(
-            self.n, self.r_max, tuple(a + b for a, b in zip(self.components, other.components))
-        )
+        return self._zip(other, operator.add)
 
     def __sub__(self, other: "TruncatedElement") -> "TruncatedElement":
-        self._check(other)
-        return TruncatedElement(
-            self.n, self.r_max, tuple(a - b for a, b in zip(self.components, other.components))
-        )
+        return self._zip(other, operator.sub)
 
     def scale(self, c: LaurentPoly | int) -> "TruncatedElement":
         return TruncatedElement(self.n, self.r_max, tuple(x.scale(c) for x in self.components))
 
     def scale_divexact(self, divisor: LaurentPoly) -> "TruncatedElement":
-        out = []
-        for comp in self.components:
-            piece = SchurElement(self.n, comp.r)
-            for a, c in comp.terms.items():
-                piece.add_into(a, c.divexact(divisor))
-            out.append(piece)
-        return TruncatedElement(self.n, self.r_max, tuple(out))
+        parts = (
+            SchurElement(self.n, x.r, {a: c.divexact(divisor) for a, c in x.terms.items()})
+            for x in self.components
+        )
+        return TruncatedElement(self.n, self.r_max, tuple(parts))
 
     def multiply(
         self, other: "TruncatedElement", cap: int = DEFAULT_ORACLE_CAP, engine: str = "fast"
     ) -> "TruncatedElement":
-        self._check(other)
         mult = general_product if engine == "fast" else force_oracle_product
-        return TruncatedElement(
-            self.n,
-            self.r_max,
-            tuple(mult(a, b, cap) for a, b in zip(self.components, other.components)),
-        )
+        return self._zip(other, lambda a, b: mult(a, b, cap))
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
@@ -553,8 +499,9 @@ def triangular_word(a: Matrix) -> GeneratorWord:
     return tuple(word)
 
 
-def triangular_product(a: Matrix, r_max: int) -> tuple[TruncatedElement, dict]:
-    """Fold the canonical word of ``a`` and report its triangular shape.
+def triangular_product(a: Matrix) -> tuple[SymbolicElement, dict]:
+    """Fold the canonical word of ``a``, reduce its exponents, and
+    report the triangular shape of the result.
 
     The report records whether the key (a; 0, 0) carries coefficient
     exactly 1 and whether every other surviving key strictly precedes
@@ -581,4 +528,4 @@ def triangular_product(a: Matrix, r_max: int) -> tuple[TruncatedElement, dict]:
         "norms_decrease": norm_ok,
         "keys": len(folded.terms),
     }
-    return folded.realize_truncated(r_max), report
+    return folded, report

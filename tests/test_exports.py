@@ -98,3 +98,39 @@ def test_the_benchmark_worker_caches_keep_cache_info():
 def test_the_benchmark_worker_passes_the_oracle_cap_positionally(fn):
     # perfbench/worker.py calls fn(left, right, ORACLE_CAP)
     inspect.signature(fn).bind("left", "right", 7)
+
+
+# perfbench/ stays out: the bare `import qschur` in its worker is the
+# import cost that the benchmark measures.
+SOURCES = sorted(
+    [*ROOT.glob("src/qschur/*.py"), *ROOT.glob("tests/*.py"), *ROOT.glob("scripts/*.py")]
+)
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by module-level imports that the module never reads;
+    a name listed in `__all__` counts as read."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [name for name in bound if name not in used]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_import_is_used(path):
+    assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_import_walk_sees_every_tree():
+    names = {str(p.relative_to(ROOT)) for p in SOURCES}
+    assert {"src/qschur/schur.py", "tests/test_exports.py", "scripts/depth_study.py"} <= names
+    assert _unused_imports(ast.parse("import a.b\nfrom c import d as e\n__all__ = ['e']")) == ["a"]

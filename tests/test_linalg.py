@@ -1,10 +1,6 @@
 from fractions import Fraction
 
-import pytest
-from hypothesis import given, settings, strategies as st
-
-from qschur.errors import ConsistencyError
-from qschur.laurent import LaurentPoly, ONE, V, v_power
+from qschur.laurent import LaurentPoly, V
 from qschur.linalg import (
     exact_rank,
     flatten_family,

@@ -6,15 +6,13 @@ from hypothesis import given, settings, strategies as st
 from qschur.cli import parse_element
 from qschur.errors import DimensionMismatch, DomainError
 from qschur.hecke import oracle_product
-from qschur.laurent import LaurentPoly, ONE, v_power, vector_binomial
+from qschur.laurent import LaurentPoly, ONE, ZERO, v_power, vector_binomial
 from qschur.matrices import (
     add_diag,
     add_to_entry,
     diag_matrix,
-    entry_sum,
     ro,
     theta_matrices,
-    zero_matrix,
 )
 from qschur.schur import (
     SchurElement,
@@ -25,6 +23,7 @@ from qschur.schur import (
     multiply_lowering,
     multiply_raising,
 )
+from qschur.symbolic import SymbolicElement
 from qschur.vectors import compositions, dot
 
 # frozen coset-oracle outputs pinning the basis product on hand-picked
@@ -143,6 +142,47 @@ def test_mismatched_degrees_are_rejected():
         basis_product(((1, 0), (0, 0)), ((1, 0), (0, 1)), 10)
     with pytest.raises(DimensionMismatch):
         general_product(SchurElement.unit(2, 1), SchurElement.unit(2, 2), 10)
+
+
+# one element of each Combination subclass, with an element of the same
+# type under another header
+COMBINATIONS = [
+    (
+        SchurElement(2, 2, {((1, 1), (0, 0)): ONE, ((2, 0), (0, 0)): v_power(1)}),
+        SchurElement.unit(2, 3),
+    ),
+    (
+        SymbolicElement(
+            2,
+            {
+                (((0, 1), (0, 0)), (0, 0), (0, 0)): ONE,
+                (((0, 0), (1, 0)), (1, -1), (0, 1)): v_power(1),
+            },
+        ),
+        SymbolicElement.unit(3),
+    ),
+]
+
+
+@pytest.mark.parametrize("x, elsewhere", COMBINATIONS, ids=["schur", "symbolic"])
+def test_combination_arithmetic(x, elsewhere):
+    header = x._header()
+    assert (x - x).is_zero()
+    assert x.scale(0).is_zero()
+    key, c = x.sorted_terms()[0]
+    y = x + x.zero(*header)
+    y.add_into(key, -c)
+    assert key not in y.terms and len(y.terms) == len(x.terms) - 1
+    assert type(x)(*header, {**x.terms, key: ZERO}) == y
+    other_types = [el for el, _ in COMBINATIONS if type(el) is not type(x)]
+    for other in (elsewhere, *other_types):
+        with pytest.raises(DimensionMismatch):
+            x + other
+        with pytest.raises(DimensionMismatch):
+            x - other
+    assert other_types and all(not x == el and x != el for el in other_types)
+    with pytest.raises(TypeError):
+        hash(x)
 
 
 @given(st.integers(2, 3), st.integers(0, 4), st.data())

@@ -161,11 +161,11 @@ def test_triangular_product_report_structure():
     for a in theta_pm(2, 2):
         if entry_sum(a) == 0:
             continue
-        el, rep = triangular_product(a, 3)
+        el, rep = triangular_product(a)
         assert rep["leading_is_one"]
         assert rep["lower_terms_precede"]
         assert rep["norms_decrease"]
-        assert isinstance(el, TruncatedElement)
+        assert isinstance(el, SymbolicElement)
 
 
 @settings(max_examples=20, deadline=None)
