@@ -128,8 +128,7 @@ def parse_element(text: str):
                 raise DimensionMismatch(
                     f"matrix weight {entry_sum(a)} does not match r={r}"
                 )
-            coeff = _coeff_from_json(term.get("coeff", 1))
-            el = el + SchurElement.basis(a).scale(coeff)
+            el.add_into(a, _coeff_from_json(term.get("coeff", 1)))
         return el
 
     el = SymbolicElement.zero(n)
@@ -140,7 +139,8 @@ def parse_element(text: str):
         if any(x < 0 for x in lam):
             raise ParseError("'lambda' entries must be nonnegative")
         coeff = _coeff_from_json(term.get("coeff", 1))
-        el = el + SymbolicElement.gen(a, delta, lam, coeff)
+        SymbolicElement.gen(a, delta, lam)  # validates the key
+        el.add_into((a, delta, lam), coeff)
     return el
 
 

@@ -277,40 +277,37 @@ def norm_exponent(a: Matrix) -> int:
     return total
 
 
-def _rewrite_right_cosets(h: HeckeElt, lam: IntVector) -> dict[Permutation, LaurentPoly]:
-    """Express h in x_lam H as coefficients over x_lam T_d, d minimal.
+def _rewrite(
+    h: HeckeElt, rep_of: dict[Permutation, Permutation], size
+) -> dict[Permutation, LaurentPoly]:
+    """Express h over coset sums, one coefficient per representative:
+    rep_of maps a permutation to its coset's representative, and
+    size(rep) is the size of that coset.
 
     The expansion is verified by reconstruction: coefficients must be
-    constant across each right coset and the support a union of cosets.
+    constant across each coset and the support a union of cosets.
     """
-    _, rep_of = _right_coset_data(lam)
-    size = len(young_subgroup(lam))
     groups: dict[Permutation, list[LaurentPoly]] = {}
     for w, c in h.items():
         groups.setdefault(rep_of[w], []).append(c)
-    out: dict[Permutation, LaurentPoly] = {}
     for d, cs in groups.items():
-        if len(cs) != size or any(c != cs[0] for c in cs[1:]):
-            raise ConsistencyError("element does not lie in the expected left ideal")
-        out[d] = cs[0]
-    return out
+        if len(cs) != size(d) or any(c != cs[0] for c in cs[1:]):
+            raise ConsistencyError("element is not a combination of the expected coset sums")
+    return {d: cs[0] for d, cs in groups.items()}
+
+
+def _rewrite_right_cosets(h: HeckeElt, lam: IntVector) -> dict[Permutation, LaurentPoly]:
+    """Express h in x_lam H as coefficients over x_lam T_d, d minimal."""
+    size = len(young_subgroup(lam))
+    return _rewrite(h, _right_coset_data(lam)[1], lambda d: size)
 
 
 def _rewrite_double_cosets(
     h: HeckeElt, lam: IntVector, mu: IntVector
 ) -> dict[Permutation, LaurentPoly]:
-    """Express h as a combination of double-coset sums, verified the
-    same way as `_rewrite_right_cosets`."""
+    """Express h as a combination of double-coset sums."""
     _, rep_of, orbits = _double_coset_data(lam, mu)
-    groups: dict[Permutation, list[LaurentPoly]] = {}
-    for w, c in h.items():
-        groups.setdefault(rep_of[w], []).append(c)
-    out: dict[Permutation, LaurentPoly] = {}
-    for e, cs in groups.items():
-        if len(cs) != len(orbits[e]) or any(c != cs[0] for c in cs[1:]):
-            raise ConsistencyError("element is not a combination of double-coset sums")
-        out[e] = cs[0]
-    return out
+    return _rewrite(h, rep_of, lambda e: len(orbits[e]))
 
 
 def oracle_product(a: Matrix, b: Matrix, cap: int = DEFAULT_ORACLE_CAP) -> dict[Matrix, LaurentPoly]:

@@ -318,22 +318,34 @@ def unbalanced_bracket(i: int) -> LaurentPoly:
     return LaurentPoly._raw({-2 * k: -1 for k in range(1, -i + 1)})
 
 
-@cache
-def balanced_factorial(t: int) -> LaurentPoly:
+def _factorial(factorial, bracket, t: int) -> LaurentPoly:
     if t < 0:
         raise DomainError("factorial of a negative integer")
-    if t == 0:
-        return ONE
-    return balanced_factorial(t - 1) * balanced_bracket(t)
+    return ONE if t == 0 else factorial(t - 1) * bracket(t)
+
+
+@cache
+def balanced_factorial(t: int) -> LaurentPoly:
+    return _factorial(balanced_factorial, balanced_bracket, t)
 
 
 @cache
 def unbalanced_factorial(t: int) -> LaurentPoly:
+    return _factorial(unbalanced_factorial, unbalanced_bracket, t)
+
+
+def _binomial(bracket, factorial, top: int, t: int) -> LaurentPoly:
+    # the falling product [top][top-1]...[top-t+1] divided by [t]!
     if t < 0:
-        raise DomainError("factorial of a negative integer")
+        raise DomainError("binomial with negative lower index")
     if t == 0:
         return ONE
-    return unbalanced_factorial(t - 1) * unbalanced_bracket(t)
+    num = ONE
+    for s in range(t):
+        num = num * bracket(top - s)
+        if num.is_zero():
+            return ZERO
+    return num.divexact(factorial(t))
 
 
 @cache
@@ -348,16 +360,7 @@ def balanced_binomial(top: int, t: int) -> LaurentPoly:
     >>> print(balanced_binomial(-2, 2))
     v^-2 + 1 + v^2
     """
-    if t < 0:
-        raise DomainError("binomial with negative lower index")
-    if t == 0:
-        return ONE
-    num = ONE
-    for s in range(t):
-        num = num * balanced_bracket(top - s)
-        if num.is_zero():
-            return ZERO
-    return num.divexact(balanced_factorial(t))
+    return _binomial(balanced_bracket, balanced_factorial, top, t)
 
 
 @cache
@@ -369,32 +372,25 @@ def unbalanced_binomial(top: int, t: int) -> LaurentPoly:
     >>> unbalanced_binomial(1, 3).is_zero()
     True
     """
-    if t < 0:
-        raise DomainError("binomial with negative lower index")
-    if t == 0:
-        return ONE
-    num = ONE
-    for s in range(t):
-        num = num * unbalanced_bracket(top - s)
-        if num.is_zero():
-            return ZERO
-    return num.divexact(unbalanced_factorial(t))
+    return _binomial(unbalanced_bracket, unbalanced_factorial, top, t)
+
+
+def _trinomial(binomial, a: int, b: int, c: int) -> LaurentPoly:
+    if a < 0 or b < 0 or c < 0:
+        raise DomainError("trinomial parts must be nonnegative")
+    return binomial(a + b + c, a) * binomial(b + c, b)
 
 
 @cache
 def balanced_trinomial(a: int, b: int, c: int) -> LaurentPoly:
     """[a+b+c]! / ([a]! [b]! [c]!) for nonnegative a, b, c."""
-    if a < 0 or b < 0 or c < 0:
-        raise DomainError("trinomial parts must be nonnegative")
-    return balanced_binomial(a + b + c, a) * balanced_binomial(b + c, b)
+    return _trinomial(balanced_binomial, a, b, c)
 
 
 @cache
 def unbalanced_trinomial(a: int, b: int, c: int) -> LaurentPoly:
     """Same three-part multinomial built from one-sided brackets."""
-    if a < 0 or b < 0 or c < 0:
-        raise DomainError("trinomial parts must be nonnegative")
-    return unbalanced_binomial(a + b + c, a) * unbalanced_binomial(b + c, b)
+    return _trinomial(unbalanced_binomial, a, b, c)
 
 
 def vector_binomial(mu: tuple[int, ...], lam: tuple[int, ...]) -> LaurentPoly:

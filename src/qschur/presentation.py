@@ -52,15 +52,12 @@ def realize_word(word: GeneratorWord, n: int, r_max: int) -> TruncatedElement:
     return acc
 
 
-def _relation_instance(name: str, i: int, j: int, ok: bool) -> dict:
-    return {"relation": name, "i": i, "j": j, "ok": ok}
-
-
 def check_relations(n: int, r_max: int) -> dict:
     """Verify the defining relations of the presentation degree by
     degree up to r_max.  Returns a report with one entry per checked
     instance; the commutator relation divides by (v - v^{-1}) exactly
-    rather than comparing cleared forms."""
+    rather than comparing cleared forms.  The relations that come in
+    raising/lowering pairs are written once, for X = E and X = F."""
     if n < 2:
         raise DimensionMismatch("relations need n >= 2")
     z = (0,) * n
@@ -68,81 +65,63 @@ def check_relations(n: int, r_max: int) -> dict:
     F = lambda h, m=1: (entry_matrix(n, h + 1, h, m), z, z)
     K = lambda i, s=1: (zero_matrix(n), tuple(s * e for e in unit_vector(n, i)), z)
     rw = lambda word: realize_word(tuple(word), n, r_max)
+    zero = TruncatedElement.zero(n, r_max)
     v_minus_vinv = V - VINV
+    two_bracket = V + VINV
 
     checks: list[dict] = []
+
+    def check(name: str, i: int, j: int, ok: bool) -> None:
+        checks.append({"relation": name, "i": i, "j": j, "ok": ok})
 
     # torus generators commute and invert
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            ok = rw([K(i), K(j)]) == rw([K(j), K(i)])
-            checks.append(_relation_instance("torus-commute", i, j, ok))
+            check("torus-commute", i, j, rw([K(i), K(j)]) == rw([K(j), K(i)]))
     unit = TruncatedElement.unit(n, r_max)
     for i in range(1, n + 1):
-        ok = rw([K(i), K(i, -1)]) == unit
-        checks.append(_relation_instance("torus-inverse", i, i, ok))
-
-    # torus conjugation rescales raising and lowering generators
-    for i in range(1, n + 1):
-        for j in range(1, n):
-            ce = (1 if i == j else 0) - (1 if i == j + 1 else 0)
-            ok = rw([K(i), E(j)]) == rw([E(j), K(i)]).scale(v_power(ce))
-            checks.append(_relation_instance("torus-raise", i, j, ok))
-            ok = rw([K(i), F(j)]) == rw([F(j), K(i)]).scale(v_power(-ce))
-            checks.append(_relation_instance("torus-lower", i, j, ok))
-
-    # distant raising (and lowering) generators commute
-    for i in range(1, n):
-        for j in range(1, n):
-            if abs(i - j) <= 1:
-                continue
-            ok = rw([E(i), E(j)]) == rw([E(j), E(i)])
-            checks.append(_relation_instance("distant-raise", i, j, ok))
-            ok = rw([F(i), F(j)]) == rw([F(j), F(i)])
-            checks.append(_relation_instance("distant-lower", i, j, ok))
+        check("torus-inverse", i, i, rw([K(i), K(i, -1)]) == unit)
 
     # commutator of raising against lowering
     for i in range(1, n):
         for j in range(1, n):
             lhs = rw([E(i), F(j)]) - rw([F(j), E(i)])
             if i != j:
-                ok = lhs == TruncatedElement.zero(n, r_max)
+                ok = lhs == zero
             else:
                 kplus = rw([K(i), K(i + 1, -1)])
                 kminus = rw([K(i, -1), K(i + 1)])
                 ok = lhs == (kplus - kminus).scale_divexact(v_minus_vinv)
-            checks.append(_relation_instance("commutator", i, j, ok))
+            check("commutator", i, j, ok)
 
-    # quantum Serre relations for adjacent pairs
-    two_bracket = V + VINV
-    for i in range(1, n):
-        for j in range(1, n):
-            if abs(i - j) != 1:
-                continue
-            lhs = (
-                rw([E(i), E(i), E(j)])
-                - rw([E(i), E(j), E(i)]).scale(two_bracket)
-                + rw([E(j), E(i), E(i)])
-            )
-            ok = lhs == TruncatedElement.zero(n, r_max)
-            checks.append(_relation_instance("serre-raise", i, j, ok))
-            lhs = (
-                rw([F(i), F(i), F(j)])
-                - rw([F(i), F(j), F(i)]).scale(two_bracket)
-                + rw([F(j), F(i), F(i)])
-            )
-            ok = lhs == TruncatedElement.zero(n, r_max)
-            checks.append(_relation_instance("serre-lower", i, j, ok))
+    for kind, X, s in (("raise", E, 1), ("lower", F, -1)):
+        # torus conjugation rescales the generator, F by the inverse power
+        for i in range(1, n + 1):
+            for j in range(1, n):
+                ce = (1 if i == j else 0) - (1 if i == j + 1 else 0)
+                ok = rw([K(i), X(j)]) == rw([X(j), K(i)]).scale(v_power(s * ce))
+                check(f"torus-{kind}", i, j, ok)
 
-    # divided powers multiply with balanced binomial coefficients
-    for h in range(1, n):
-        for a in range(1, 4):
-            for b in range(1, 4):
-                coeff = balanced_binomial(a + b, a)
-                ok = rw([E(h, a), E(h, b)]) == rw([E(h, a + b)]).scale(coeff)
-                checks.append(_relation_instance("divided-raise", h, a * 10 + b, ok))
-                ok = rw([F(h, a), F(h, b)]) == rw([F(h, a + b)]).scale(coeff)
-                checks.append(_relation_instance("divided-lower", h, a * 10 + b, ok))
+        # distant generators commute; adjacent ones satisfy quantum Serre
+        for i in range(1, n):
+            for j in range(1, n):
+                if abs(i - j) > 1:
+                    check(f"distant-{kind}", i, j, rw([X(i), X(j)]) == rw([X(j), X(i)]))
+                elif abs(i - j) == 1:
+                    lhs = (
+                        rw([X(i), X(i), X(j)])
+                        - rw([X(i), X(j), X(i)]).scale(two_bracket)
+                        + rw([X(j), X(i), X(i)])
+                    )
+                    check(f"serre-{kind}", i, j, lhs == zero)
+
+        # divided powers multiply with balanced binomial coefficients
+        for h in range(1, n):
+            for a in range(1, 4):
+                for b in range(1, 4):
+                    coeff = balanced_binomial(a + b, a)
+                    ok = rw([X(h, a), X(h, b)]) == rw([X(h, a + b)]).scale(coeff)
+                    check(f"divided-{kind}", h, a * 10 + b, ok)
 
     failures = [c for c in checks if not c["ok"]]
     return {

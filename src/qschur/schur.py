@@ -225,25 +225,21 @@ def multiply_lowering(h: int, m: int, a: Matrix) -> SchurElement:
 
 
 @lru_cache(maxsize=1 << 18)
-def _basis_product_cached(a: Matrix, b: Matrix, cap: int) -> SchurElement:
-    n = len(a)
-    r = entry_sum(a)
+def _basis_product_cached(a: Matrix, b: Matrix, cap: int) -> dict[Matrix, LaurentPoly]:
+    # The terms of [a][b].  Cached dicts are shared: never mutate one.
     if co(a) != ro(b):
-        return SchurElement.zero(n, r)
+        return {}
     if is_diagonal(a):
-        return SchurElement.basis(b)
+        return {b: ONE}
     if is_diagonal(b):
-        return SchurElement.basis(a)
+        return {a: ONE}
     shape = raising_shape(a)
     if shape is not None:
-        return multiply_raising(shape[0], shape[1], b)
+        return multiply_raising(shape[0], shape[1], b).terms
     shape = lowering_shape(a)
     if shape is not None:
-        return multiply_lowering(shape[0], shape[1], b)
-    raw = oracle_product(a, b, cap)
-    out = SchurElement(n, r)
-    out.terms = raw
-    return out
+        return multiply_lowering(shape[0], shape[1], b).terms
+    return oracle_product(a, b, cap)
 
 
 def basis_product(a: Matrix, b: Matrix, cap: int = DEFAULT_ORACLE_CAP) -> SchurElement:
@@ -256,24 +252,30 @@ def basis_product(a: Matrix, b: Matrix, cap: int = DEFAULT_ORACLE_CAP) -> SchurE
         raise DimensionMismatch("matrix sizes differ")
     if entry_sum(a) != entry_sum(b):
         raise DimensionMismatch("matrices have different degrees")
-    return _basis_product_cached(a, b, cap)
+    if not (is_nonnegative(a) and is_nonnegative(b)):
+        raise DomainError("basis matrices must be nonnegative")
+    return SchurElement(len(a), entry_sum(a), _basis_product_cached(a, b, cap))
+
+
+def _bilinear(x: SchurElement, y: SchurElement, product, cap: int) -> SchurElement:
+    # Extend product(a, b, cap), a terms dict of [a][b], bilinearly.
+    x._check(y)
+    out = SchurElement(x.n, x.r)
+    for a, ca in x.terms.items():
+        for b, cb in y.terms.items():
+            prod = product(a, b, cap)
+            if prod:
+                c = ca * cb
+                for mat, coeff in prod.items():
+                    out.add_into(mat, c * coeff)
+    return out
 
 
 def general_product(
     x: SchurElement, y: SchurElement, cap: int = DEFAULT_ORACLE_CAP
 ) -> SchurElement:
     """Bilinear extension of `basis_product`."""
-    x._check(y)
-    out = SchurElement(x.n, x.r)
-    for a, ca in x.terms.items():
-        for b, cb in y.terms.items():
-            prod = _basis_product_cached(a, b, cap)
-            if prod.is_zero():
-                continue
-            c = ca * cb
-            for mat, coeff in prod.terms.items():
-                out.add_into(mat, c * coeff)
-    return out
+    return _bilinear(x, y, _basis_product_cached, cap)
 
 
 def force_oracle_product(
@@ -281,15 +283,7 @@ def force_oracle_product(
 ) -> SchurElement:
     """Bilinear product that routes every basis pair through the coset
     oracle, bypassing the structured layers (used for cross-checks)."""
-    x._check(y)
-    out = SchurElement(x.n, x.r)
-    for a, ca in x.terms.items():
-        for b, cb in y.terms.items():
-            raw = oracle_product(a, b, cap)
-            c = ca * cb
-            for mat, coeff in raw.items():
-                out.add_into(mat, c * coeff)
-    return out
+    return _bilinear(x, y, oracle_product, cap)
 
 
 @lru_cache(maxsize=1 << 18)

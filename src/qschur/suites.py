@@ -218,19 +218,11 @@ def _transfer_instances(cfg: RunConfig):
 
 def _transfer_check(cfg: RunConfig, inst):
     kind, h, m, a, r = inst
-    row = ro(a)
-    if kind == "E":
-        got = multiply_raising(h, m, a)
-        left = add_to_entry(
-            diag_matrix(tuple(x - (m if i == h else 0) for i, x in enumerate(row))),
-            h, h + 1, m,
-        )
-    else:
-        got = multiply_lowering(h, m, a)
-        left = add_to_entry(
-            diag_matrix(tuple(x - (m if i == h - 1 else 0) for i, x in enumerate(row))),
-            h + 1, h, m,
-        )
+    # E moves m units from row h+1 to row h, F from row h to row h+1: the
+    # left factor is diag(ro(a)) with m moved from (j, j) to (i, j)
+    i, j, rule = (h, h + 1, multiply_raising) if kind == "E" else (h + 1, h, multiply_lowering)
+    got = rule(h, m, a)
+    left = add_to_entry(add_to_entry(diag_matrix(ro(a)), j, j, -m), i, j, m)
     want = oracle_product(left, a, cfg.oracle_cap)
     if got.terms != want:
         return {

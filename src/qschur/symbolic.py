@@ -418,17 +418,13 @@ def delta_reduce(x: SymbolicElement) -> SymbolicElement:
         i = next(p for p, d in enumerate(delta) if d < 0 or d > 1)
         li = lam[i]
         lam_up = tuple(x + 1 if p == i else x for p, x in enumerate(lam))
-        mixed = v_power(li + 1) - v_power(-li - 1)
-        if delta[i] > 1:
-            d1 = tuple(x - 1 if p == i else x for p, x in enumerate(delta))
-            d2 = tuple(x - 2 if p == i else x for p, x in enumerate(delta))
-            c1 = c * v_power(li) * mixed
-            c2 = c * v_power(2 * li)
-        else:
-            d1 = tuple(x + 1 if p == i else x for p, x in enumerate(delta))
-            d2 = tuple(x + 2 if p == i else x for p, x in enumerate(delta))
-            c1 = c * v_power(-li) * mixed * -1
-            c2 = c * v_power(-2 * li)
+        # s = +1 lowers an exponent above 1 and s = -1 raises one below 0:
+        # the second rewrite is the first with v -> v^-1, shifts reversed
+        s = 1 if delta[i] > 1 else -1
+        d1 = tuple(x - s if p == i else x for p, x in enumerate(delta))
+        d2 = tuple(x - 2 * s if p == i else x for p, x in enumerate(delta))
+        c1 = c * v_power(s * li) * (v_power(s * (li + 1)) - v_power(-s * (li + 1)))
+        c2 = c * v_power(2 * s * li)
         for new_key, new_c in (((a, d1, lam_up), c1), ((a, d2, lam), c2)):
             if new_key not in pending.terms:
                 heappush(heap, (-_excess(new_key[1]), new_key))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qschur import hecke
-from qschur.errors import DimensionMismatch, ResourceLimit
+from qschur.errors import ConsistencyError, DimensionMismatch, ResourceLimit
 from qschur.hecke import (
     coset_to_matrix,
     distinguished_reps,
@@ -308,3 +308,18 @@ def test_oracle_product_takes_one_generator_step_per_tree_node(monkeypatch):
     assert bound == 34
     assert oracle_product(a, b, 7)
     assert len(calls) <= bound
+
+
+def test_coset_rewrites_check_their_reconstruction():
+    # W_lam is the right coset of the identity and its (lam, lam) double coset
+    lam = (2, 1)
+    e, s = sorted(x_lambda(lam))
+    rewrites = [
+        lambda h: hecke._rewrite_right_cosets(h, lam),
+        lambda h: hecke._rewrite_double_cosets(h, lam, lam),
+    ]
+    for rewrite in rewrites:
+        assert rewrite({e: v_power(2), s: v_power(2)}) == {e: v_power(2)}
+        for bad in ({e: ONE}, {e: ONE, s: v_power(1)}):
+            with pytest.raises(ConsistencyError):
+                rewrite(bad)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -138,3 +140,33 @@ def test_generator_products_never_reach_the_oracle(monkeypatch):
         assert bk_independence(bk_products(2, 2, 5), 3)["independent"]
     finally:
         schur._basis_product_cached.cache_clear()
+
+
+def _relation_instances(n):
+    # the (relation, i, j) triples of check_relations, listed by family
+    pairs = [(i, j) for i in range(1, n) for j in range(1, n)]
+    out = [("torus-commute", i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    out += [("torus-inverse", i, i) for i in range(1, n + 1)]
+    out += [("commutator", i, j) for i, j in pairs]
+    for kind in ("raise", "lower"):
+        out += [(f"torus-{kind}", i, j) for i in range(1, n + 1) for j in range(1, n)]
+        out += [(f"distant-{kind}", i, j) for i, j in pairs if abs(i - j) > 1]
+        out += [(f"serre-{kind}", i, j) for i, j in pairs if abs(i - j) == 1]
+        out += [(f"divided-{kind}", h, 10 * a + b)
+                for h in range(1, n) for a in (1, 2, 3) for b in (1, 2, 3)]
+    return out
+
+
+def test_every_relation_instance_is_checked(monkeypatch):
+    # with every comparison false, each instance reports itself
+    monkeypatch.setattr(TruncatedElement, "__eq__", lambda self, other: False)
+    for n, total in ((2, 26), (3, 62), (4, 109)):
+        rep = check_relations(n, 2)
+        failed = Counter((f["relation"], f["i"], f["j"]) for f in rep["failures"])
+        assert rep["instances"] == total == sum(failed.values())
+        assert failed == Counter(_relation_instances(n))
+    assert Counter(name for name, _, _ in failed.elements()) == {
+        "commutator": 9, "torus-commute": 6, "torus-inverse": 4,
+        "torus-raise": 12, "torus-lower": 12, "distant-raise": 2, "distant-lower": 2,
+        "serre-raise": 4, "serre-lower": 4, "divided-raise": 27, "divided-lower": 27,
+    }

@@ -15,6 +15,7 @@ from qschur.matrices import (
     theta_matrices,
 )
 from qschur.schur import (
+    Combination,
     SchurElement,
     basis_product,
     diag_sum,
@@ -142,6 +143,39 @@ def test_mismatched_degrees_are_rejected():
         basis_product(((1, 0), (0, 0)), ((1, 0), (0, 1)), 10)
     with pytest.raises(DimensionMismatch):
         general_product(SchurElement.unit(2, 1), SchurElement.unit(2, 2), 10)
+
+
+def test_basis_product_rejects_a_negative_matrix_on_either_side():
+    # with b on the right, the three left factors pick the diagonal,
+    # the raising and the oracle route
+    b = ((2, -1), (0, 1))
+    for a in (((1, 0), (0, 1)), ((1, 1), (0, 0)), ((0, 1), (1, 0))):
+        for left, right in ((a, b), (b, a)):
+            with pytest.raises(DomainError):
+                basis_product(left, right, 10)
+
+
+def test_parse_element_accumulates_terms_in_place(monkeypatch):
+    # `+` copies the whole terms dict, which makes parsing quadratic in
+    # the number of terms
+    def no_add(self, other):
+        raise AssertionError("parse_element copied the element for one term")
+
+    monkeypatch.setattr(Combination, "__add__", no_add)
+    a, b = [[1, 1], [0, 0]], [[2, 0], [0, 0]]
+    terms = [{"matrix": a, "coeff": 2}, {"matrix": b, "coeff": [[1, 1]]},
+             {"matrix": a, "coeff": -2}, {"matrix": b}]
+    el = parse_element(json.dumps({"n": 2, "r": 2, "terms": terms}))
+    assert el == SchurElement(2, 2, {((2, 0), (0, 0)): v_power(1) + ONE})
+    e, f = [[0, 1], [0, 0]], [[0, 0], [1, 0]]
+    terms = [{"matrix": e, "delta": [0, -1], "coeff": 3}, {"matrix": f, "lambda": [1, 0]},
+             {"matrix": e, "delta": [0, -1], "coeff": -3},
+             {"matrix": f, "lambda": [1, 0], "coeff": [[2, 1]]}]
+    el = parse_element(json.dumps({"n": 2, "terms": terms}))
+    assert el == SymbolicElement(2, {(((0, 0), (1, 0)), (0, 0), (1, 0)): ONE + v_power(2)})
+    # every symbolic key is still validated
+    with pytest.raises(DomainError):
+        parse_element(json.dumps({"n": 2, "terms": [*terms, {"matrix": [[1, 0], [0, 0]]}]}))
 
 
 # one element of each Combination subclass, with an element of the same
