@@ -2,9 +2,17 @@
 
 A polynomial is stored as a dict mapping exponents to nonzero integer
 coefficients, so equality of values coincides with equality of the
-canonical representation.  On top of the ring operations this module
-provides the bar involution (v -> v^-1) and the quantum combinatorics
-used everywhere else in the package:
+canonical representation.  Two polynomials multiply by the double loop
+over their terms when either has fewer than 8 terms.  Longer ones are
+multiplied as one big integer (Kronecker substitution): each is laid out
+densely in signed 64-bit slots on its common exponent stride, and the
+integer product holds the product's coefficients slot by slot.  When a
+product coefficient could need more than 62 bits, or an operand would
+fill too few of its slots, the double loop is used instead.
+
+On top of the ring operations this module provides the bar involution
+(v -> v^-1) and the quantum combinatorics used everywhere else in the
+package:
 
 * ``balanced_bracket(i)``    -- (v^i - v^-i) / (v - v^-1), symmetric in
   the sense bar([i]) = [i];
@@ -31,8 +39,11 @@ True
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from functools import cache
+from math import gcd
 from typing import Iterable
 
 from .errors import DimensionMismatch, DomainError, ExactDivisionError
@@ -172,6 +183,10 @@ class LaurentPoly:
             return ZERO
         if len(a) > len(b):
             a, b = b, a
+        if len(a) >= _PACKED_MIN_TERMS:
+            packed = _packed_product(a, b)
+            if packed is not None:
+                return LaurentPoly._raw(packed)
         terms: dict[int, int] = {}
         get = terms.get
         for ea, ca in a.items():
@@ -273,6 +288,59 @@ class LaurentPoly:
             else:
                 chunks.append(("+ " if c > 0 else "- ") + t)
         return " ".join(chunks)
+
+
+# Both operands need this many terms before one packed integer product
+# beats the double loop of `__mul__`.  An operand spread over more than
+# this many slots per term stays on the double loop: packing it would
+# multiply mostly zero slots.
+_PACKED_MIN_TERMS = 8
+_PACKED_MAX_SLOTS_PER_TERM = 8
+_TOP_BIT = (1 << 63).to_bytes(8, "little")
+
+
+def _pack(terms: dict[int, int], lo: int, g: int, size: int) -> int:
+    # sum c * 2^(64 (e - lo) / g): read the two's-complement slots as
+    # one unsigned integer, then XOR in and subtract a bias of 2^63 per
+    # slot, which turns each slot back into its signed value
+    slots = array("q", bytes(8 * size))
+    for e, c in terms.items():
+        slots[(e - lo) // g] = c
+    if sys.byteorder == "big":
+        slots.byteswap()
+    bias = int.from_bytes(_TOP_BIT * size, "little")
+    return (int.from_bytes(slots.tobytes(), "little") ^ bias) - bias
+
+
+def _packed_product(a: dict[int, int], b: dict[int, int]) -> dict[int, int] | None:
+    """The product of two term dicts as one big-integer product
+    (Kronecker substitution), or None when a product coefficient might
+    not fit a signed 64-bit slot or an operand is too sparse to pack.
+    Each dict holds at least two terms, so the stride g below is positive.
+
+    Exponents are divided by their common stride g, so polynomials in
+    v^2 take one slot per term.  Every product coefficient is bounded by
+    min(len) * max|a| * max|b| < 2^62, so the slots of the packed
+    product never carry into each other, and adding and XORing the bias
+    reads them back as signed 64-bit integers.
+    """
+    bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
+    if bound.bit_length() > 62:
+        return None
+    lo_a, lo_b = min(a), min(b)
+    g = gcd(*[e - lo_a for e in a], *[e - lo_b for e in b])
+    size_a = (max(a) - lo_a) // g + 1
+    size_b = (max(b) - lo_b) // g + 1
+    if size_a > _PACKED_MAX_SLOTS_PER_TERM * len(a) or size_b > _PACKED_MAX_SLOTS_PER_TERM * len(b):
+        return None
+    n = size_a + size_b - 1
+    bias = int.from_bytes(_TOP_BIT * n, "little")
+    product = _pack(a, lo_a, g, size_a) * _pack(b, lo_b, g, size_b)
+    out = array("q", ((product + bias) ^ bias).to_bytes(8 * n, "little"))
+    if sys.byteorder == "big":
+        out.byteswap()
+    lo = lo_a + lo_b
+    return {lo + g * k: c for k, c in enumerate(out) if c}
 
 
 ZERO = LaurentPoly._raw({})

@@ -213,13 +213,12 @@ def multiply_lowering(h: int, m: int, a: Matrix) -> SchurElement:
 
     Reversing the row and column order of every matrix turns this move
     into the raising move on rows n-h and n-h+1, so the product is the
-    reversed image of that raising product.
+    reversed image of that raising product.  The raising rule checks m
+    against its row n-h+1, which is row h here.
     """
     n = len(a)
     if not 1 <= h <= n - 1:
         raise DomainError(f"row index {h} out of range")
-    if not 0 <= m <= ro(a)[h - 1]:
-        raise DomainError("transfer amount exceeds the available row sum")
     mirror = multiply_raising.__wrapped__(n - h, m, rev(a))
     return SchurElement(n, mirror.r, {rev(b): c for b, c in mirror.terms.items()})
 

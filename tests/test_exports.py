@@ -2,6 +2,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -134,3 +135,30 @@ def test_the_import_walk_sees_every_tree():
     names = {str(p.relative_to(ROOT)) for p in SOURCES}
     assert {"src/qschur/schur.py", "tests/test_exports.py", "scripts/depth_study.py"} <= names
     assert _unused_imports(ast.parse("import a.b\nfrom c import d as e\n__all__ = ['e']")) == ["a"]
+
+
+def _foreign_imports(tree: ast.AST) -> list[str]:
+    """Top-level names of the modules a file imports that are neither in
+    the standard library nor qschur itself."""
+    roots = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots += [a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.append(node.module.split(".")[0])
+    return [r for r in roots if r not in sys.stdlib_module_names and r != "qschur"]
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("src/qschur/*.py")), ids=lambda p: p.name)
+def test_the_library_imports_only_the_standard_library(path):
+    # numpy, sympy and the test tools are installed but are not
+    # runtime dependencies
+    assert _foreign_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_dependency_walk_sees_nested_imports():
+    tree = ast.parse(
+        "import os.path\nfrom . import laurent\n"
+        "def f():\n    import numpy.linalg\n    from sympy import Poly\n"
+    )
+    assert _foreign_imports(tree) == ["numpy", "sympy"]

@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,6 +9,7 @@ from qschur.laurent import (
     LaurentPoly,
     ONE,
     V,
+    _packed_product,
     balanced_binomial,
     balanced_bracket,
     balanced_factorial,
@@ -52,6 +56,28 @@ polys = st.builds(
 )
 
 
+@st.composite
+def long_polys(draw):
+    """0-40 terms on exponent strides 1, 2 and 3, mixed within one
+    polynomial, with coefficients up to 2^70: products of two of them
+    take the packed route below 62 bits and the double loop above."""
+    strides = draw(st.lists(st.sampled_from((1, 2, 3)), min_size=1, max_size=3, unique=True))
+    base = draw(st.integers(-30, 30))
+    bound = 2 ** draw(st.sampled_from((3, 16, 29, 31, 70)))
+    exponent = st.builds(lambda s, k: base + s * k, st.sampled_from(strides), st.integers(-12, 12))
+    return LaurentPoly(draw(st.dictionaries(exponent, st.integers(-bound, bound), max_size=40)))
+
+
+def schoolbook(p, q):
+    """The product's [exponent, coefficient] pairs from the defining
+    double sum, zeros dropped."""
+    out = {}
+    for ea, ca in p.to_pairs():
+        for eb, cb in q.to_pairs():
+            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return sorted((e, c) for e, c in out.items() if c)
+
+
 def test_zero_and_one():
     assert LaurentPoly.from_int(0).is_zero()
     assert not ONE.is_zero()
@@ -69,6 +95,83 @@ def test_ring_axioms(p, q, r):
     assert p * (q + r) == p * q + p * r
     assert p + LaurentPoly.from_int(0) == p
     assert p * ONE == p
+
+
+@given(long_polys(), long_polys())
+def test_long_products_match_the_schoolbook_sum(p, q):
+    assert (p * q).to_pairs() == schoolbook(p, q)
+    assert (p * q) * p == p * (q * p)
+
+
+def _run(n, first=0, step=1, scale=1):
+    return LaurentPoly({first + step * i: scale * (i + 1) for i in range(n)})
+
+
+@pytest.mark.parametrize("m", [7, 8])
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_products_at_the_packing_threshold(m, n):
+    # a product with a 7-term operand takes the double loop, the others
+    # are packed
+    p, q = _run(m, -9, 2, -3), _run(n, -4, 3, 5)
+    assert (p * q).to_pairs() == schoolbook(p, q)
+
+
+def test_packed_product_with_negative_exponents():
+    p, q = _run(12, -40, 2, -1), _run(9, -17, 1, 3)
+    assert _packed_product(p._terms, q._terms) is not None
+    assert (p * q).to_pairs() == schoolbook(p, q)
+    assert (p * q).min_exp() == -57 and (p * q).max_exp() == -27
+
+
+@pytest.mark.parametrize("k", [8, 9, 20, 40])
+def test_packed_product_stores_no_zero_coefficients(k):
+    # (1 - v) W * (1 + v + ... + v^k) = W (1 - v^(k+1)): the exponents
+    # between deg W and k+1 cancel, and no zero may be kept for them
+    w = _run(8)
+    p = (ONE - V) * w
+    q = LaurentPoly({i: 1 for i in range(k + 1)})
+    assert len(p.to_pairs()) == 9
+    assert _packed_product(p._terms, q._terms) is not None
+    assert (p * q).to_pairs() == w.to_pairs() + [(e + k + 1, -c) for e, c in w.to_pairs()]
+
+
+def test_packed_product_cancels_every_odd_exponent():
+    # (1 + v + ... + v^7)(1 - v + ... - v^7) = (1 - v^8)(1 + v^2 + v^4 + v^6)
+    ones = LaurentPoly({i: 1 for i in range(8)})
+    alternating = LaurentPoly({i: (-1) ** i for i in range(8)})
+    assert (ones * alternating).to_pairs() == [
+        (0, 1), (2, 1), (4, 1), (6, 1), (8, -1), (10, -1), (12, -1), (14, -1)
+    ]
+
+
+@pytest.mark.parametrize("b_max, packed", [(2**30 - 1, True), (2**30, False)])
+def test_the_62_bit_bound(b_max, packed):
+    # 8 * 2^29 * (2^30 - 1) needs exactly 62 bits, and the product's
+    # middle coefficient reaches that bound
+    p = LaurentPoly({i: -(2**29) for i in range(8)})
+    q = LaurentPoly({i: b_max for i in range(8)})
+    assert (_packed_product(p._terms, q._terms) is not None) == packed
+    assert (p * q).coeff(7) == -8 * 2**29 * b_max
+    assert (p * q).to_pairs() == schoolbook(p, q)
+
+
+def test_sparse_operands_stay_on_the_double_loop():
+    # a common stride packs densely; a gap does not
+    assert len(_packed_product(*[{10**9 * i: 1 for i in range(8)}] * 2)) == 15
+    p = LaurentPoly({**{i: 1 for i in range(7)}, 10**9: 1})
+    assert _packed_product(p._terms, p._terms) is None
+    assert (p * p).to_pairs() == schoolbook(p, p)
+
+
+def test_long_product_is_fast():
+    rng = random.Random(7)
+    p = LaurentPoly({e: rng.randint(-(2**16), 2**16) for e in range(-1000, 1000)})
+    q = LaurentPoly({e: rng.randint(-(2**16), 2**16) for e in range(0, 4000, 2)})
+    started = time.perf_counter()
+    product = p * q
+    assert time.perf_counter() - started < 0.25
+    for x in (2, -3, 5):
+        assert product.evaluate(x) == p.evaluate(x) * q.evaluate(x)
 
 
 @given(polys, polys)

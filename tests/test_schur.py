@@ -105,6 +105,19 @@ def test_transfer_rejects_overdrawn_multiplicity():
         multiply_lowering(1, 2, a)
 
 
+def test_lowering_checks_its_bounds_on_the_unmirrored_rows():
+    # the amount is checked once, by the mirrored raising rule, against
+    # row h of the lowering's own matrix; the row index is its own h
+    a = diag_matrix((2, 0, 5))
+    for h, m in [(1, 3), (2, 1), (1, -1)]:
+        with pytest.raises(DomainError, match="^transfer amount exceeds the available row sum$"):
+            multiply_lowering(h, m, a)
+    assert multiply_lowering(1, 2, a).terms == {((0, 0, 0), (2, 0, 0), (0, 0, 5)): ONE}
+    for h in (0, 3):
+        with pytest.raises(DomainError, match=f"^row index {h} out of range$"):
+            multiply_lowering(h, 1, a)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 3), st.integers(0, 3), st.data())
 def test_fast_product_agrees_with_forced_oracle(n, r, data):
