@@ -1,48 +1,61 @@
-"""The Iwahori-Hecke algebra of the symmetric group, and the coset
-bookkeeping that realizes endomorphism-algebra products.
+"""The Iwahori-Hecke algebra of the symmetric group on the weight
+spaces of tensor space, and the coset bookkeeping that realizes
+endomorphism-algebra products.
 
-Elements are dicts mapping permutations to Laurent coefficients in the
-standard basis {T_w}.  The defining relations use q = v^2:
+The defining relations use q = v^2:
 
     T_i^2 = (q - 1) T_i + q,    plus the braid relations.
 
 The degree-r endomorphism algebra acts on the direct sum of the
-permutation modules x_lam H, where x_lam sums T_w over a Young
-subgroup.  A basis of the endomorphism algebra is indexed by triples
-(lam, d, mu) with d minimal in its double coset, equivalently by
-nonnegative integer matrices with row sums lam and column sums mu;
-`coset_to_matrix` / `matrix_to_coset` convert between the two.
+permutation modules x_lam H, where x_lam sums T_w over the Young
+subgroup W_lam.  x_lam H has the basis x_lam T_d, d minimal in its right
+coset W_lam d, and x_lam T_d is stored as its weight word: the word
+whose letter at position p is the lam-block that holds d(p).  So x_lam H
+is the weight-lam space of tensor space, of dimension r!/prod(lam_i!),
+and an element is a dict mapping words to Laurent coefficients.  A
+permutation is the weight word of lam = (1^r), so the same dicts hold
+elements of H in the standard basis {T_w}.  T_j acts on a word through
+its letters at j and j+1: an ascent moves the coefficient to the
+swapped word, equal letters multiply it by q, and a descent gives
+(q - 1) times the word plus q times the swapped word.
 
-Each double coset W_lam w W_mu is built as the orbit of its minimal
-representative under the simple reflections of the two Young
-subgroups: s_i on the left swaps the values i and i+1, s_j on the
-right swaps the positions j and j+1.
+A basis of the endomorphism algebra is indexed by triples (lam, d, mu)
+with d minimal in its double coset, equivalently by nonnegative integer
+matrices with row sums lam and column sums mu; `coset_to_matrix` /
+`matrix_to_coset` convert between the two.  The right cosets inside the
+double coset of a matrix a are the words whose letters on mu-block l
+are the multiset with a[k][l] letters k.
 
 `oracle_product` multiplies two normalized basis elements through an
 honest composition of module endomorphisms.  It is deliberately
 independent of the structured product formulas elsewhere in the
-package, so the two can be checked against each other.  The minimal
-right-coset representatives d it multiplies by are prefix-closed
-(d s_j is again minimal when s_j is the last letter of a reduced word
-of d), so it walks them as a tree and reaches each product with T_d
-from its parent's in one generator step.  Internal rewriting steps
-re-expand their output and compare against the input; any mismatch
-raises ConsistencyError rather than returning silently wrong data.
+package, so the two can be checked against each other.  Its cost grows
+with the weight spaces, r!/prod(lam_i!), not with r!.  The words of one
+weight form a tree rooted at the sorted word: the parent of a word
+swaps its leftmost descent (d s_j is again minimal when s_j is the last
+letter of a reduced word of d), so the walk reaches each product with
+T_d from its parent's in one generator step.  The result is read back
+by grouping its words by their matrix relative to the column blocks;
+each group must be a complete orbit carrying one coefficient, and any
+mismatch raises ConsistencyError rather than returning silently wrong
+data.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import chain, product
+from math import factorial, prod
 
 from .errors import ConsistencyError, DimensionMismatch, DomainError, ResourceLimit
 from .laurent import ONE, LaurentPoly, v_power
-from .matrices import Matrix, co, entry_sum, ro
+from .matrices import Matrix, co, entry_sum, is_nonnegative, ro
 from .permutations import (
     Permutation,
     all_permutations,
     block_ranges,
-    compose,
     identity,
+    inverse,
     mult_gen_right,
     reduced_word,
     young_subgroup,
@@ -50,6 +63,7 @@ from .permutations import (
 from .vectors import IntVector
 
 __all__ = [
+    "Word",
     "HeckeElt",
     "hecke_unit",
     "hecke_add_into",
@@ -58,7 +72,6 @@ __all__ = [
     "hecke_multiply",
     "x_lambda",
     "distinguished_reps",
-    "double_coset_sum",
     "coset_to_matrix",
     "matrix_to_coset",
     "norm_exponent",
@@ -66,7 +79,8 @@ __all__ = [
     "DEFAULT_ORACLE_CAP",
 ]
 
-HeckeElt = dict[Permutation, LaurentPoly]
+Word = tuple[int, ...]
+HeckeElt = dict[Word, LaurentPoly]
 
 DEFAULT_ORACLE_CAP = 6
 
@@ -90,10 +104,10 @@ def hecke_add_into(acc: HeckeElt, h: HeckeElt, c: LaurentPoly | None = None) -> 
 
 
 def right_mult_gen(h: HeckeElt, i: int) -> HeckeElt:
-    """h * T_i in one pass over the standard-basis terms."""
+    """h * T_i in one pass over the weight words."""
     out: HeckeElt = {}
 
-    def put(w: Permutation, c: LaurentPoly) -> None:
+    def put(w: Word, c: LaurentPoly) -> None:
         s = out.get(w)
         s = c if s is None else s + c
         if s.is_zero():
@@ -104,6 +118,8 @@ def right_mult_gen(h: HeckeElt, i: int) -> HeckeElt:
     for w, c in h.items():
         if w[i] < w[i + 1]:
             put(mult_gen_right(w, i), c)
+        elif w[i] == w[i + 1]:
+            put(w, c.shift(2))
         else:
             qc = c.shift(2)
             put(w, qc - c)
@@ -132,91 +148,23 @@ def x_lambda(lam: IntVector) -> HeckeElt:
     return {w: ONE for w in young_subgroup(lam)}
 
 
-@cache
-def _right_coset_data(lam: IntVector) -> tuple[tuple[Permutation, ...], dict[Permutation, Permutation]]:
-    # Minimal-length representatives of the right cosets (subgroup) w,
-    # plus the map sending each permutation to its representative.
-    r = sum(lam)
-    group = young_subgroup(lam)
-    rep_of: dict[Permutation, Permutation] = {}
-    reps: list[Permutation] = []
-    for w in all_permutations(r):
-        if w in rep_of:
-            continue
-        reps.append(w)
-        for x in group:
-            rep_of[compose(x, w)] = w
-    return tuple(reps), rep_of
-
-
-@cache
-def _perm_index(r: int) -> dict[Permutation, int]:
-    # Position in `all_permutations(r)`, i.e. in (length, lex) order.
-    return {w: k for k, w in enumerate(all_permutations(r))}
-
-
-def _block_gens(lam: IntVector) -> tuple[int, ...]:
-    # Simple reflections s_i (i, i+1 in one block) generating the Young subgroup.
-    return tuple(i for blk in block_ranges(lam) for i in blk[:-1])
-
-
-def _mult_gen_left(w: Permutation, i: int) -> Permutation:
-    """s_i * w: swaps the values i and i+1."""
-    out = list(w)
-    a, b = w.index(i), w.index(i + 1)
-    out[a], out[b] = i + 1, i
-    return tuple(out)
-
-
-@cache
-def _double_coset_data(
-    lam: IntVector, mu: IntVector
-) -> tuple[
-    tuple[Permutation, ...],
-    dict[Permutation, Permutation],
-    dict[Permutation, tuple[Permutation, ...]],
-]:
-    # Minimal-length double coset representatives, the map to the
-    # representative, and the full membership list per representative
-    # in (length, lex) order.  Scanning in that order makes the first
-    # unvisited permutation minimal; its coset is its orbit under the
-    # left and right simple reflections.
+def distinguished_reps(lam: IntVector, mu: IntVector) -> tuple[Permutation, ...]:
+    """Minimal-length representatives of the double cosets, sorted by
+    length then lexicographically: the w that ascend on each mu-block
+    of positions and whose inverses ascend on each lam-block."""
     r = sum(lam)
     if sum(mu) != r:
         raise DimensionMismatch("compositions have different sizes")
-    left = _block_gens(lam)
-    right = _block_gens(mu)
-    index = _perm_index(r).__getitem__
-    rep_of: dict[Permutation, Permutation] = {}
-    orbits: dict[Permutation, tuple[Permutation, ...]] = {}
-    reps: list[Permutation] = []
-    for w in all_permutations(r):
-        if w in rep_of:
-            continue
-        reps.append(w)
-        rep_of[w] = w
-        members = [w]
-        for u in members:  # grows while scanned: breadth-first
-            neighbours = [_mult_gen_left(u, i) for i in left]
-            neighbours += [mult_gen_right(u, j) for j in right]
-            for x in neighbours:
-                if x not in rep_of:
-                    rep_of[x] = w
-                    members.append(x)
-        orbits[w] = tuple(sorted(members, key=index))
-    return tuple(reps), rep_of, orbits
+    lam_blocks, mu_blocks = block_ranges(lam), block_ranges(mu)
 
+    def ascends(w: Permutation, blocks: tuple[range, ...]) -> bool:
+        return all(w[p] < w[p + 1] for blk in blocks for p in blk[:-1])
 
-def distinguished_reps(lam: IntVector, mu: IntVector) -> tuple[Permutation, ...]:
-    """Minimal-length representatives of the double cosets, sorted by
-    length then lexicographically."""
-    return _double_coset_data(lam, mu)[0]
-
-
-def double_coset_sum(lam: IntVector, d: Permutation, mu: IntVector) -> HeckeElt:
-    """Sum of T_x over the double coset of d (d need not be minimal)."""
-    _, rep_of, orbits = _double_coset_data(lam, mu)
-    return {w: ONE for w in orbits[rep_of[d]]}
+    return tuple(
+        w
+        for w in all_permutations(r)
+        if ascends(w, mu_blocks) and ascends(inverse(w), lam_blocks)
+    )
 
 
 def coset_to_matrix(lam: IntVector, d: Permutation, mu: IntVector) -> Matrix:
@@ -277,42 +225,56 @@ def norm_exponent(a: Matrix) -> int:
     return total
 
 
-def _rewrite(
-    h: HeckeElt, rep_of: dict[Permutation, Permutation], size
-) -> dict[Permutation, LaurentPoly]:
-    """Express h over coset sums, one coefficient per representative:
-    rep_of maps a permutation to its coset's representative, and
-    size(rep) is the size of that coset.
+def _arrangements(counts: tuple[int, ...]) -> list[Word]:
+    """Every distinct word with counts[k] letters k."""
+    if not any(counts):
+        return [()]
+    out: list[Word] = []
+    for k, c in enumerate(counts):
+        if c:
+            rest = counts[:k] + (c - 1,) + counts[k + 1 :]
+            out += [(k, *w) for w in _arrangements(rest)]
+    return out
 
-    The expansion is verified by reconstruction: coefficients must be
-    constant across each coset and the support a union of cosets.
+
+def _double_coset_words(a: Matrix) -> list[Word]:
+    """The right cosets in the double coset of a as weight-ro(a) words:
+    on column block l, every arrangement of a[k][l] letters k."""
+    n = len(a)
+    columns = [_arrangements(tuple(row[l] for row in a)) for l in range(n)]
+    return [tuple(chain.from_iterable(parts)) for parts in product(*columns)]
+
+
+def _double_coset_coeffs(z: HeckeElt, mu: IntVector) -> dict[Matrix, LaurentPoly]:
+    """Express z over the double-coset sums of x_lam H and H x_mu, one
+    coefficient per matrix: a word's matrix counts its letters k on
+    mu-block l.
+
+    The expansion is verified by reconstruction: each class of words
+    must be a complete orbit, with prod_l mu_l! / prod_k m[k][l]!
+    members for its matrix m, and carry one coefficient.
     """
-    groups: dict[Permutation, list[LaurentPoly]] = {}
-    for w, c in h.items():
-        groups.setdefault(rep_of[w], []).append(c)
-    for d, cs in groups.items():
-        if len(cs) != size(d) or any(c != cs[0] for c in cs[1:]):
+    n = len(mu)
+    blocks = block_ranges(mu)
+    groups: dict[Matrix, list[LaurentPoly]] = {}
+    for u, c in z.items():
+        rows = [[0] * n for _ in range(n)]
+        for l, blk in enumerate(blocks):
+            for p in blk:
+                rows[u[p]][l] += 1
+        groups.setdefault(tuple(tuple(row) for row in rows), []).append(c)
+    for m, cs in groups.items():
+        size = prod(
+            factorial(mu[l]) // prod(factorial(row[l]) for row in m) for l in range(n)
+        )
+        if len(cs) != size or any(c != cs[0] for c in cs[1:]):
             raise ConsistencyError("element is not a combination of the expected coset sums")
-    return {d: cs[0] for d, cs in groups.items()}
-
-
-def _rewrite_right_cosets(h: HeckeElt, lam: IntVector) -> dict[Permutation, LaurentPoly]:
-    """Express h in x_lam H as coefficients over x_lam T_d, d minimal."""
-    size = len(young_subgroup(lam))
-    return _rewrite(h, _right_coset_data(lam)[1], lambda d: size)
-
-
-def _rewrite_double_cosets(
-    h: HeckeElt, lam: IntVector, mu: IntVector
-) -> dict[Permutation, LaurentPoly]:
-    """Express h as a combination of double-coset sums."""
-    _, rep_of, orbits = _double_coset_data(lam, mu)
-    return _rewrite(h, rep_of, lambda e: len(orbits[e]))
+    return {m: cs[0] for m, cs in groups.items()}
 
 
 def oracle_product(a: Matrix, b: Matrix, cap: int = DEFAULT_ORACLE_CAP) -> dict[Matrix, LaurentPoly]:
     """Structure constants of [a][b] in the normalized basis, computed
-    by composing the two module endomorphisms inside the Hecke algebra.
+    by composing the two module endomorphisms on weight words.
 
     Returns a dict mapping basis matrices to coefficients; empty when
     the middle compositions do not match.
@@ -327,47 +289,44 @@ def oracle_product(a: Matrix, b: Matrix, cap: int = DEFAULT_ORACLE_CAP) -> dict[
         return {}
     if r > cap:
         raise ResourceLimit(f"degree {r} exceeds the oracle cap {cap}")
+    if not (is_nonnegative(a) and is_nonnegative(b)):
+        raise DomainError("matrix entries must be nonnegative")
 
-    lam_a, d_a, mu_a = matrix_to_coset(a)
-    lam_b, d_b, mu_b = matrix_to_coset(b)
+    # Image of the generator x_{co(b)} under the right endomorphism: the
+    # sum of x_{ro(b)} T_d over the right cosets in b's double coset.
+    support = _double_coset_words(b)
 
-    # Image of the generator x_{mu_b} under the right endomorphism.
-    y = double_coset_sum(lam_b, d_b, mu_b)
-    y_coeffs = _rewrite_right_cosets(y, lam_b)
-
-    # Apply the left endomorphism: x_{lam_b} h |-> (double coset sum) h.
-    # With j the leftmost descent of d (the last letter of its reduced
-    # word), the parent d s_j is again minimal and T_d = T_{d s_j} T_j,
-    # so each product is one generator step from its parent's.  The walk
-    # is depth first over the ancestors of y_coeffs' support only, and a
-    # product is computed when its node is popped, so only about one
-    # root path of products is held at a time.
-    root = identity(r)
-    children: dict[Permutation, list[tuple[Permutation, int]]] = {}
+    # Apply the left endomorphism: x_{ro(b)} h |-> (a's double coset sum) h.
+    # With j the leftmost descent of a word, the parent word swaps j and
+    # j+1, and T_d = T_{d s_j} T_j, so each product is one generator step
+    # from its parent's.  The walk is depth first over the ancestors of
+    # the support only, and a product is computed when its node is
+    # popped, so only about one root path of products is held at a time.
+    root = tuple(sorted(support[0]))
+    children: dict[Word, list[tuple[Word, int]]] = {}
     seen = {root}
-    for d in y_coeffs:
-        while d not in seen:
-            seen.add(d)
-            j = next(j for j in range(r - 1) if d[j] > d[j + 1])
-            parent = mult_gen_right(d, j)
-            children.setdefault(parent, []).append((d, j))
-            d = parent
-    image_of_x = double_coset_sum(lam_a, d_a, mu_a)
+    for u in support:
+        while u not in seen:
+            seen.add(u)
+            j = next(j for j in range(r - 1) if u[j] > u[j + 1])
+            parent = mult_gen_right(u, j)
+            children.setdefault(parent, []).append((u, j))
+            u = parent
+    in_support = set(support)
     z: HeckeElt = {}
-    stack: list[tuple[Permutation, HeckeElt, int | None]] = [(root, image_of_x, None)]
+    image_of_x = {w: ONE for w in _double_coset_words(a)}
+    stack: list[tuple[Word, HeckeElt, int | None]] = [(root, image_of_x, None)]
     while stack:
-        d, h, j = stack.pop()
+        u, h, j = stack.pop()
         if j is not None:
             h = right_mult_gen(h, j)
-        c = y_coeffs.get(d)
-        if c is not None:
-            hecke_add_into(z, h, c)
-        stack.extend((child, h, i) for child, i in children.get(d, ()))
+        if u in in_support:
+            hecke_add_into(z, h)
+        stack.extend((child, h, i) for child, i in children.get(u, ()))
 
     shift = -norm_exponent(a) - norm_exponent(b)
     out: dict[Matrix, LaurentPoly] = {}
-    for e, g in _rewrite_double_cosets(z, lam_a, mu_b).items():
-        m = coset_to_matrix(lam_a, e, mu_b)
+    for m, g in _double_coset_coeffs(z, co(b)).items():
         coeff = g * v_power(shift + norm_exponent(m))
         if not coeff.is_zero():
             out[m] = coeff

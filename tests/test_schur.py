@@ -1,4 +1,5 @@
 import json
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,8 +63,8 @@ def test_frozen_products():
             assert got.terms[m].to_pairs() == pairs
 
 
-def all_transfers(n, rmax):
-    for r in range(rmax + 1):
+def all_transfers(n, rmax, rmin=0):
+    for r in range(rmin, rmax + 1):
         for a in theta_matrices(n, r):
             row = ro(a)
             for h in range(1, n):
@@ -73,28 +74,30 @@ def all_transfers(n, rmax):
                     yield ("F", h, m, a)
 
 
+def transfer_product(kind, h, m, a):
+    # the closed-form product of a one-row transfer with [a], and the
+    # transfer's own basis matrix
+    row = list(ro(a))
+    if kind == "E":
+        row[h] -= m
+        return multiply_raising(h, m, a), add_to_entry(diag_matrix(tuple(row)), h, h + 1, m)
+    row[h - 1] -= m
+    return multiply_lowering(h, m, a), add_to_entry(diag_matrix(tuple(row)), h + 1, h, m)
+
+
 def test_structured_transfers_match_the_oracle_exhaustively():
     # the formula side and the coset side must agree on every valid
     # one-row transfer at this scale
     for kind, h, m, a in all_transfers(2, 4):
-        row = ro(a)
-        if kind == "E":
-            got = multiply_raising(h, m, a)
-            left = add_to_entry(
-                diag_matrix(
-                    tuple(x - (m if i == h else 0) for i, x in enumerate(row))
-                ),
-                h, h + 1, m,
-            )
-        else:
-            got = multiply_lowering(h, m, a)
-            left = add_to_entry(
-                diag_matrix(
-                    tuple(x - (m if i == h - 1 else 0) for i, x in enumerate(row))
-                ),
-                h + 1, h, m,
-            )
+        got, left = transfer_product(kind, h, m, a)
         assert got.terms == oracle_product(left, a, 10)
+
+
+def test_structured_transfers_match_the_oracle_at_degree_8():
+    # the oracle's weight-space walk reaches r = 8, above its default cap
+    for kind, h, m, a in Random(8).sample(list(all_transfers(3, 8, 8)), 6):
+        got, left = transfer_product(kind, h, m, a)
+        assert got.terms == oracle_product(left, a, 8), (kind, h, m, a)
 
 
 def test_transfer_rejects_overdrawn_multiplicity():
