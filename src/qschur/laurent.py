@@ -2,13 +2,16 @@
 
 A polynomial is stored as a dict mapping exponents to nonzero integer
 coefficients, so equality of values coincides with equality of the
-canonical representation.  Two polynomials multiply by the double loop
-over their terms when either has fewer than 8 terms.  Longer ones are
-multiplied as one big integer (Kronecker substitution): each is laid out
-densely in signed 64-bit slots on its common exponent stride, and the
-integer product holds the product's coefficients slot by slot.  When a
-product coefficient could need more than 62 bits, or an operand would
-fill too few of its slots, the double loop is used instead.
+canonical representation.  Products take one of three routes.  A
+one-term operand c v^e shifts the other operand by e and scales it by c
+(the unit returns the other operand itself).  Otherwise two polynomials
+multiply by the double loop over their terms when either has fewer than
+8 terms.  Longer ones are multiplied as one big integer (Kronecker
+substitution): each is laid out densely in signed 64-bit slots on its
+common exponent stride, and the integer product holds the product's
+coefficients slot by slot.  When a product coefficient could need more
+than 62 bits, or an operand would fill too few of its slots, the double
+loop is used instead.
 
 On top of the ring operations this module provides the bar involution
 (v -> v^-1) and the quantum combinatorics used everywhere else in the
@@ -178,11 +181,16 @@ class LaurentPoly:
             if not other:
                 return ZERO
             return LaurentPoly._raw({e: c * other for e, c in self._terms.items()})
+        if len(self._terms) > len(other._terms):
+            self, other = other, self
         a, b = self._terms, other._terms
-        if not a or not b:
+        if not a:
             return ZERO
-        if len(a) > len(b):
-            a, b = b, a
+        if len(a) == 1:
+            [(e, c)] = a.items()
+            if c == 1:
+                return other.shift(e)
+            return LaurentPoly._raw({k + e: c * x for k, x in b.items()})
         if len(a) >= _PACKED_MIN_TERMS:
             packed = _packed_product(a, b)
             if packed is not None:

@@ -46,6 +46,7 @@ __all__ = [
     "multiply_raising",
     "multiply_lowering",
     "diag_sum",
+    "check_diag_key",
     "raising_shape",
     "lowering_shape",
 ]
@@ -285,6 +286,14 @@ def force_oracle_product(
     return _bilinear(x, y, oracle_product, cap)
 
 
+def check_diag_key(a: Matrix, delta: IntVector, lam: IntVector) -> None:
+    """The checks `diag_sum` makes on its key in every degree."""
+    if len(delta) != len(a) or len(lam) != len(a):
+        raise DimensionMismatch("vector lengths disagree with the matrix size")
+    if not is_natural(lam):
+        raise DomainError("binomial depths must be nonnegative")
+
+
 @lru_cache(maxsize=1 << 18)
 def diag_sum(a: Matrix, delta: IntVector, lam: IntVector, r: int) -> SchurElement:
     """The degree-r slice of the symbolic generator (a; delta, lam):
@@ -294,11 +303,8 @@ def diag_sum(a: Matrix, delta: IntVector, lam: IntVector, r: int) -> SchurElemen
     Zero when the off-diagonal entries are not all nonnegative or the
     degree cannot accommodate the off-diagonal mass.
     """
+    check_diag_key(a, delta, lam)
     n = len(a)
-    if len(delta) != n or len(lam) != n:
-        raise DimensionMismatch("vector lengths disagree with the matrix size")
-    if not is_natural(lam):
-        raise DomainError("binomial depths must be nonnegative")
     out = SchurElement(n, r)
     if not is_nonnegative(a):
         return out

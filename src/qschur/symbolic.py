@@ -9,7 +9,9 @@ degree r produces the sum over diagonal completions mu of
     v^(mu . delta) * [mu choose lam] * (basis element A + diag(mu)),
 
 and a symbolic element is a finite Laurent-combination of keys,
-realized degree by degree into a `TruncatedElement`.
+realized into a `TruncatedElement`.  A completion mu covers lam
+entrywise, so realization goes key by key and starts each key at
+degree |A| + |lam|.
 
 Three product rules multiply a one-generator factor into a symbolic
 element without leaving the symbolic side:
@@ -49,6 +51,7 @@ from .laurent import (
 from .matrices import (
     Matrix,
     entry_matrix,
+    entry_sum,
     has_zero_diagonal,
     is_nonnegative,
     matrix_norm,
@@ -60,6 +63,7 @@ from .matrices import (
 from .schur import (
     Combination,
     SchurElement,
+    check_diag_key,
     diag_sum,
     force_oracle_product,
     general_product,
@@ -124,18 +128,24 @@ class SymbolicElement(Combination):
         z = (0,) * n
         return cls(n, {(zero_matrix(n), z, z): ONE})
 
-    def realize(self, r: int) -> SchurElement:
-        out = SchurElement(self.n, r)
+    def _realize(self, lo: int, hi: int) -> tuple[SchurElement, ...]:
+        # degrees lo..hi; no key has a completion below |a| + |lam|
+        out = tuple(SchurElement(self.n, r) for r in range(lo, hi + 1))
         for (a, delta, lam), c in self.terms.items():
-            piece = diag_sum(a, delta, lam, r)
-            for mat, x in piece.terms.items():
-                out.add_into(mat, c * x)
+            parts = out[max(0, entry_sum(a) + sum(lam) - lo):]
+            if not parts:
+                # diag_sum checks the key wherever it is called
+                check_diag_key(a, delta, lam)
+            for part in parts:
+                for mat, x in diag_sum(a, delta, lam, part.r).terms.items():
+                    part.add_into(mat, c * x)
         return out
 
+    def realize(self, r: int) -> SchurElement:
+        return self._realize(r, r)[0]
+
     def realize_truncated(self, r_max: int) -> "TruncatedElement":
-        return TruncatedElement(
-            self.n, r_max, tuple(self.realize(r) for r in range(r_max + 1))
-        )
+        return TruncatedElement(self.n, r_max, self._realize(0, r_max))
 
     def to_json_obj(self) -> list[dict]:
         return [

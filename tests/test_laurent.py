@@ -103,8 +103,33 @@ def test_long_products_match_the_schoolbook_sum(p, q):
     assert (p * q) * p == p * (q * p)
 
 
+@given(
+    st.integers(-50, 50),
+    st.integers(-(2**70), 2**70).filter(bool),
+    long_polys(),
+)
+def test_one_term_products_match_the_schoolbook_sum(e, c, q):
+    # q has 0-40 terms; c v^e is a scaled shift from either side
+    p = LaurentPoly({e: c})
+    want = schoolbook(p, q)
+    assert (p * q).to_pairs() == want
+    assert (q * p).to_pairs() == want
+    assert (q * c).to_pairs() == (c * q).to_pairs() == schoolbook(LaurentPoly({0: c}), q)
+
+
 def _run(n, first=0, step=1, scale=1):
     return LaurentPoly({first + step * i: scale * (i + 1) for i in range(n)})
+
+
+@pytest.mark.parametrize("k", range(41))
+def test_unit_and_monomial_products_leave_their_operands_alone(k):
+    x = _run(k, -20, 3, -7)
+    x_pairs, x_hash = x.to_pairs(), hash(x)
+    assert ONE * x == x and x * ONE == x
+    assert (v_power(-5) * x).to_pairs() == [(e - 5, c) for e, c in x_pairs]
+    assert (x * LaurentPoly({3: -2})).to_pairs() == [(e + 3, -2 * c) for e, c in x_pairs]
+    assert x.to_pairs() == x_pairs and hash(x) == x_hash
+    assert ONE.to_pairs() == [(0, 1)] and hash(ONE) == hash(LaurentPoly({0: 1}))
 
 
 @pytest.mark.parametrize("m", [7, 8])

@@ -1,3 +1,4 @@
+import random
 import time
 from itertools import product
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qschur import symbolic
 from qschur.errors import DimensionMismatch, DomainError
-from qschur.laurent import ONE, ZERO, v_power, vector_binomial, vector_trinomial
+from qschur.laurent import ONE, ZERO, LaurentPoly, v_power, vector_binomial, vector_trinomial
 from qschur.matrices import (
     add_to_entry,
     entry_matrix,
@@ -15,6 +16,7 @@ from qschur.matrices import (
     theta_pm,
     zero_matrix,
 )
+from qschur.schur import diag_sum
 from qschur.vectors import boxes, dot, vadd, vsub
 from qschur.symbolic import (
     SymbolicElement,
@@ -268,3 +270,133 @@ def test_delta_reduce_is_polynomial_in_the_excess():
     for _, delta, _ in reduced.terms:
         assert all(0 <= d <= 1 for d in delta)
     assert x.realize_truncated(3) == reduced.realize_truncated(3)
+
+
+# ---------------------------------------------------------------------------
+# realization against the defining sum
+
+
+def _compositions(n, total):
+    if n == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(n - 1, total - first):
+            yield (first, *rest)
+
+
+_PASCAL = {}
+
+
+def q_pascal(m, l):
+    """[m choose l] for naturals m, l as an {exponent: coefficient} dict,
+    from [m choose l] = v^l [m-1 choose l] + v^(l-m) [m-1 choose l-1]."""
+    if l == 0:
+        return {0: 1}
+    if m < l:
+        return {}
+    if (m, l) not in _PASCAL:
+        out = {}
+        for shift, part in ((l, q_pascal(m - 1, l)), (l - m, q_pascal(m - 1, l - 1))):
+            for e, c in part.items():
+                out[e + shift] = out.get(e + shift, 0) + c
+        _PASCAL[m, l] = out
+    return _PASCAL[m, l]
+
+
+def defining_sum(x, r):
+    """Degree r of the realization of x: the sum over keys (A; delta, lam)
+    and completions mu of c v^(mu.delta) [mu choose lam] [A + diag(mu)]."""
+    out = {}
+    for (a, delta, lam), c in x.terms.items():
+        rest = r - sum(map(sum, a))
+        if rest < 0:
+            continue
+        for mu in _compositions(x.n, rest):
+            coeff = {sum(m * d for m, d in zip(mu, delta)): 1}
+            for m, l in zip(mu, lam):
+                step = {}
+                for e, ce in coeff.items():
+                    for f, cf in q_pascal(m, l).items():
+                        step[e + f] = step.get(e + f, 0) + ce * cf
+                coeff = step
+            if not any(coeff.values()):
+                continue
+            mat = tuple(
+                tuple(x + (mu[i] if i == j else 0) for j, x in enumerate(row))
+                for i, row in enumerate(a)
+            )
+            out[mat] = out.get(mat, ZERO) + c * LaurentPoly(coeff)
+    return {mat: c for mat, c in out.items() if c}
+
+
+R = 4
+MIXED = (ONE, -ONE, v_power(-3), LaurentPoly({-2: 5, 1: -1, 4: 2}), LaurentPoly({0: 2, 1: -1}))
+
+
+def seeded_element(rng, n):
+    # one key of each lowest degree |A| + |lam| in 0..7: below, at and
+    # above R, with the mass split at random between A and lam
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+    terms = {}
+    for lowest in range(8):
+        mass = rng.randint(0, lowest)
+        a = [[0] * n for _ in range(n)]
+        for _ in range(mass):
+            i, j = rng.choice(cells)
+            a[i][j] += 1
+        lam = [0] * n
+        for _ in range(lowest - mass):
+            lam[rng.randrange(n)] += 1
+        delta = tuple(rng.randint(-2, 2) for _ in range(n))
+        terms[tuple(map(tuple, a)), delta, tuple(lam)] = rng.choice(MIXED)
+    return SymbolicElement(n, terms)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_realization_matches_the_defining_sum(n, seed):
+    x = seeded_element(random.Random(10 * n + seed), n)
+    # x - delta_reduce(x) keeps the keys outside {0,1}^n, whose
+    # realizations cancel in every degree
+    cancelled = x - delta_reduce(x)
+    assert cancelled.terms and cancelled.realize_truncated(R).is_zero()
+    for el in (x, cancelled, x + delta_reduce(x).scale(v_power(1))):
+        got = el.realize_truncated(R)
+        for r in range(R + 1):
+            assert got.components[r].terms == defining_sum(el, r)
+            assert el.realize(r) == got.components[r]
+
+
+def test_realization_at_degree_40():
+    a = ((0, 1, 0), (0, 0, 2), (1, 0, 0))
+    x = SymbolicElement(3, {
+        (a, (1, -2, 0), (2, 0, 1)): LaurentPoly({-1: 3, 2: -1}),
+        (zero_matrix(3), (0, 1, 1), (0, 0, 0)): ONE,
+    })
+    got = x.realize(40)
+    assert len(got.terms) > 800
+    assert got.terms == defining_sum(x, 40)
+
+
+def test_realization_skips_degrees_below_the_lowest_one():
+    # counted in diag_sum misses, one per (key, degree) computed
+    diag_sum.cache_clear()
+    SymbolicElement(2, {(((0, 2), (1, 0)), (1, -1), (1, 2)): ONE}).realize_truncated(4)
+    assert diag_sum.cache_info().misses == 0
+    SymbolicElement(2, {(((0, 1), (0, 0)), (0, 1), (1, 0)): ONE}).realize_truncated(4)
+    assert diag_sum.cache_info().misses == 3
+
+
+@pytest.mark.parametrize("r", [0, 4, 8, 20])
+@pytest.mark.parametrize(
+    "lam, error", [((-1, 9), DomainError), ((0, 9, 1), DimensionMismatch)]
+)
+def test_realization_checks_every_key_in_every_degree(r, lam, error):
+    # the raw constructor skips the key checks; realization makes them
+    # even where the key's lowest degree lies above every degree asked
+    bad = SymbolicElement(2, {(zero_matrix(2), (0, 0), lam): ONE})
+    with pytest.raises(error):
+        bad.realize(r)
+    with pytest.raises(error):
+        bad.realize_truncated(r)
