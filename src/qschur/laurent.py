@@ -23,8 +23,10 @@ package:
   v^2 only;
 * factorials, binomial coefficients and trinomial (three-part
   multinomial) coefficients built from either bracket, including
-  binomials with an arbitrary integer on top, defined through the
-  falling product divided by a bracket factorial;
+  binomials with an arbitrary integer on top, defined as the falling
+  product divided by a bracket factorial and computed from the
+  Gaussian binomial in v^2 (one shift-subtract and one strided prefix
+  sum per factor);
 * entrywise vector versions of the binomial and trinomial.
 
 All divisions are exact divisions in Z[v, v^-1] and raise
@@ -42,10 +44,12 @@ True
 
 from __future__ import annotations
 
+import operator
 import sys
 from array import array
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from math import gcd
 from typing import Iterable
 
@@ -410,33 +414,65 @@ def unbalanced_factorial(t: int) -> LaurentPoly:
     return _factorial(unbalanced_factorial, unbalanced_bracket, t)
 
 
-def _binomial(bracket, factorial, top: int, t: int) -> LaurentPoly:
-    # the falling product [top][top-1]...[top-t+1] divided by [t]!
+def _gaussian(m: int, k: int) -> list[int]:
+    """Coefficients in q of the Gaussian binomial (m choose k)_q for
+    0 <= k <= m, as a dense list from q^0 up.
+
+    The product (1 - q^(m-k+i)) / (1 - q^i) over i = 1..k is built one
+    factor at a time: the partial product up to i is (m-k+i choose i)_q,
+    so every division is exact.  Multiplying by 1 - q^s is one
+    shift-subtract; dividing by 1 - q^i is a prefix sum along each
+    residue class mod i.
+    """
+    k = min(k, m - k)
+    coeffs = [1]
+    for i in range(1, k + 1):
+        s = m - k + i
+        coeffs = list(map(operator.sub, coeffs + [0] * s, [0] * s + coeffs))
+        # the quotient by 1 - q^i has degree i lower
+        del coeffs[-i:]
+        for res in range(i):
+            coeffs[res::i] = accumulate(coeffs[res::i])
+    return coeffs
+
+
+def _binomial(top: int, t: int, two_sided: bool) -> LaurentPoly:
+    # [top choose t] from the Gaussian binomial in q = v^2.  For top < 0,
+    # [top choose t] = (-1)^t [t-top-1 choose t], up to the one-sided
+    # bracket's factor v^(2 (t top - t(t-1)/2)).  The two-sided bracket is
+    # centred: [m choose t] = v^(-t(m-t)) (m choose t)_{v^2}.
     if t < 0:
         raise DomainError("binomial with negative lower index")
     if t == 0:
         return ONE
-    num = ONE
-    for s in range(t):
-        num = num * bracket(top - s)
-        if num.is_zero():
-            return ZERO
-    return num.divexact(factorial(t))
+    if 0 <= top < t:
+        return ZERO
+    m, sign, shift = top, 1, 0
+    if top < 0:
+        m, sign = t - top - 1, (-1) ** t
+        if not two_sided:
+            shift = 2 * t * top - t * (t - 1)
+    if two_sided:
+        shift = -t * (m - t)
+    return LaurentPoly._raw(
+        {shift + 2 * j: sign * c for j, c in enumerate(_gaussian(m, t)) if c}
+    )
 
 
 @cache
 def balanced_binomial(top: int, t: int) -> LaurentPoly:
     """Binomial from symmetric brackets; ``top`` may be any integer.
 
-    Defined as the falling product [top][top-1]...[top-t+1] divided by
-    the factorial [t]!.  Vanishes exactly when 0 <= top < t.
+    Equal to the falling product [top][top-1]...[top-t+1] divided by
+    the factorial [t]!, and built from the Gaussian binomial in v^2.
+    Vanishes exactly when 0 <= top < t.
 
     >>> print(balanced_binomial(-1, 1))
     -1
     >>> print(balanced_binomial(-2, 2))
     v^-2 + 1 + v^2
     """
-    return _binomial(balanced_bracket, balanced_factorial, top, t)
+    return _binomial(top, t, True)
 
 
 @cache
@@ -448,7 +484,7 @@ def unbalanced_binomial(top: int, t: int) -> LaurentPoly:
     >>> unbalanced_binomial(1, 3).is_zero()
     True
     """
-    return _binomial(unbalanced_bracket, unbalanced_factorial, top, t)
+    return _binomial(top, t, False)
 
 
 def _trinomial(binomial, a: int, b: int, c: int) -> LaurentPoly:

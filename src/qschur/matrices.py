@@ -10,6 +10,7 @@ live here as well.
 
 from __future__ import annotations
 
+import operator
 from functools import cache
 
 from .errors import DimensionMismatch, DomainError
@@ -59,17 +60,16 @@ def entry_matrix(n: int, i: int, j: int, value: int = 1) -> Matrix:
 
 def ro(a: Matrix) -> IntVector:
     """Row sums."""
-    return tuple(sum(row) for row in a)
+    return tuple(map(sum, a))
 
 
 def co(a: Matrix) -> IntVector:
     """Column sums."""
-    n = len(a)
-    return tuple(sum(a[i][j] for i in range(n)) for j in range(n))
+    return tuple(map(sum, zip(*a)))
 
 
 def entry_sum(a: Matrix) -> int:
-    return sum(sum(row) for row in a)
+    return sum(map(sum, a))
 
 
 def is_diagonal(a: Matrix) -> bool:
@@ -77,11 +77,11 @@ def is_diagonal(a: Matrix) -> bool:
 
 
 def is_nonnegative(a: Matrix) -> bool:
-    return all(x >= 0 for row in a for x in row)
+    return min(map(min, a), default=0) >= 0
 
 
 def has_zero_diagonal(a: Matrix) -> bool:
-    return all(not a[i][i] for i in range(len(a)))
+    return not any(map(operator.getitem, a, range(len(a))))
 
 
 def add_to_entry(a: Matrix, i: int, j: int, delta: int) -> Matrix:

@@ -19,14 +19,14 @@ the symbolic elements.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import operator
+from functools import cache, lru_cache
 
 from .errors import DimensionMismatch, DomainError
 from .hecke import DEFAULT_ORACLE_CAP, oracle_product
 from .laurent import ONE, LaurentPoly, unbalanced_binomial, v_power, vector_binomial
 from .matrices import (
     Matrix,
-    add_diag,
     co,
     diag_matrix,
     entry_sum,
@@ -35,7 +35,7 @@ from .matrices import (
     rev,
     ro,
 )
-from .vectors import IntVector, compositions, compositions_capped, dot, is_natural
+from .vectors import IntVector, compositions, compositions_capped, is_natural
 
 __all__ = [
     "Combination",
@@ -267,7 +267,8 @@ def _bilinear(x: SchurElement, y: SchurElement, product, cap: int) -> SchurEleme
             if prod:
                 c = ca * cb
                 for mat, coeff in prod.items():
-                    out.add_into(mat, c * coeff)
+                    # the diagonal routes give the coefficient ONE itself
+                    out.add_into(mat, c if coeff is ONE else c * coeff)
     return out
 
 
@@ -294,6 +295,17 @@ def check_diag_key(a: Matrix, delta: IntVector, lam: IntVector) -> None:
         raise DomainError("binomial depths must be nonnegative")
 
 
+@cache
+def _completions(lam: IntVector, rest: int) -> tuple[tuple[IntVector, LaurentPoly], ...]:
+    # The completions mu >= lam with |mu| = rest, lex ascending, each with
+    # [mu choose lam]; every key of one depth and degree shares them
+    return tuple(
+        (mu, vector_binomial(mu, lam))
+        for nu in compositions(len(lam), rest - sum(lam))
+        for mu in (tuple(map(operator.add, lam, nu)),)
+    )
+
+
 @lru_cache(maxsize=1 << 18)
 def diag_sum(a: Matrix, delta: IntVector, lam: IntVector, r: int) -> SchurElement:
     """The degree-r slice of the symbolic generator (a; delta, lam):
@@ -301,7 +313,9 @@ def diag_sum(a: Matrix, delta: IntVector, lam: IntVector, r: int) -> SchurElemen
     times the basis element a + diag(mu).
 
     Zero when the off-diagonal entries are not all nonnegative or the
-    degree cannot accommodate the off-diagonal mass.
+    degree cannot accommodate the off-diagonal mass.  [m choose l]
+    vanishes exactly when 0 <= m < l, so only the completions mu >= lam
+    contribute.
     """
     check_diag_key(a, delta, lam)
     n = len(a)
@@ -309,11 +323,13 @@ def diag_sum(a: Matrix, delta: IntVector, lam: IntVector, r: int) -> SchurElemen
     if not is_nonnegative(a):
         return out
     rest = r - entry_sum(a)
-    if rest < 0:
+    if rest < sum(lam):
         return out
-    for mu in compositions(n, rest):
-        # [m choose l] vanishes exactly when 0 <= m < l
-        if any(m < l for m, l in zip(mu, lam)):
-            continue
-        out.terms[add_diag(a, mu)] = vector_binomial(mu, lam).shift(dot(mu, delta))
+    # row i of a + diag(mu) is a[i] with mu_i added at position i
+    rows = [(row[:i], row[i], row[i + 1 :]) for i, row in enumerate(a)]
+    out.terms = {
+        tuple([pre + (d + m,) + post for (pre, d, post), m in zip(rows, mu)]):
+        b.shift(sum(map(operator.mul, mu, delta)))
+        for mu, b in _completions(lam, rest)
+    }
     return out

@@ -21,7 +21,6 @@ the library to show that each check can fail.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from itertools import islice, product
 
@@ -411,6 +410,10 @@ def _run_stratum(cfg: RunConfig, key: str) -> tuple[int, list[dict]]:
     gen, _ = _STRATA[key]
     total = sum(1 for _ in gen(cfg))
     if cfg.threads > 1 and total >= _PARALLEL_THRESHOLD:
+        # imported here: loading multiprocessing costs every import of
+        # the package, and only a stratum that fans out needs it
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = -(-total // (cfg.threads * 4))
         jobs = [
             (key, cfg.to_json_obj(), lo, min(lo + chunk, total))

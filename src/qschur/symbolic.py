@@ -36,7 +36,6 @@ from __future__ import annotations
 import operator
 from functools import cache
 from heapq import heapify, heappop, heappush
-from itertools import product as _product
 
 from .errors import DimensionMismatch, DomainError
 from .laurent import (
@@ -71,7 +70,7 @@ from .schur import (
     raising_shape,
 )
 from .hecke import DEFAULT_ORACLE_CAP
-from .vectors import IntVector, compositions, dot, is_natural, vadd, vsub
+from .vectors import IntVector, compositions, dot, is_natural, vadd
 
 __all__ = [
     "SymbolicKey",
@@ -129,16 +128,34 @@ class SymbolicElement(Combination):
         return cls(n, {(zero_matrix(n), z, z): ONE})
 
     def _realize(self, lo: int, hi: int) -> tuple[SchurElement, ...]:
-        # degrees lo..hi; no key has a completion below |a| + |lam|
-        out = tuple(SchurElement(self.n, r) for r in range(lo, hi + 1))
+        # degrees lo..hi; no key has a completion below |a| + |lam|.  Each
+        # cached slice goes into its degree part whole: copied (parts are
+        # mutable, so never shared with the cache) or scaled into an empty
+        # part, and merged entry by entry only into a part with terms.
+        out = tuple([SchurElement(self.n, r) for r in range(lo, hi + 1)])
         for (a, delta, lam), c in self.terms.items():
             parts = out[max(0, entry_sum(a) + sum(lam) - lo):]
             if not parts:
                 # diag_sum checks the key wherever it is called
                 check_diag_key(a, delta, lam)
+            unit = c == ONE
             for part in parts:
-                for mat, x in diag_sum(a, delta, lam, part.r).terms.items():
-                    part.add_into(mat, c * x)
+                piece = diag_sum(a, delta, lam, part.r).terms
+                if not unit:
+                    # never zero over Z[v, v^-1]; a specialized c can kill an entry
+                    piece = {m: y for m, x in piece.items() if not (y := c * x).is_zero()}
+                terms = part.terms
+                if not terms:
+                    part.terms = dict(piece) if unit else piece
+                    continue
+                for mat, x in piece.items():
+                    s = terms.get(mat)
+                    if s is None:
+                        terms[mat] = x
+                    elif not (s := s + x).is_zero():
+                        terms[mat] = s
+                    else:
+                        del terms[mat]
         return out
 
     def realize(self, r: int) -> SchurElement:
@@ -160,6 +177,9 @@ class SymbolicElement(Combination):
 
     def __repr__(self) -> str:
         return f"SymbolicElement(n={self.n}, {len(self.terms)} keys)"
+
+
+_ENGINES = {"fast": general_product, "oracle": force_oracle_product}
 
 
 class TruncatedElement:
@@ -209,7 +229,12 @@ class TruncatedElement:
     def multiply(
         self, other: "TruncatedElement", cap: int = DEFAULT_ORACLE_CAP, engine: str = "fast"
     ) -> "TruncatedElement":
-        mult = general_product if engine == "fast" else force_oracle_product
+        """Degree-wise product: ``engine`` "fast" takes the structured
+        rules where they apply, "oracle" sends every pair to the coset
+        oracle."""
+        mult = _ENGINES.get(engine)
+        if mult is None:
+            raise DomainError(f"unknown engine {engine!r}: use 'fast' or 'oracle'")
         return self._zip(other, lambda a, b: mult(a, b, cap))
 
     def is_zero(self) -> bool:
@@ -260,23 +285,24 @@ def _torus_key(
     # ranges of j are independent, so the coefficient of nu is
     # v^(ro(a).gamma) times a product of one-coordinate factors.  Z[v, v^-1]
     # has no zero divisors: the nonzero keys are exactly the products of
-    # nonzero factors, and `_product` walks them in lexicographic nu order.
+    # nonzero factors.  The products grow one coordinate at a time, so a
+    # prefix of nu is multiplied out once for all its extensions, and the
+    # keys come in lexicographic nu order.
     rows = ro(a)
-    base = dot(rows, gamma)
-    factors = [
+    first, *rest = (
         [(nu, f) for nu in range(m + 1) if (f := _torus_factor(row, m, l, nu))]
         for row, m, l in zip(rows, mu, lam)
-    ]
+    )
+    base = dot(rows, gamma)
+    prefixes = [((nu,), f.shift(base)) for nu, f in first]
+    for factors in rest:
+        prefixes = [(p + (nu,), c * f) for p, c in prefixes for nu, f in factors]
     top_d = vadd(gamma, delta)
     top_l = vadd(lam, mu)
-    out: list[tuple[SymbolicKey, LaurentPoly]] = []
-    for choice in _product(*factors):
-        nu = tuple(x for x, _ in choice)
-        coeff = choice[0][1]
-        for _, f in choice[1:]:
-            coeff = coeff * f
-        out.append(((a, vsub(top_d, nu), vsub(top_l, nu)), coeff.shift(base)))
-    return tuple(out)
+    return tuple(
+        ((a, tuple(map(operator.sub, top_d, nu)), tuple(map(operator.sub, top_l, nu))), c)
+        for nu, c in prefixes
+    )
 
 
 def torus_mult(gamma: IntVector, mu: IntVector, x: SymbolicElement) -> SymbolicElement:
@@ -288,8 +314,9 @@ def torus_mult(gamma: IntVector, mu: IntVector, x: SymbolicElement) -> SymbolicE
         raise DomainError("binomial depths must be nonnegative")
     out = SymbolicElement(n)
     for (a, delta, lam), c in x.terms.items():
+        unit = c == ONE
         for key, coeff in _torus_key(gamma, mu, a, delta, lam):
-            out.add_into(key, c * coeff)
+            out.add_into(key, coeff if unit else c * coeff)
     return out
 
 
@@ -304,16 +331,18 @@ def _raising_key(
     for t in compositions(n, m):
         if any(row_bot[u] < t[u] for u in range(n) if u != hi + 1):
             continue
-        base_exp = 0
-        for u in range(n):
+        base_exp = t[hi + 1] * delta[hi + 1] - t[hi] * delta[hi]
+        # each unit moved up in column u picks up row h from column u on
+        # and row h+1 after column u, both off their diagonal entries, and
+        # t_u2 for every later column u2 outside {h, h+1}
+        later = 0
+        for u in range(n - 1, -1, -1):
             tu = t[u]
             if tu:
-                base_exp += tu * sum(x for p, x in enumerate(row_top) if p >= u and p != hi)
-                base_exp -= tu * sum(x for p, x in enumerate(row_bot) if p > u and p != hi + 1)
-                for u2 in range(u + 1, n):
-                    if u2 != hi and u2 != hi + 1:
-                        base_exp += tu * t[u2]
-        base_exp += -t[hi] * delta[hi] + t[hi + 1] * delta[hi + 1]
+                off = row_top[hi] - row_bot[hi + 1] if u <= hi else 0
+                base_exp += tu * (sum(row_top[u:]) - sum(row_bot[u + 1 :]) - off + later)
+                if u != hi and u != hi + 1:
+                    later += tu
         base = v_power(base_exp)
         for u in range(n):
             if u != hi and t[u]:
@@ -327,38 +356,38 @@ def _raising_key(
         a_new = tuple(tuple(row) for row in rows)
         th, th1 = t[hi], t[hi + 1]
         pre = sum(t[:hi])
+        d_head, d_tail = delta[:hi], delta[hi + 2 :]
+        l_head, l_tail = lam[:hi], lam[hi + 2 :]
+        d_low = delta[hi] + pre + lam[hi]
         for j in range(lam[hi] + 1):
             bin_j = balanced_binomial(-th, lam[hi] - j)
             if bin_j.is_zero():
                 continue
+            base_j = (base * bin_j).shift(2 * j * th)
             for k in range(lam[hi + 1] + 1):
                 bin_k = balanced_binomial(th1, lam[hi + 1] - k)
                 if bin_k.is_zero():
                     continue
+                # base v^(2 j th - k th1) bin_j bin_k, shared by every c
+                base_jk = (base_j * bin_k).shift(-k * th1)
+                d_top = delta[hi + 1] + lam[hi + 1] - k - pre - th
                 for c in range(min(th, j) + 1):
                     tri = balanced_trinomial(c, th - c, j - c)
                     if tri.is_zero():
                         continue
-                    coeff = (
-                        base
-                        * v_power(2 * j * th - k * th1)
-                        * bin_j
-                        * bin_k
-                        * tri
+                    coeff = base_jk * tri
+                    key = (
+                        a_new,
+                        d_head + (d_low - j - c, d_top) + d_tail,
+                        l_head + (th + j - c, k) + l_tail,
                     )
-                    d_new = list(delta)
-                    d_new[hi] += pre + lam[hi] - j - c
-                    d_new[hi + 1] += lam[hi + 1] - k - pre - th
-                    l_new = list(lam)
-                    l_new[hi] = th + j - c
-                    l_new[hi + 1] = k
-                    key = (a_new, tuple(d_new), tuple(l_new))
                     s = out.get(key)
-                    s = coeff if s is None else s + coeff
-                    if s.is_zero():
-                        out.pop(key, None)
-                    else:
+                    if s is None:
+                        out[key] = coeff
+                    elif not (s := s + coeff).is_zero():
                         out[key] = s
+                    else:
+                        del out[key]
     return tuple(out.items())
 
 
@@ -382,8 +411,9 @@ def _transfer_mult(key_fn, m: int, h: int, x: SymbolicElement) -> SymbolicElemen
         raise DomainError("transfer amount must be nonnegative")
     out = SymbolicElement(n)
     for (a, delta, lam), c in x.terms.items():
+        unit = c == ONE
         for key, coeff in key_fn(m, h, a, delta, lam):
-            out.add_into(key, c * coeff)
+            out.add_into(key, coeff if unit else c * coeff)
     return out
 
 

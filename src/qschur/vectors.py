@@ -54,7 +54,7 @@ def unit_vector(n: int, i: int) -> IntVector:
 
 
 def is_natural(a: IntVector) -> bool:
-    return all(x >= 0 for x in a)
+    return min(a, default=0) >= 0
 
 
 @cache

@@ -1,7 +1,9 @@
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -162,3 +164,17 @@ def test_the_dependency_walk_sees_nested_imports():
         "def f():\n    import numpy.linalg\n    from sympy import Poly\n"
     )
     assert _foreign_imports(tree) == ["numpy", "sympy"]
+
+
+def test_importing_the_package_leaves_the_process_pool_unloaded():
+    # only a stratum that fans out across processes imports the pool, so
+    # a bare import (every CLI call) does not load multiprocessing
+    code = (
+        "import sys, qschur\n"
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert res.stdout.strip() == "[]"

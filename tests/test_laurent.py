@@ -15,11 +15,13 @@ from qschur.laurent import (
     balanced_factorial,
     unbalanced_binomial,
     unbalanced_bracket,
+    unbalanced_factorial,
     unbalanced_trinomial,
     v_power,
     vector_binomial,
     vector_trinomial,
 )
+from qschur.schur import multiply_raising
 
 # frozen reference values computed with sympy from the quotient
 # definitions bracket(i) = (v^i - v^-i)/(v - v^-1) and
@@ -246,6 +248,45 @@ def test_nonnegative_binomials_specialize_to_integers(top, t):
 @given(st.integers(1, 6))
 def test_factorial_recursion(t):
     assert balanced_factorial(t) == balanced_factorial(t - 1) * balanced_bracket(t)
+
+
+def falling_binomial(bracket, factorial, top, t):
+    """[top choose t] by its definition: the falling product
+    [top][top-1]...[top-t+1] divided exactly by the factorial [t]!."""
+    num = ONE
+    for s in range(t):
+        num = num * bracket(top - s)
+    return num.divexact(factorial(t))
+
+
+BINOMIAL_KINDS = {
+    "balanced": (balanced_binomial, balanced_bracket, balanced_factorial),
+    "unbalanced": (unbalanced_binomial, unbalanced_bracket, unbalanced_factorial),
+}
+
+
+@pytest.mark.parametrize("kind", BINOMIAL_KINDS)
+def test_binomials_match_the_falling_product(kind):
+    binomial, bracket, factorial = BINOMIAL_KINDS[kind]
+    for top in range(-25, 41):
+        for t in range(13):
+            assert binomial(top, t) == falling_binomial(bracket, factorial, top, t), (top, t)
+    with pytest.raises(DomainError):
+        binomial(3, -1)
+
+
+@pytest.mark.parametrize("m", [60, 90])
+def test_large_transfer_products_are_fast(m):
+    # the binomials [m choose t] are recomputed here, not read from the
+    # caches that earlier tests filled
+    balanced_binomial.cache_clear()
+    unbalanced_binomial.cache_clear()
+    started = time.perf_counter()
+    got = multiply_raising.__wrapped__(1, m, ((0, 0), (m, m)))
+    assert time.perf_counter() - started < 1.0
+    # one term per split of m between the two columns, each a monomial
+    assert len(got.terms) == m + 1
+    assert all(len(c.to_pairs()) == 1 for c in got.terms.values())
 
 
 @given(

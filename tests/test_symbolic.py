@@ -10,14 +10,17 @@ from qschur.errors import DimensionMismatch, DomainError
 from qschur.laurent import ONE, ZERO, LaurentPoly, v_power, vector_binomial, vector_trinomial
 from qschur.matrices import (
     add_to_entry,
+    co,
     entry_matrix,
     entry_sum,
+    has_zero_diagonal,
+    is_nonnegative,
     ro,
     theta_pm,
     zero_matrix,
 )
 from qschur.schur import diag_sum
-from qschur.vectors import boxes, dot, vadd, vsub
+from qschur.vectors import boxes, dot, is_natural, vadd, vsub
 from qschur.symbolic import (
     SymbolicElement,
     TruncatedElement,
@@ -400,3 +403,98 @@ def test_realization_checks_every_key_in_every_degree(r, lam, error):
         bad.realize(r)
     with pytest.raises(error):
         bad.realize_truncated(r)
+
+
+# ---------------------------------------------------------------------------
+# whole-slice realization: each cached slice is copied, scaled or merged
+
+
+def test_colliding_slices_cancel_to_zero():
+    # v^mu.(1,1) = v^2 on every completion of degree 2, so the two keys
+    # cancel there and only there
+    zero = zero_matrix(2)
+    x = SymbolicElement(2, {(zero, (1, 1), (0, 0)): ONE, (zero, (0, 0), (0, 0)): -v_power(2)})
+    got = x.realize_truncated(R)
+    assert got.components[2].is_zero() and not got.components[3].is_zero()
+    for r in range(R + 1):
+        assert got.components[r].terms == defining_sum(x, r)
+
+
+@pytest.mark.parametrize("c", [-ONE, v_power(-3), -v_power(2), LaurentPoly({0: 2, 1: -1})])
+def test_non_unit_coefficients_scale_the_slices(c):
+    a = ((0, 2, 0), (0, 0, 0), (1, 0, 0))
+    key = (a, (1, -2, 0), (1, 0, 1))
+    x = SymbolicElement.gen(*key, c)
+    # a second key whose slices meet those of the first
+    y = x + SymbolicElement.gen(a, (0, 1, 0), (0, 0, 1), -c)
+    for el in (x, y):
+        got = el.realize_truncated(6)
+        for r in range(7):
+            assert got.components[r].terms == defining_sum(el, r)
+    assert x.realize_truncated(6) == SymbolicElement.gen(*key).realize_truncated(6).scale(c)
+
+
+def test_realization_does_not_share_the_cached_slices():
+    a = ((0, 1), (0, 0))
+    key = (a, (1, 0), (0, 1))
+    want = {r: dict(diag_sum(*key, r).terms) for r in range(R + 1)}
+    x = SymbolicElement.gen(*key)
+    first = x.realize_truncated(R)
+    for part in first.components:
+        for mat in list(part.terms):
+            part.add_into(mat, ONE)
+        part.add_into(a, v_power(7))
+    # a unit key sharing matrices with the first: merged into its copy
+    both = (x + SymbolicElement.gen(a, (0, 0), (0, 0))).realize_truncated(R)
+    both.components[3].add_into(add_to_entry(a, 2, 2, 2), ONE)
+    again = x.realize_truncated(R)
+    for r in range(R + 1):
+        assert diag_sum(*key, r).terms == want[r]
+        assert again.components[r].terms == want[r]
+
+
+@pytest.mark.parametrize(
+    "key, error",
+    [
+        ((((0, 5), (0, 0)), (0, 0, 0), (0, 0)), DimensionMismatch),
+        ((((0, 5), (0, 0)), (0, 0), (-1, 2)), DomainError),
+    ],
+)
+def test_keys_above_every_degree_are_still_checked(key, error):
+    # lowest degree 5 or 6, above every degree asked; a valid key comes
+    # first so the bad one is not the only one
+    zero = zero_matrix(2)
+    bad = SymbolicElement(2, {(zero, (0, 0), (0, 0)): ONE, key: ONE})
+    with pytest.raises(error):
+        bad.realize(2)
+    with pytest.raises(error):
+        bad.realize_truncated(3)
+
+
+def test_predicates_on_one_by_one_and_empty_input():
+    assert is_natural(()) and is_natural((0,)) and not is_natural((-1,))
+    assert is_nonnegative(()) and is_nonnegative(((0,),)) and not is_nonnegative(((-1,),))
+    assert has_zero_diagonal(()) and has_zero_diagonal(((0,),)) and not has_zero_diagonal(((2,),))
+    assert ro(()) == co(()) == () and entry_sum(()) == 0
+    assert ro(((3,),)) == co(((3,),)) == (3,) and entry_sum(((3,),)) == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(*(st.tuples(*(st.integers(-2, 3) for _ in range(n))) for _ in range(n)))
+))
+def test_predicates_match_their_definitions(a):
+    n = len(a)
+    assert ro(a) == tuple(sum(row) for row in a)
+    assert co(a) == tuple(sum(a[i][j] for i in range(n)) for j in range(n))
+    assert entry_sum(a) == sum(x for row in a for x in row)
+    assert is_nonnegative(a) == all(x >= 0 for row in a for x in row)
+    assert has_zero_diagonal(a) == all(a[i][i] == 0 for i in range(n))
+    assert is_natural(a[0]) == all(x >= 0 for x in a[0])
+
+
+def test_unknown_engine_is_rejected():
+    x = SymbolicElement.gen(((0, 1), (0, 0)), (0, 0), (0, 0)).realize_truncated(2)
+    with pytest.raises(DomainError, match="'fast' or 'oracle'"):
+        x.multiply(x, engine="fats")
+    assert x.multiply(x, engine="fast") == x.multiply(x, engine="oracle")
