@@ -1,6 +1,6 @@
-"""The Iwahori-Hecke algebra of the symmetric group on the weight
-spaces of tensor space, and the coset bookkeeping that realizes
-endomorphism-algebra products.
+"""The right action of the Iwahori-Hecke algebra of the symmetric group
+on the weight spaces of tensor space, and the coset bookkeeping that
+realizes endomorphism-algebra products.
 
 The defining relations use q = v^2:
 
@@ -13,17 +13,16 @@ coset W_lam d, and x_lam T_d is stored as its weight word: the word
 whose letter at position p is the lam-block that holds d(p).  So x_lam H
 is the weight-lam space of tensor space, of dimension r!/prod(lam_i!),
 and an element is a dict mapping words to Laurent coefficients.  A
-permutation is the weight word of lam = (1^r), so the same dicts hold
-elements of H in the standard basis {T_w}.  T_j acts on a word through
-its letters at j and j+1: an ascent moves the coefficient to the
-swapped word, equal letters multiply it by q, and a descent gives
-(q - 1) times the word plus q times the swapped word.
+permutation is the weight word of lam = (1^r), so `x_lambda` keeps x_lam
+itself, in the standard basis {T_w}, in the same kind of dict.  T_j acts
+on a word through its letters at j and j+1: an ascent moves the
+coefficient to the swapped word, equal letters multiply it by q, and a
+descent gives (q - 1) times the word plus q times the swapped word.
 
 A basis of the endomorphism algebra is indexed by triples (lam, d, mu)
 with d minimal in its double coset, equivalently by nonnegative integer
-matrices with row sums lam and column sums mu; `coset_to_matrix` /
-`matrix_to_coset` convert between the two.  The right cosets inside the
-double coset of a matrix a are the words whose letters on mu-block l
+matrices with row sums lam and column sums mu.  The right cosets inside
+the double coset of a matrix a are the words whose letters on mu-block l
 are the multiset with a[k][l] letters k.
 
 `oracle_product` multiplies two normalized basis elements through an
@@ -46,6 +45,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import chain, product
 from math import factorial, prod
+from types import MappingProxyType
 
 from .errors import ConsistencyError, DimensionMismatch, DomainError, ResourceLimit
 from .laurent import ONE, LaurentPoly, v_power
@@ -54,10 +54,8 @@ from .permutations import (
     Permutation,
     all_permutations,
     block_ranges,
-    identity,
     inverse,
     mult_gen_right,
-    reduced_word,
     young_subgroup,
 )
 from .vectors import IntVector
@@ -65,15 +63,10 @@ from .vectors import IntVector
 __all__ = [
     "Word",
     "HeckeElt",
-    "hecke_unit",
     "hecke_add_into",
     "right_mult_gen",
-    "right_mult_perm",
-    "hecke_multiply",
     "x_lambda",
     "distinguished_reps",
-    "coset_to_matrix",
-    "matrix_to_coset",
     "norm_exponent",
     "oracle_product",
     "DEFAULT_ORACLE_CAP",
@@ -85,16 +78,9 @@ HeckeElt = dict[Word, LaurentPoly]
 DEFAULT_ORACLE_CAP = 6
 
 
-def hecke_unit(r: int) -> HeckeElt:
-    return {identity(r): ONE}
-
-
-def hecke_add_into(acc: HeckeElt, h: HeckeElt, c: LaurentPoly | None = None) -> None:
-    """acc += c * h, dropping cancelled terms."""
-    if c is ONE:
-        c = None
-    for w, x in h.items():
-        y = x if c is None else c * x
+def hecke_add_into(acc: HeckeElt, h: HeckeElt) -> None:
+    """acc += h, dropping cancelled terms."""
+    for w, y in h.items():
         s = acc.get(w)
         s = y if s is None else s + y
         if s.is_zero():
@@ -127,25 +113,11 @@ def right_mult_gen(h: HeckeElt, i: int) -> HeckeElt:
     return out
 
 
-def right_mult_perm(h: HeckeElt, u: Permutation) -> HeckeElt:
-    """h * T_u, by the reduced word of u."""
-    for i in reduced_word(u):
-        h = right_mult_gen(h, i)
-    return h
-
-
-def hecke_multiply(a: HeckeElt, b: HeckeElt) -> HeckeElt:
-    """Product in the T-basis."""
-    out: HeckeElt = {}
-    for u, c in b.items():
-        hecke_add_into(out, right_mult_perm(a, u), c)
-    return out
-
-
 @cache
-def x_lambda(lam: IntVector) -> HeckeElt:
-    """Sum of T_w over the Young subgroup of the composition lam."""
-    return {w: ONE for w in young_subgroup(lam)}
+def x_lambda(lam: IntVector) -> MappingProxyType[Permutation, LaurentPoly]:
+    """Sum of T_w over the Young subgroup of the composition lam,
+    read-only because every caller shares the cached result."""
+    return MappingProxyType({w: ONE for w in young_subgroup(lam)})
 
 
 def distinguished_reps(lam: IntVector, mu: IntVector) -> tuple[Permutation, ...]:
@@ -165,50 +137,6 @@ def distinguished_reps(lam: IntVector, mu: IntVector) -> tuple[Permutation, ...]
         for w in all_permutations(r)
         if ascends(w, mu_blocks) and ascends(inverse(w), lam_blocks)
     )
-
-
-def coset_to_matrix(lam: IntVector, d: Permutation, mu: IntVector) -> Matrix:
-    """Entry (k, l) counts the block-k positions hit by d from block l."""
-    n = len(lam)
-    if len(mu) != n:
-        raise DimensionMismatch("compositions have different lengths")
-    lam_blocks = block_ranges(lam)
-    mu_blocks = block_ranges(mu)
-    block_of = {}
-    for k, blk in enumerate(lam_blocks):
-        for p in blk:
-            block_of[p] = k
-    rows = [[0] * n for _ in range(n)]
-    for l, blk in enumerate(mu_blocks):
-        for p in blk:
-            rows[block_of[d[p]]][l] += 1
-    return tuple(tuple(row) for row in rows)
-
-
-def matrix_to_coset(a: Matrix) -> tuple[IntVector, Permutation, IntVector]:
-    """Inverse of `coset_to_matrix` landing on the minimal representative.
-
-    Positions inside each matrix cell are matched in increasing order,
-    which yields the distinguished double-coset element.
-    """
-    n = len(a)
-    lam, mu = ro(a), co(a)
-    lam_blocks = [list(blk) for blk in block_ranges(lam)]
-    mu_blocks = [list(blk) for blk in block_ranges(mu)]
-    d = [0] * sum(lam)
-    fill = [0] * n  # next unused offset within each lam block
-    for l in range(n):
-        src = mu_blocks[l]
-        used = 0
-        for k in range(n):
-            cnt = a[k][l]
-            if cnt < 0:
-                raise DomainError("matrix entries must be nonnegative")
-            for t in range(cnt):
-                d[src[used + t]] = lam_blocks[k][fill[k] + t]
-            fill[k] += cnt
-            used += cnt
-    return lam, tuple(d), mu
 
 
 def norm_exponent(a: Matrix) -> int:
@@ -285,12 +213,12 @@ def oracle_product(a: Matrix, b: Matrix, cap: int = DEFAULT_ORACLE_CAP) -> dict[
     r = entry_sum(a)
     if entry_sum(b) != r:
         raise DimensionMismatch("matrices have different degrees")
+    if not (is_nonnegative(a) and is_nonnegative(b)):
+        raise DomainError("matrix entries must be nonnegative")
     if co(a) != ro(b):
         return {}
     if r > cap:
         raise ResourceLimit(f"degree {r} exceeds the oracle cap {cap}")
-    if not (is_nonnegative(a) and is_nonnegative(b)):
-        raise DomainError("matrix entries must be nonnegative")
 
     # Image of the generator x_{co(b)} under the right endomorphism: the
     # sum of x_{ro(b)} T_d over the right cosets in b's double coset.

@@ -28,7 +28,6 @@ __all__ = [
     "is_nonnegative",
     "has_zero_diagonal",
     "add_to_entry",
-    "add_diag",
     "rev",
     "split_triangular",
     "theta_matrices",
@@ -89,15 +88,6 @@ def add_to_entry(a: Matrix, i: int, j: int, delta: int) -> Matrix:
     rows = [list(row) for row in a]
     rows[i - 1][j - 1] += delta
     return tuple(tuple(row) for row in rows)
-
-
-def add_diag(a: Matrix, d: IntVector) -> Matrix:
-    if len(a) != len(d):
-        raise DimensionMismatch("matrix and vector sizes differ")
-    return tuple(
-        tuple(x + (d[i] if i == j else 0) for j, x in enumerate(row))
-        for i, row in enumerate(a)
-    )
 
 
 def rev(a: Matrix) -> Matrix:

@@ -5,12 +5,8 @@ A permutation of degree r is a tuple of length r containing each of
 (single digits) throughout the package, so groups are enumerated
 eagerly and cached per degree.
 
->>> compose((1, 0, 2), (0, 2, 1))  # apply the right factor first
-(1, 2, 0)
 >>> length((2, 0, 1))
 2
->>> reduced_word((2, 0, 1))
-(1, 0)
 """
 
 from __future__ import annotations
@@ -23,27 +19,14 @@ from .vectors import IntVector
 
 __all__ = [
     "Permutation",
-    "identity",
-    "compose",
     "inverse",
     "length",
-    "adjacent_transposition",
-    "reduced_word",
     "all_permutations",
     "block_ranges",
     "young_subgroup",
 ]
 
 Permutation = tuple[int, ...]
-
-
-def identity(r: int) -> Permutation:
-    return tuple(range(r))
-
-
-def compose(w: Permutation, u: Permutation) -> Permutation:
-    """The product w*u, meaning u acts first: (w*u)(p) = w(u(p))."""
-    return tuple(w[u[p]] for p in range(len(w)))
 
 
 def inverse(w: Permutation) -> Permutation:
@@ -59,37 +42,11 @@ def length(w: Permutation) -> int:
     return sum(1 for i in range(r) for j in range(i + 1, r) if w[i] > w[j])
 
 
-def adjacent_transposition(r: int, i: int) -> Permutation:
-    """The generator swapping 0-based positions i and i+1."""
-    if not 0 <= i < r - 1:
-        raise DomainError(f"generator index {i} out of range for degree {r}")
-    w = list(range(r))
-    w[i], w[i + 1] = w[i + 1], w[i]
-    return tuple(w)
-
-
 def mult_gen_right(w: Permutation, i: int) -> Permutation:
     """w * s_i: swaps the values at positions i and i+1."""
     out = list(w)
     out[i], out[i + 1] = out[i + 1], out[i]
     return tuple(out)
-
-
-def reduced_word(w: Permutation) -> tuple[int, ...]:
-    """A reduced word (s_{i1} ... s_{ik} = w) as 0-based generator indices.
-
-    Produced by repeatedly cancelling the leftmost descent on the right.
-    """
-    cur = list(w)
-    rev: list[int] = []
-    while True:
-        for i in range(len(cur) - 1):
-            if cur[i] > cur[i + 1]:
-                cur[i], cur[i + 1] = cur[i + 1], cur[i]
-                rev.append(i)
-                break
-        else:
-            return tuple(reversed(rev))
 
 
 @cache

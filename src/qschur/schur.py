@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import operator
 from functools import cache, lru_cache
+from types import MappingProxyType
 
 from .errors import DimensionMismatch, DomainError
 from .hecke import DEFAULT_ORACLE_CAP, oracle_product
@@ -80,7 +81,7 @@ class Combination:
     def __add__(self, other):
         self._check(other)
         out = self.zero(*self._header())
-        out.terms = dict(self.terms)
+        out.terms = self.terms.copy()
         for k, c in other.terms.items():
             out.add_into(k, c)
         return out
@@ -169,6 +170,12 @@ def lowering_shape(a: Matrix) -> tuple[int, int] | None:
     return None if shape is None else (len(a) - shape[0], shape[1])
 
 
+def _frozen(x: SchurElement) -> SchurElement:
+    # a cached product is shared by every caller, so its terms are read-only
+    x.terms = MappingProxyType(x.terms)
+    return x
+
+
 @lru_cache(maxsize=1 << 18)
 def multiply_raising(h: int, m: int, a: Matrix) -> SchurElement:
     """Left-multiply the basis element of ``a`` by the basis element
@@ -205,7 +212,7 @@ def multiply_raising(h: int, m: int, a: Matrix) -> SchurElement:
             rows[hi][u] += t[u]
             rows[hi + 1][u] -= t[u]
         out.add_into(tuple(tuple(row) for row in rows), coeff)
-    return out
+    return _frozen(out)
 
 
 @lru_cache(maxsize=1 << 18)
@@ -221,7 +228,7 @@ def multiply_lowering(h: int, m: int, a: Matrix) -> SchurElement:
     if not 1 <= h <= n - 1:
         raise DomainError(f"row index {h} out of range")
     mirror = multiply_raising.__wrapped__(n - h, m, rev(a))
-    return SchurElement(n, mirror.r, {rev(b): c for b, c in mirror.terms.items()})
+    return _frozen(SchurElement(n, mirror.r, {rev(b): c for b, c in mirror.terms.items()}))
 
 
 @lru_cache(maxsize=1 << 18)
@@ -318,18 +325,14 @@ def diag_sum(a: Matrix, delta: IntVector, lam: IntVector, r: int) -> SchurElemen
     contribute.
     """
     check_diag_key(a, delta, lam)
-    n = len(a)
-    out = SchurElement(n, r)
-    if not is_nonnegative(a):
-        return out
+    out = SchurElement(len(a), r)
     rest = r - entry_sum(a)
-    if rest < sum(lam):
-        return out
-    # row i of a + diag(mu) is a[i] with mu_i added at position i
-    rows = [(row[:i], row[i], row[i + 1 :]) for i, row in enumerate(a)]
-    out.terms = {
-        tuple([pre + (d + m,) + post for (pre, d, post), m in zip(rows, mu)]):
-        b.shift(sum(map(operator.mul, mu, delta)))
-        for mu, b in _completions(lam, rest)
-    }
-    return out
+    if is_nonnegative(a) and rest >= sum(lam):
+        # row i of a + diag(mu) is a[i] with mu_i added at position i
+        rows = [(row[:i], row[i], row[i + 1 :]) for i, row in enumerate(a)]
+        out.terms = {
+            tuple([pre + (d + m,) + post for (pre, d, post), m in zip(rows, mu)]):
+            b.shift(sum(map(operator.mul, mu, delta)))
+            for mu, b in _completions(lam, rest)
+        }
+    return _frozen(out)

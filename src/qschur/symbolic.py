@@ -146,7 +146,7 @@ class SymbolicElement(Combination):
                     piece = {m: y for m, x in piece.items() if not (y := c * x).is_zero()}
                 terms = part.terms
                 if not terms:
-                    part.terms = dict(piece) if unit else piece
+                    part.terms = piece.copy() if unit else piece
                     continue
                 for mat, x in piece.items():
                     s = terms.get(mat)

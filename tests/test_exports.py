@@ -97,6 +97,41 @@ def test_the_benchmark_worker_caches_keep_cache_info():
         assert hasattr(fn, "cache_info"), ast.unparse(value)
 
 
+# A public name stays in the library only while the library, the scripts
+# or the benchmark read it; reference code that only the tests read
+# lives under tests/.
+READ_BY_TESTS_ONLY = {
+    # criterion 8 counts double cosets by filtering S_r with it, which
+    # building them from matrices would make circular
+    "qschur.hecke.distinguished_reps",
+}
+
+
+def _reads(tree: ast.AST) -> set[str]:
+    """Every name a file loads, takes as an attribute or imports."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(a.name for a in node.names)
+    return out
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    paths = [*ROOT.glob("src/qschur/*.py"), *READERS]
+    read = set().union(*(_reads(ast.parse(p.read_text(encoding="utf-8"))) for p in paths))
+    unread = {
+        f"{name}.{x}"
+        for name in MODULES
+        for x in getattr(importlib.import_module(name), "__all__", ())
+        if x not in read
+    }
+    assert unread == READ_BY_TESTS_ONLY
+
+
 @pytest.mark.parametrize("fn", [schur.general_product, schur.force_oracle_product])
 def test_the_benchmark_worker_passes_the_oracle_cap_positionally(fn):
     # perfbench/worker.py calls fn(left, right, ORACLE_CAP)

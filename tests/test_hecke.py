@@ -9,29 +9,26 @@ from hypothesis import given, settings, strategies as st
 from qschur import hecke
 from qschur.errors import ConsistencyError, DimensionMismatch, DomainError, ResourceLimit
 from qschur.hecke import (
-    coset_to_matrix,
     distinguished_reps,
     hecke_add_into,
-    hecke_multiply,
-    hecke_unit,
-    matrix_to_coset,
     norm_exponent,
     oracle_product,
     right_mult_gen,
-    right_mult_perm,
     x_lambda,
 )
 from qschur.laurent import ONE, LaurentPoly, v_power
 from qschur.matrices import entry_sum, ro, co, theta_matrices
-from qschur.permutations import (
+from qschur.permutations import all_permutations, length, mult_gen_right, young_subgroup
+from sr_reference import (
     adjacent_transposition,
-    all_permutations,
     compose,
+    coset_to_matrix,
+    hecke_multiply,
+    hecke_unit,
     identity,
-    length,
-    mult_gen_right,
+    matrix_to_coset,
     reduced_word,
-    young_subgroup,
+    right_mult_perm,
 )
 
 
@@ -145,8 +142,14 @@ def test_oracle_product_unit_and_cap():
         oracle_product(((9, 0), (0, 0)), ((9, 0), (0, 0)), 3)
     with pytest.raises(DimensionMismatch):
         oracle_product(((1, 0), (0, 0)), ((2, 0), (0, 0)), 10)
-    with pytest.raises(DomainError):
-        oracle_product(((2, -1), (0, 1)), ((2, 0), (0, 0)), 10)
+    # a negative entry is malformed input whatever the margins and the cap
+    for a, b in [
+        (((2, -1), (0, 1)), ((2, 0), (0, 0))),
+        (((1, -1), (1, 1)), ((1, 0), (0, 1))),
+        (((5, -1), (0, 3)), ((5, 0), (0, 2))),
+    ]:
+        with pytest.raises(DomainError):
+            oracle_product(a, b)
 
 
 @given(st.integers(2, 3), st.integers(1, 3), st.data())

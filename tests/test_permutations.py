@@ -1,17 +1,14 @@
 from hypothesis import given, strategies as st
 
 from qschur.permutations import (
-    adjacent_transposition,
     all_permutations,
     block_ranges,
-    compose,
-    identity,
     inverse,
     length,
     mult_gen_right,
-    reduced_word,
     young_subgroup,
 )
+from sr_reference import adjacent_transposition, compose, identity, reduced_word
 
 
 def perms(r):

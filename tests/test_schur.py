@@ -6,10 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from qschur.cli import parse_element
 from qschur.errors import DimensionMismatch, DomainError
-from qschur.hecke import oracle_product
+from qschur.hecke import oracle_product, x_lambda
 from qschur.laurent import LaurentPoly, ONE, ZERO, v_power, vector_binomial
 from qschur.matrices import (
-    add_diag,
     add_to_entry,
     diag_matrix,
     ro,
@@ -27,6 +26,7 @@ from qschur.schur import (
 )
 from qschur.symbolic import SymbolicElement
 from qschur.vectors import compositions, dot
+from sr_reference import add_diag
 
 # frozen coset-oracle outputs pinning the basis product on hand-picked
 # inputs; keys are (a, b), values list (matrix, pairs)
@@ -274,3 +274,42 @@ def test_diag_sum_expands_over_diagonal_completions():
     got = diag_sum(a, delta, lam, 8)
     assert got == want
     assert len(got.terms) == 3  # mu_1 >= 1 and mu_3 >= 2
+
+
+def test_cached_products_are_read_only():
+    # every caller gets the cache's own object, so a change to one would
+    # change every later product that reads it
+    raising, lowering = ((1, 1), (0, 0)), ((0, 0), (1, 1))
+    right = ((1, 0), (1, 0)), ((0, 1), (0, 1))
+    gen, heavy = ((0, 1), (0, 0)), ((0, 2), (2, 0))
+    z = (0, 0)
+
+    def products():
+        return (
+            general_product(SchurElement.basis(raising), SchurElement.basis(right[0])),
+            general_product(SchurElement.basis(lowering), SchurElement.basis(right[1])),
+            SymbolicElement.gen(gen, z, z).realize(2),
+            SymbolicElement.gen(heavy, z, z).realize(3),
+            dict(x_lambda((2, 1))),
+        )
+
+    before = products()
+    cached = [
+        multiply_raising(1, 1, right[0]),
+        multiply_lowering(1, 1, right[1]),
+        diag_sum(gen, z, z, 2),
+        diag_sum(heavy, z, z, 3),
+    ]
+    assert cached[0].terms and cached[1].terms and cached[2].terms and not cached[3].terms
+    for el in cached:
+        with pytest.raises(TypeError):
+            el.add_into(((7, 7), (7, 7)), ONE)
+        for mat, c in list(el.terms.items()):
+            with pytest.raises(AttributeError):
+                el.add_into(mat, -c)
+    with pytest.raises(TypeError):
+        x_lambda((2, 1))[(2, 1, 0)] = ONE
+    # sums copy the read-only terms into a new element
+    assert cached[2] + cached[2] == cached[2].scale(2)
+    assert products() == before
+    assert products()[0].terms == {((2, 0), (0, 0)): v_power(-1) + v_power(1)}
