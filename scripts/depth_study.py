@@ -15,9 +15,11 @@ bound, and saturation at the family size certifies independence.
 """
 
 import argparse
+import os
 import sys
 
-sys.path.insert(0, "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from qschur.linalg import evaluation_rank, flatten_family
 from qschur.presentation import pbw_family, pbw_monomial

@@ -8,10 +8,12 @@ pytest in the way.  Exit code 0 means every run passed.
 """
 
 import argparse
+import os
 import sys
 import time
 
-sys.path.insert(0, "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from qschur.config import RunConfig
 from qschur.suites import SUITE_NAMES, run_suite

@@ -21,8 +21,9 @@ the library to show that each check can fail.
 from __future__ import annotations
 
 import random
-from functools import partial
+from functools import cache, partial
 from itertools import islice, product
+from types import MappingProxyType
 
 from .config import RunConfig
 from .errors import QschurError
@@ -315,25 +316,38 @@ def _formula2_random_instances(cfg: RunConfig):
 # -- formula checks: a symbolic rule against the truncated product -----------
 
 
-def _formula_sides(inst):
-    """The left generator key, the symbolic rule with its leading
-    arguments, and the right key of a formula1 or formula2 instance."""
-    if len(inst) == 5:
-        gamma, mu, a, delta, lam = inst
-        return (zero_matrix(len(a)), gamma, mu), partial(torus_mult, gamma, mu), (a, delta, lam)
-    kind, m, h, a, delta, lam = inst
-    n = len(a)
-    zero = (0,) * n
-    i, j, rule = (h, h + 1, raising_mult) if kind == "E" else (h + 1, h, lowering_mult)
-    return (entry_matrix(n, i, j, m), zero, zero), partial(rule, m, h), (a, delta, lam)
+@cache
+def _formula_left(head: tuple, n: int, r_max: int):
+    """The truncated realization of the left generator of a formula1
+    head (gamma, mu) or formula2 head (kind, m, h).  Heads repeat across
+    instances, so each left generator is checked and realized once per
+    process.  The realization is only read, as the left factor of the
+    truncated product, and its components are read-only."""
+    if len(head) == 2:
+        key = (zero_matrix(n), *head)
+    else:
+        kind, m, h = head
+        zero = (0,) * n
+        i, j = (h, h + 1) if kind == "E" else (h + 1, h)
+        key = (entry_matrix(n, i, j, m), zero, zero)
+    left = SymbolicElement.gen(*key).realize_truncated(r_max)
+    for part in left.components:
+        part.terms = MappingProxyType(part.terms)
+    return left
 
 
 def _check_formula(cfg: RunConfig, inst, engine: str = "fast"):
-    left_key, rule, right_key = _formula_sides(inst)
+    # an instance is its head, then the right key
+    *head, a, delta, lam = inst
     r_max = cfg.resolve_r_max(4)
-    x = SymbolicElement.gen(*right_key)
-    got = rule(x).realize_truncated(r_max)
-    left = SymbolicElement.gen(*left_key).realize_truncated(r_max)
+    x = SymbolicElement.gen(a, delta, lam)
+    if len(head) == 2:
+        sym = torus_mult(*head, x)
+    else:
+        kind, m, h = head
+        sym = (raising_mult if kind == "E" else lowering_mult)(m, h, x)
+    got = sym.realize_truncated(r_max)
+    left = _formula_left(tuple(head), len(a), r_max)
     want = left.multiply(x.realize_truncated(r_max), cap=cfg.oracle_cap, engine=engine)
     if got == want:
         return None

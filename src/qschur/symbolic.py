@@ -20,6 +20,15 @@ element without leaving the symbolic side:
 * `raising_mult`  -- left factor (m E_{h,h+1}; 0, 0);
 * `lowering_mult` -- left factor (m E_{h+1,h}; 0, 0).
 
+Most of each rule's Laurent arithmetic depends on a few small integers
+of the key, not on the key itself, so it is tabulated once per shape:
+the torus rule by (ro(A), mu, lam), one cached table per coordinate
+prefix, and the raising rule by (t_h, t_{h+1}, lam_h, lam_{h+1}) for
+each composition t of the moved units.  A key then costs one product
+with a table entry, or a shift.  The lowering rule is the raising rule
+on the reversed key and reads the same tables.  The rules' per-key
+results are not cached: runs almost never repeat a key.
+
 Every generator is its own key, so a generator word is a tuple of
 keys: `gen_mult` sends a one-generator key to its rule, and
 `fold_word` folds a word onto any element, right to left.
@@ -278,30 +287,44 @@ def _torus_factor(row: int, m: int, l: int, nu: int) -> LaurentPoly:
     return out
 
 
+@cache
+def _torus_table(
+    rows: IntVector, mu: IntVector, lam: IntVector
+) -> tuple[tuple[IntVector, LaurentPoly], ...]:
+    """The nonzero (nu, product over i of f(rows_i, mu_i, lam_i, nu_i))
+    of the torus rule, nu in lexicographic order.  The table of a prefix
+    of the coordinates is a cached table of its own, so it is multiplied
+    out once for all its extensions."""
+    if not rows:
+        return (((), ONE),)
+    row, m, l = rows[-1], mu[-1], lam[-1]
+    factors = [(nu, f) for nu in range(m + 1) if (f := _torus_factor(row, m, l, nu))]
+    return tuple(
+        (p + (nu,), c * f)
+        for p, c in _torus_table(rows[:-1], mu[:-1], lam[:-1])
+        for nu, f in factors
+    )
+
+
 def _torus_key(
     gamma: IntVector, mu: IntVector, a: Matrix, delta: IntVector, lam: IntVector
 ) -> tuple[tuple[SymbolicKey, LaurentPoly], ...]:
     # Every factor of the summand is a product over coordinates and the
     # ranges of j are independent, so the coefficient of nu is
-    # v^(ro(a).gamma) times a product of one-coordinate factors.  Z[v, v^-1]
-    # has no zero divisors: the nonzero keys are exactly the products of
-    # nonzero factors.  The products grow one coordinate at a time, so a
-    # prefix of nu is multiplied out once for all its extensions, and the
-    # keys come in lexicographic nu order.
+    # v^(ro(a).gamma) times a product of one-coordinate factors that
+    # depends on ro(a), mu and lam only: the table of that shape.
+    # Z[v, v^-1] has no zero divisors, so the nonzero keys are exactly
+    # the products of nonzero factors.
     rows = ro(a)
-    first, *rest = (
-        [(nu, f) for nu in range(m + 1) if (f := _torus_factor(row, m, l, nu))]
-        for row, m, l in zip(rows, mu, lam)
-    )
-    base = dot(rows, gamma)
-    prefixes = [((nu,), f.shift(base)) for nu, f in first]
-    for factors in rest:
-        prefixes = [(p + (nu,), c * f) for p, c in prefixes for nu, f in factors]
+    shift = dot(rows, gamma)
     top_d = vadd(gamma, delta)
     top_l = vadd(lam, mu)
     return tuple(
-        ((a, tuple(map(operator.sub, top_d, nu)), tuple(map(operator.sub, top_l, nu))), c)
-        for nu, c in prefixes
+        (
+            (a, tuple(map(operator.sub, top_d, nu)), tuple(map(operator.sub, top_l, nu))),
+            c.shift(shift),
+        )
+        for nu, c in _torus_table(rows, mu, lam)
     )
 
 
@@ -320,14 +343,41 @@ def torus_mult(gamma: IntVector, mu: IntVector, x: SymbolicElement) -> SymbolicE
     return out
 
 
+@cache
+def _raising_table(
+    th: int, th1: int, l: int, l1: int
+) -> tuple[tuple[int, int, int, LaurentPoly], ...]:
+    """The nonzero (j, k, c, F) of the raising rule for t_h = th,
+    t_{h+1} = th1, lam_h = l and lam_{h+1} = l1, in (j, k, c) order:
+    F = v^(2 j th - k th1) [-th; l-j] [th1; l1-k] [c, th-c, j-c]."""
+    out = []
+    for j in range(l + 1):
+        bin_j = balanced_binomial(-th, l - j)
+        if bin_j.is_zero():
+            continue
+        for k in range(l1 + 1):
+            bin_k = balanced_binomial(th1, l1 - k)
+            if bin_k.is_zero():
+                continue
+            bin_jk = (bin_j * bin_k).shift(2 * j * th - k * th1)
+            for c in range(min(th, j) + 1):
+                tri = balanced_trinomial(c, th - c, j - c)
+                if not tri.is_zero():
+                    out.append((j, k, c, bin_jk * tri))
+    return tuple(out)
+
+
 def _raising_key(
     m: int, h: int, a: Matrix, delta: IntVector, lam: IntVector
 ) -> tuple[tuple[SymbolicKey, LaurentPoly], ...]:
+    # a composition t of m says how many units move up from each column;
+    # t fixes the new matrix, so keys of different t never meet, and
+    # within one t the table entries give distinct (delta, lam)
     n = len(a)
     hi = h - 1
     row_top = a[hi]
     row_bot = a[hi + 1]
-    out: dict[SymbolicKey, LaurentPoly] = {}
+    out = []
     for t in compositions(n, m):
         if any(row_bot[u] < t[u] for u in range(n) if u != hi + 1):
             continue
@@ -354,41 +404,20 @@ def _raising_key(
             if u != hi + 1:
                 rows[hi + 1][u] -= t[u]
         a_new = tuple(tuple(row) for row in rows)
-        th, th1 = t[hi], t[hi + 1]
+        th = t[hi]
         pre = sum(t[:hi])
         d_head, d_tail = delta[:hi], delta[hi + 2 :]
         l_head, l_tail = lam[:hi], lam[hi + 2 :]
         d_low = delta[hi] + pre + lam[hi]
-        for j in range(lam[hi] + 1):
-            bin_j = balanced_binomial(-th, lam[hi] - j)
-            if bin_j.is_zero():
-                continue
-            base_j = (base * bin_j).shift(2 * j * th)
-            for k in range(lam[hi + 1] + 1):
-                bin_k = balanced_binomial(th1, lam[hi + 1] - k)
-                if bin_k.is_zero():
-                    continue
-                # base v^(2 j th - k th1) bin_j bin_k, shared by every c
-                base_jk = (base_j * bin_k).shift(-k * th1)
-                d_top = delta[hi + 1] + lam[hi + 1] - k - pre - th
-                for c in range(min(th, j) + 1):
-                    tri = balanced_trinomial(c, th - c, j - c)
-                    if tri.is_zero():
-                        continue
-                    coeff = base_jk * tri
-                    key = (
-                        a_new,
-                        d_head + (d_low - j - c, d_top) + d_tail,
-                        l_head + (th + j - c, k) + l_tail,
-                    )
-                    s = out.get(key)
-                    if s is None:
-                        out[key] = coeff
-                    elif not (s := s + coeff).is_zero():
-                        out[key] = s
-                    else:
-                        del out[key]
-    return tuple(out.items())
+        d_top = delta[hi + 1] + lam[hi + 1] - pre - th
+        for j, k, c, f in _raising_table(th, t[hi + 1], lam[hi], lam[hi + 1]):
+            key = (
+                a_new,
+                d_head + (d_low - j - c, d_top - k) + d_tail,
+                l_head + (th + j - c, k) + l_tail,
+            )
+            out.append((key, base * f))
+    return tuple(out)
 
 
 def _lowering_key(

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,8 +12,6 @@ from qschur.errors import DomainError
 
 
 def run_cli(*args, env_extra=None, stdin=None):
-    import os
-
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -263,3 +263,20 @@ def test_config_validation():
     with pytest.raises(DomainError):
         RunConfig(threads=0).validate()
     RunConfig().validate()
+
+
+def test_acceptance_script_runs_from_any_directory(tmp_path):
+    # the script finds the package next to itself, not under the
+    # working directory, and needs no PYTHONPATH
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_acceptance.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, str(script), "--suite", "triangular"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=env,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "0 failing runs" in done.stdout

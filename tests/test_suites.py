@@ -130,6 +130,22 @@ def test_formula1_strata_directly():
     assert count == 5 and fails == []
 
 
+def test_formula_left_generators_are_realized_once_per_head():
+    # formula2's core at n = 2 has four heads (E, F) x (m = 1, 2), and
+    # its first instances meet all four
+    suites._formula_left.cache_clear()
+    count, fails = _stratum_worker(("formula2:core", SMALL.to_json_obj(), 0, 100))
+    assert count == 100 and fails == []
+    info = suites._formula_left.cache_info()
+    assert (info.misses, info.hits) == (4, 96)
+    left = suites._formula_left(("E", 1, 1), 2, 4)
+    unit = ((1, 0), (0, 1))
+    for part in left.components:
+        with pytest.raises(TypeError):
+            part.add_into(unit, ONE)
+    assert left == symbolic.SymbolicElement.gen(((0, 1), (0, 0)), (0, 0), (0, 0)).realize_truncated(4)
+
+
 def test_rank_defaults_are_echoed():
     rep = run_suite("relations", SMALL)
     assert rep["config"]["r_max"] == 5

@@ -7,7 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 from qschur import symbolic
 from qschur.errors import DimensionMismatch, DomainError
-from qschur.laurent import ONE, ZERO, LaurentPoly, v_power, vector_binomial, vector_trinomial
+from qschur.laurent import (
+    ONE,
+    ZERO,
+    LaurentPoly,
+    balanced_binomial,
+    balanced_trinomial,
+    unbalanced_binomial,
+    v_power,
+    vector_binomial,
+    vector_trinomial,
+)
 from qschur.matrices import (
     add_to_entry,
     co,
@@ -15,12 +25,13 @@ from qschur.matrices import (
     entry_sum,
     has_zero_diagonal,
     is_nonnegative,
+    rev,
     ro,
     theta_pm,
     zero_matrix,
 )
 from qschur.schur import diag_sum
-from qschur.vectors import boxes, dot, is_natural, vadd, vsub
+from qschur.vectors import boxes, compositions, dot, is_natural, vadd, vsub
 from qschur.symbolic import (
     SymbolicElement,
     TruncatedElement,
@@ -224,6 +235,153 @@ def test_torus_key_matches_the_joint_sum():
     assert len(cases) == 486 + 2916 + 100
     for args in cases:
         assert symbolic._torus_key(*args) == joint_sum_torus_key(*args), args
+
+
+# ---------------------------------------------------------------------------
+# the rule tables against the per-key loops they replaced
+
+
+def triple_loop_raising_key(m, h, a, delta, lam):
+    # the raising rule with one Laurent product per (t, j, k, c) and
+    # merging of equal keys, kept as the reference for the tabled rule
+    n = len(a)
+    hi = h - 1
+    row_top = a[hi]
+    row_bot = a[hi + 1]
+    out = {}
+    for t in compositions(n, m):
+        if any(row_bot[u] < t[u] for u in range(n) if u != hi + 1):
+            continue
+        base_exp = t[hi + 1] * delta[hi + 1] - t[hi] * delta[hi]
+        later = 0
+        for u in range(n - 1, -1, -1):
+            tu = t[u]
+            if tu:
+                off = row_top[hi] - row_bot[hi + 1] if u <= hi else 0
+                base_exp += tu * (sum(row_top[u:]) - sum(row_bot[u + 1 :]) - off + later)
+                if u != hi and u != hi + 1:
+                    later += tu
+        base = v_power(base_exp)
+        for u in range(n):
+            if u != hi and t[u]:
+                base = base * unbalanced_binomial(row_top[u] + t[u], t[u]).bar()
+        rows = [list(row) for row in a]
+        for u in range(n):
+            if u != hi:
+                rows[hi][u] += t[u]
+            if u != hi + 1:
+                rows[hi + 1][u] -= t[u]
+        a_new = tuple(tuple(row) for row in rows)
+        th, th1 = t[hi], t[hi + 1]
+        pre = sum(t[:hi])
+        for j in range(lam[hi] + 1):
+            bin_j = balanced_binomial(-th, lam[hi] - j)
+            for k in range(lam[hi + 1] + 1):
+                bin_k = balanced_binomial(th1, lam[hi + 1] - k)
+                for c in range(min(th, j) + 1):
+                    tri = balanced_trinomial(c, th - c, j - c)
+                    coeff = (base * bin_j * bin_k * tri).shift(2 * j * th - k * th1)
+                    if coeff.is_zero():
+                        continue
+                    d_new = list(delta)
+                    d_new[hi] = delta[hi] + pre + lam[hi] - j - c
+                    d_new[hi + 1] = delta[hi + 1] + lam[hi + 1] - k - pre - th
+                    l_new = list(lam)
+                    l_new[hi] = th + j - c
+                    l_new[hi + 1] = k
+                    key = (a_new, tuple(d_new), tuple(l_new))
+                    s = out.get(key, ZERO) + coeff
+                    if s.is_zero():
+                        out.pop(key, None)
+                    else:
+                        out[key] = s
+    return tuple(out.items())
+
+
+def triple_loop_lowering_key(m, h, a, delta, lam):
+    mirror = triple_loop_raising_key(m, len(a) - h, rev(a), delta[::-1], lam[::-1])
+    return tuple(((rev(b), d[::-1], lb[::-1]), c) for (b, d, lb), c in mirror)
+
+
+def per_nu_torus_key(gamma, mu, a, delta, lam):
+    # the coefficient of each nu as its own product of one-coordinate
+    # factors, kept as the reference for the tabled rule
+    rows = ro(a)
+    out = []
+    for nu in product(*(range(m + 1) for m in mu)):
+        coeff = v_power(dot(rows, gamma))
+        for args in zip(rows, mu, lam, nu):
+            coeff = coeff * symbolic._torus_factor(*args)
+        if not coeff.is_zero():
+            key = (a, vsub(vadd(gamma, delta), nu), vsub(vadd(lam, mu), nu))
+            out.append((key, coeff))
+    return tuple(out)
+
+
+def rule_matrices(n):
+    # every zero-diagonal matrix of weight <= 2, and at n = 2 also the
+    # weight-3 ones, so that a move of m = 3 finds enough units
+    return theta_pm(n, 3 if n == 2 else 2)
+
+
+def test_transfer_tables_match_the_triple_loop():
+    # equal as tuples: the same keys, coefficients and key order
+    rng = random.Random(17)
+    count = 0
+    for n in (2, 3):
+        for a in rule_matrices(n):
+            for lam in boxes(0, 3, n):
+                delta = tuple(rng.randint(-3, 3) for _ in range(n))
+                for m in (1, 2, 3):
+                    for h in range(1, n):
+                        got = symbolic._raising_key(m, h, a, delta, lam)
+                        assert got == triple_loop_raising_key(m, h, a, delta, lam)
+                        got = symbolic._lowering_key(m, h, a, delta, lam)
+                        assert got == triple_loop_lowering_key(m, h, a, delta, lam)
+                        count += 1
+    assert count == 10 * 16 * 3 + 28 * 64 * 3 * 2
+
+
+# the torus rule reads a only through its row sums (0, 0, 0), (0, 2, 0)
+# and (3, 0, 1): each coordinate meets a zero and a nonzero row sum
+TORUS_MATRICES_3 = (
+    ((0, 0, 0), (0, 0, 0), (0, 0, 0)),
+    ((0, 0, 0), (1, 0, 1), (0, 0, 0)),
+    ((0, 2, 1), (0, 0, 0), (1, 0, 0)),
+)
+
+
+def test_torus_tables_match_the_per_nu_product():
+    rng = random.Random(19)
+    count = 0
+    for n, mats in ((2, rule_matrices(2)), (3, TORUS_MATRICES_3)):
+        for a in mats:
+            for mu in boxes(0, 3, n):
+                for lam in boxes(0, 3, n):
+                    gamma = tuple(rng.randint(-3, 3) for _ in range(n))
+                    delta = tuple(rng.randint(-3, 3) for _ in range(n))
+                    got = symbolic._torus_key(gamma, mu, a, delta, lam)
+                    assert got == per_nu_torus_key(gamma, mu, a, delta, lam)
+                    count += 1
+    assert count == 10 * 16 * 16 + len(TORUS_MATRICES_3) * 64 * 64
+
+
+def test_rule_tables_are_keyed_by_shape():
+    a = ((0, 1, 2), (1, 0, 0), (0, 2, 0))
+    lam = (1, 2, 1)
+    for key_fn in (symbolic._raising_key, symbolic._lowering_key):
+        key_fn(2, 1, a, (0, 1, -1), lam)
+        before = symbolic._raising_table.cache_info()
+        key_fn(2, 1, a, (3, -2, 2), lam)
+        after = symbolic._raising_table.cache_info()
+        assert after.misses == before.misses
+        assert after.hits > before.hits
+    symbolic._torus_key((1, 0, 2), (2, 1, 1), a, (0, 1, -1), lam)
+    before = symbolic._torus_table.cache_info()
+    symbolic._torus_key((-2, 3, 0), (2, 1, 1), a, (2, 2, 0), lam)
+    after = symbolic._torus_table.cache_info()
+    assert after.misses == before.misses
+    assert after.hits == before.hits + 1
 
 
 def worklist_delta_reduce(x):
