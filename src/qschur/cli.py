@@ -71,9 +71,11 @@ def _vector_from_json(obj, n: int) -> tuple[int, ...]:
     return tuple(obj)
 
 
-def _term_matrix(term, n: int) -> tuple[tuple[int, ...], ...]:
+def _term_matrix(term, n: int, keys: set[str]) -> tuple[tuple[int, ...], ...]:
     if not isinstance(term, dict) or "matrix" not in term:
         raise ParseError("each term needs a 'matrix'")
+    if not term.keys() <= keys:
+        raise ParseError(f"unknown term keys {sorted(term.keys() - keys)}")
     a = _matrix_from_json(term["matrix"])
     if len(a) != n:
         raise DimensionMismatch(f"matrix size {len(a)} does not match n={n}")
@@ -97,8 +99,8 @@ def parse_element(text: str):
 
     Coefficients are integers or lists of [exponent, coefficient]
     pairs.  Every number must be a JSON integer; floats, strings and
-    booleans are rejected, never coerced.  The result is a
-    SchurElement or a SymbolicElement.
+    booleans are rejected, never coerced, and so is any key outside
+    these shapes.  The result is a SchurElement or a SymbolicElement.
     """
     try:
         obj = json.loads(text)
@@ -106,6 +108,8 @@ def parse_element(text: str):
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "terms" not in obj or "n" not in obj:
         raise ParseError("element must be an object with 'n' and 'terms'")
+    if not obj.keys() <= {"n", "r", "terms"}:
+        raise ParseError(f"unknown element keys {sorted(obj.keys() - {'n', 'r', 'terms'})}")
     n = obj["n"]
     if not _is_int(n):
         raise ParseError("'n' must be an integer")
@@ -123,7 +127,7 @@ def parse_element(text: str):
             raise ParseError("'r' must be nonnegative")
         el = SchurElement.zero(n, r)
         for term in terms:
-            a = _term_matrix(term, n)
+            a = _term_matrix(term, n, {"matrix", "coeff"})
             if entry_sum(a) != r:
                 raise DimensionMismatch(
                     f"matrix weight {entry_sum(a)} does not match r={r}"
@@ -133,7 +137,7 @@ def parse_element(text: str):
 
     el = SymbolicElement.zero(n)
     for term in terms:
-        a = _term_matrix(term, n)
+        a = _term_matrix(term, n, {"matrix", "delta", "lambda", "coeff"})
         delta = _vector_from_json(term.get("delta", [0] * n), n)
         lam = _vector_from_json(term.get("lambda", [0] * n), n)
         if any(x < 0 for x in lam):
@@ -163,15 +167,8 @@ def _emit(report: dict, summary: str, started: float) -> None:
     sys.stderr.write(f"{summary} ({elapsed:.2f}s wall)\n")
 
 
-def _check_rmax(r_max: int | None) -> None:
-    # a negative truncation degree is bad usage, as for verify
-    if r_max is not None and r_max < 0:
-        raise DomainError(f"r_max must be nonnegative, got {r_max}")
-
-
 def _cmd_multiply(args, started: float) -> int:
-    if args.oracle_cap < 0:
-        raise DomainError(f"oracle cap must be nonnegative, got {args.oracle_cap}")
+    RunConfig(r_max=args.rmax, oracle_cap=args.oracle_cap).validate()
     left = _read_element_arg(args.left)
     right = _read_element_arg(args.right)
     if isinstance(left, SchurElement) != isinstance(right, SchurElement):
@@ -183,6 +180,8 @@ def _cmd_multiply(args, started: float) -> int:
     if isinstance(left, SchurElement):
         if left.r != right.r:
             raise DimensionMismatch(f"degree mismatch: {left.r} vs {right.r}")
+        if args.rmax is not None:
+            raise ParseError("--rmax applies to symbolic elements only")
         out: dict = {"n": left.n, "r": left.r}
         summary = f"multiply: degree {left.r}, mode {args.mode}"
         engines = {"formula": general_product, "oracle": force_oracle_product}
@@ -192,7 +191,6 @@ def _cmd_multiply(args, started: float) -> int:
     else:
         if args.rmax is None:
             raise ParseError("--rmax is required for symbolic elements")
-        _check_rmax(args.rmax)
         out = {"n": left.n, "r_max": args.rmax}
         summary = f"multiply: symbolic through degree {args.rmax}"
         left = left.realize_truncated(args.rmax)
@@ -214,10 +212,10 @@ def _cmd_multiply(args, started: float) -> int:
 
 
 def _cmd_expand(args, started: float) -> int:
+    RunConfig(r_max=args.rmax).validate()
     el = _read_element_arg(args.element)
     if isinstance(el, SchurElement):
         raise ParseError("expand takes a symbolic element (no fixed 'r')")
-    _check_rmax(args.rmax)
     if args.delta_reduce:
         el = delta_reduce(el)
     out: dict = {"n": el.n, "symbolic": el.to_json_obj()}

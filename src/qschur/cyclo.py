@@ -41,6 +41,11 @@ def cyclotomic_coeffs(l: int) -> tuple[int, ...]:
     return tuple(num.coeff(e) for e in range(deg + 1))
 
 
+def _check_odd(l: int) -> None:
+    if l < 1 or l % 2 == 0:
+        raise DomainError(f"root-of-unity order must be odd and positive, got {l}")
+
+
 @cache
 def _root_powers(l: int) -> tuple[tuple[Fraction, ...], ...]:
     # eps^k reduced mod Phi_l, for 0 <= k < l, as length-deg vectors.
@@ -66,8 +71,7 @@ class CycloScalar:
     __slots__ = ("l", "coeffs")
 
     def __init__(self, l: int, coeffs: tuple[Fraction, ...]):
-        if l < 1 or l % 2 == 0:
-            raise DomainError("root-of-unity order must be odd and positive")
+        _check_odd(l)
         deg = len(cyclotomic_coeffs(l)) - 1
         if len(coeffs) != deg:
             raise DomainError("coefficient vector has wrong length")
@@ -91,11 +95,6 @@ class CycloScalar:
         deg = len(cyclotomic_coeffs(l)) - 1
         return cls(l, (Fraction(1),) + (Fraction(0),) * (deg - 1))
 
-    @classmethod
-    def from_rational(cls, l: int, a: Fraction | int) -> "CycloScalar":
-        deg = len(cyclotomic_coeffs(l)) - 1
-        return cls(l, (Fraction(a),) + (Fraction(0),) * (deg - 1))
-
     def _check(self, other: "CycloScalar") -> None:
         if self.l != other.l:
             raise DomainError("scalars live over different roots of unity")
@@ -109,8 +108,6 @@ class CycloScalar:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, CycloScalar):
             return self.l == other.l and self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == CycloScalar.from_rational(self.l, other)
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -207,6 +204,5 @@ def eval_at_root(p: LaurentPoly, l: int) -> CycloScalar:
     >>> eval_at_root(LaurentPoly({2: 1, 1: 1, 0: 1}), 3).is_zero()
     True
     """
-    if l < 1 or l % 2 == 0:
-        raise DomainError("root-of-unity order must be odd and positive")
+    _check_odd(l)
     return _combine(l, p.to_pairs())

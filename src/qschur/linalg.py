@@ -18,7 +18,7 @@ specialized families live.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import ConsistencyError
 from .laurent import LaurentPoly, ZERO
@@ -125,29 +125,16 @@ def _verify_kernel(rows: list[SparseRow], combo: list[LaurentPoly]) -> bool:
     return True
 
 
-def _normalize_combo(combo: list[Fraction], m: int, depth: int) -> list[LaurentPoly]:
+def _normalize_combo(combo: list[Fraction], depth: int) -> list[LaurentPoly]:
     """Turn a rational solution over unknowns (i, d) into a vector of
-    integer Laurent polynomials, one per original row."""
-    from math import lcm
-
-    den = 1
-    for c in combo:
-        den = lcm(den, c.denominator)
-    g = 0
+    primitive integer Laurent polynomials, one per original row."""
+    den = lcm(*(c.denominator for c in combo))
     ints = [int(c * den) for c in combo]
-    for c in ints:
-        g = gcd(g, c)
-    if g > 1:
-        ints = [c // g for c in ints]
-    polys = []
-    for i in range(m):
-        pairs = []
-        for d in range(depth + 1):
-            c = ints[i * (depth + 1) + d]
-            if c:
-                pairs.append((d, c))
-        polys.append(LaurentPoly.from_pairs(pairs))
-    return polys
+    g = gcd(*ints)
+    return [
+        LaurentPoly({d: c // g for d, c in enumerate(ints[i : i + depth + 1])})
+        for i in range(0, len(ints), depth + 1)
+    ]
 
 
 def poly_kernel(rows: list[SparseRow], depth: int) -> list[list[LaurentPoly]]:
@@ -172,7 +159,7 @@ def poly_kernel(rows: list[SparseRow], depth: int) -> list[list[LaurentPoly]]:
     _, kernel = _eliminate(unknown_rows, want_kernel=True)
     out = []
     for combo in kernel:
-        polys = _normalize_combo(combo, m, depth)
+        polys = _normalize_combo(combo, depth)
         if not _verify_kernel(rows, polys):
             raise ConsistencyError("bounded degree kernel failed substitution")
         out.append(polys)

@@ -29,6 +29,7 @@ __all__ = [
     "has_zero_diagonal",
     "add_to_entry",
     "rev",
+    "transpose",
     "split_triangular",
     "theta_matrices",
     "theta_pm",
@@ -93,6 +94,10 @@ def add_to_entry(a: Matrix, i: int, j: int, delta: int) -> Matrix:
 def rev(a: Matrix) -> Matrix:
     """Reverse both the row and the column order (a 180-degree turn)."""
     return tuple(row[::-1] for row in a[::-1])
+
+
+def transpose(a: Matrix) -> Matrix:
+    return tuple(zip(*a))
 
 
 def split_triangular(a: Matrix) -> tuple[Matrix, Matrix]:

@@ -41,15 +41,18 @@ def realize_word(word: GeneratorWord, n: int, r_max: int) -> TruncatedElement:
 
     The fold runs right to left, so the left factor of every product
     is a single elementary generator and the multiplication dispatches
-    to a structured formula rather than the coset oracle.  A key that
-    is not one generator raises DomainError.
+    to a structured formula rather than the coset oracle.  The empty
+    word is the unit.  A key that is not one generator raises
+    DomainError; one of another size than n raises DimensionMismatch.
     """
-    acc = TruncatedElement.unit(n, r_max)
+    acc = None
     for key in reversed(word):
         _generator_rule(key)
+        if len(key[0]) != n:
+            raise DimensionMismatch(f"key size {len(key[0])} differs from n={n}")
         gen = SymbolicElement.gen(*key).realize_truncated(r_max)
-        acc = gen.multiply(acc)
-    return acc
+        acc = gen if acc is None else gen.multiply(acc)
+    return TruncatedElement.unit(n, r_max) if acc is None else acc
 
 
 def check_relations(n: int, r_max: int) -> dict:

@@ -11,8 +11,9 @@ entry sum r.  Products fall into layers:
   compositions (`multiply_raising` / `multiply_lowering`);
 * everything else falls back to the coset oracle in `hecke`.
 
-`general_product` dispatches between the layers; the structured layers
-are exactly what the verification suites compare against the oracle.
+`general_product` dispatches each pair with co(a) == ro(b) between the
+layers, keeping no memo of its own; the structured layers are exactly
+what the verification suites compare against the oracle.
 `Combination` holds the term arithmetic that `SchurElement` shares with
 the symbolic elements.
 """
@@ -231,11 +232,8 @@ def multiply_lowering(h: int, m: int, a: Matrix) -> SchurElement:
     return _frozen(SchurElement(n, mirror.r, {rev(b): c for b, c in mirror.terms.items()}))
 
 
-@lru_cache(maxsize=1 << 18)
-def _basis_product_cached(a: Matrix, b: Matrix, cap: int) -> dict[Matrix, LaurentPoly]:
-    # The terms of [a][b].  Cached dicts are shared: never mutate one.
-    if co(a) != ro(b):
-        return {}
+def _basis_terms(a: Matrix, b: Matrix, cap: int) -> dict[Matrix, LaurentPoly]:
+    # The terms of [a][b], co(a) == ro(b); cached dicts are shared: never mutate one.
     if is_diagonal(a):
         return {b: ONE}
     if is_diagonal(b):
@@ -255,21 +253,20 @@ def basis_product(a: Matrix, b: Matrix, cap: int = DEFAULT_ORACLE_CAP) -> SchurE
     The cap only constrains products that need the coset oracle; the
     structured layers have no size limit.
     """
-    if len(a) != len(b):
-        raise DimensionMismatch("matrix sizes differ")
-    if entry_sum(a) != entry_sum(b):
-        raise DimensionMismatch("matrices have different degrees")
-    if not (is_nonnegative(a) and is_nonnegative(b)):
-        raise DomainError("basis matrices must be nonnegative")
-    return SchurElement(len(a), entry_sum(a), _basis_product_cached(a, b, cap))
+    return general_product(SchurElement.basis(a), SchurElement.basis(b), cap)
 
 
 def _bilinear(x: SchurElement, y: SchurElement, product, cap: int) -> SchurElement:
-    # Extend product(a, b, cap), a terms dict of [a][b], bilinearly.
+    # Extend product(a, b, cap), the terms of [a][b], over the pairs with co(a) == ro(b).
     x._check(y)
     out = SchurElement(x.n, x.r)
+    if not (x.terms and y.terms):
+        return out
+    right: dict[IntVector, list] = {}
+    for b, cb in y.terms.items():
+        right.setdefault(ro(b), []).append((b, cb))
     for a, ca in x.terms.items():
-        for b, cb in y.terms.items():
+        for b, cb in right.get(co(a), ()):
             prod = product(a, b, cap)
             if prod:
                 c = ca * cb
@@ -283,7 +280,7 @@ def general_product(
     x: SchurElement, y: SchurElement, cap: int = DEFAULT_ORACLE_CAP
 ) -> SchurElement:
     """Bilinear extension of `basis_product`."""
-    return _bilinear(x, y, _basis_product_cached, cap)
+    return _bilinear(x, y, _basis_terms, cap)
 
 
 def force_oracle_product(

@@ -13,7 +13,7 @@ independence witness ranks.
 from __future__ import annotations
 
 from .errors import DomainError
-from .cyclo import eval_at_root
+from .cyclo import _check_odd, eval_at_root
 from .vectors import IntVector, unit_vector, compositions
 from .matrices import Matrix, theta_pm, entry_sum, zero_matrix
 from .schur import SchurElement
@@ -29,16 +29,12 @@ __all__ = [
 ]
 
 
-def _require_odd(l: int) -> None:
-    if l < 1 or l % 2 == 0:
-        raise DomainError(f"specialization order must be odd and positive, got {l}")
-
-
 def specialize(x: TruncatedElement, l: int) -> TruncatedElement:
     """Coefficientwise evaluation of a truncated element at the
     primitive root of unity of odd order l: the same element type,
     with `CycloScalar` coefficients."""
-    _require_odd(l)
+    # eval_at_root checks l too, but an element without terms never calls it
+    _check_odd(l)
     return TruncatedElement(
         x.n,
         x.r_max,
@@ -53,7 +49,6 @@ def check_torus_power_trivial(i: int, l: int, n: int, r_max: int) -> dict:
     """The l-th power of an invertible torus generator specializes to
     the unit: its image is the diagonal sum with coefficients at v
     exponents l*mu_i, all of which evaluate to 1."""
-    _require_odd(l)
     if not 1 <= i <= n:
         raise DomainError(f"torus index {i} out of range for n={n}")
     delta = tuple(l * e for e in unit_vector(n, i))

@@ -52,6 +52,7 @@ from .hecke import oracle_product
 from .schur import multiply_lowering, multiply_raising
 from .symbolic import (
     SymbolicElement,
+    TruncatedElement,
     delta_reduce,
     fold_word,
     lowering_mult,
@@ -538,14 +539,6 @@ def _run_formula_suite(cfg: RunConfig, name: str) -> dict:
     return _report(cfg, name, r_max, instances, failures, notes)
 
 
-def run_formula1(cfg: RunConfig) -> dict:
-    return _run_formula_suite(cfg, "formula1")
-
-
-def run_formula2(cfg: RunConfig) -> dict:
-    return _run_formula_suite(cfg, "formula2")
-
-
 def run_relations(cfg: RunConfig) -> dict:
     r_max = cfg.resolve_r_max(5)
     rep = check_relations(cfg.n, r_max)
@@ -585,10 +578,11 @@ def run_triangular(cfg: RunConfig) -> dict:
 def run_pbw_independence(cfg: RunConfig) -> dict:
     r_max = cfg.resolve_r_max(6)
     family = pbw_family(cfg.n, cfg.bound)
-    elements = [pbw_monomial(idx, r_max) for idx in family]
+    # products are degree-wise: the family at r_max is a prefix of the deeper one
+    deeper = [pbw_monomial(idx, r_max + 1) for idx in family]
+    elements = [TruncatedElement(x.n, r_max, x.components[:-1]) for x in deeper]
     rows, _ = linalg.flatten_family(elements)
     verdict = linalg.independence_verdict(rows)
-    deeper = [pbw_monomial(idx, r_max + 1) for idx in family]
     rows2, _ = linalg.flatten_family(deeper)
     verdict2 = linalg.independence_verdict(rows2)
     failures = []
@@ -720,8 +714,8 @@ def run_closure(cfg: RunConfig) -> dict:
 SUITES = {
     "binomials": run_binomials,
     "transfer-formulas": run_transfer_formulas,
-    "formula1": run_formula1,
-    "formula2": run_formula2,
+    "formula1": partial(_run_formula_suite, name="formula1"),
+    "formula2": partial(_run_formula_suite, name="formula2"),
     "relations": run_relations,
     "triangular": run_triangular,
     "pbw-independence": run_pbw_independence,

@@ -26,7 +26,7 @@ the torus rule by (ro(A), mu, lam), one cached table per coordinate
 prefix, and the raising rule by (t_h, t_{h+1}, lam_h, lam_{h+1}) for
 each composition t of the moved units.  A key then costs one product
 with a table entry, or a shift.  The lowering rule is the raising rule
-on the reversed key and reads the same tables.  The rules' per-key
+on the reversed element and reads the same tables.  The rules' per-key
 results are not cached: runs almost never repeat a key.
 
 Every generator is its own key, so a generator word is a tuple of
@@ -66,6 +66,7 @@ from .matrices import (
     precedes,
     rev,
     ro,
+    transpose,
     zero_matrix,
 )
 from .schur import (
@@ -420,19 +421,8 @@ def _raising_key(
     return tuple(out)
 
 
-def _lowering_key(
-    m: int, h: int, a: Matrix, delta: IntVector, lam: IntVector
-) -> tuple[tuple[SymbolicKey, LaurentPoly], ...]:
-    # reversing rows, columns and both vectors turns the lowering move
-    # on rows (h, h+1) into the raising move on rows (n-h, n-h+1)
-    mirror = _raising_key(m, len(a) - h, rev(a), delta[::-1], lam[::-1])
-    # one reversed matrix per distinct matrix, shared by its keys, as the
-    # product keeps every key
-    mats = {b: rev(b) for (b, _, _), _ in mirror}
-    return tuple(((mats[b], d[::-1], lb[::-1]), c) for (b, d, lb), c in mirror)
-
-
-def _transfer_mult(key_fn, m: int, h: int, x: SymbolicElement) -> SymbolicElement:
+def raising_mult(m: int, h: int, x: SymbolicElement) -> SymbolicElement:
+    """Left-multiply by the raising generator (m E_{h,h+1}; 0, 0)."""
     n = x.n
     if not 1 <= h <= n - 1:
         raise DomainError(f"row index {h} out of range")
@@ -441,19 +431,24 @@ def _transfer_mult(key_fn, m: int, h: int, x: SymbolicElement) -> SymbolicElemen
     out = SymbolicElement(n)
     for (a, delta, lam), c in x.terms.items():
         unit = c == ONE
-        for key, coeff in key_fn(m, h, a, delta, lam):
+        for key, coeff in _raising_key(m, h, a, delta, lam):
             out.add_into(key, coeff if unit else c * coeff)
     return out
 
 
-def raising_mult(m: int, h: int, x: SymbolicElement) -> SymbolicElement:
-    """Left-multiply by the raising generator (m E_{h,h+1}; 0, 0)."""
-    return _transfer_mult(_raising_key, m, h, x)
+def _reversed(x: SymbolicElement) -> SymbolicElement:
+    # rows, columns and both vectors of each key reversed; no coefficient is zero
+    out = SymbolicElement(x.n)
+    out.terms = {(rev(a), delta[::-1], lam[::-1]): c for (a, delta, lam), c in x.terms.items()}
+    return out
 
 
 def lowering_mult(m: int, h: int, x: SymbolicElement) -> SymbolicElement:
-    """Left-multiply by the lowering generator (m E_{h+1,h}; 0, 0)."""
-    return _transfer_mult(_lowering_key, m, h, x)
+    """Left-multiply by the lowering generator (m E_{h+1,h}; 0, 0): the
+    reversed raising product on rows (n-h, n-h+1) of the reversed x."""
+    if not 1 <= h <= x.n - 1:
+        raise DomainError(f"row index {h} out of range")
+    return _reversed(raising_mult(m, x.n - h, _reversed(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -537,16 +532,8 @@ def fold_word(word: GeneratorWord, x: SymbolicElement) -> SymbolicElement:
     return x
 
 
-def triangular_word(a: Matrix) -> GeneratorWord:
-    """The canonical generator word of a zero-diagonal matrix: raising
-    keys for the upper part (columns outermost-first), then lowering
-    keys for the lower part, each entry m contributing a chain of
-    transfer keys (m E_{h,h+1}; 0, 0) or (m E_{h+1,h}; 0, 0) between
-    its row and the diagonal.
-    """
+def _raising_word(a: Matrix) -> GeneratorWord:
     n = len(a)
-    if not has_zero_diagonal(a):
-        raise DomainError("triangular words need zero-diagonal matrices")
     zero = (0,) * n
     word: list[SymbolicKey] = []
     for jcol in range(n, 1, -1):
@@ -555,13 +542,21 @@ def triangular_word(a: Matrix) -> GeneratorWord:
             if mval:
                 for h in range(irow, jcol):
                     word.append((entry_matrix(n, h, h + 1, mval), zero, zero))
-    for jcol in range(2, n + 1):
-        for irow in range(1, jcol):
-            mval = a[jcol - 1][irow - 1]
-            if mval:
-                for h in range(jcol - 1, irow - 1, -1):
-                    word.append((entry_matrix(n, h + 1, h, mval), zero, zero))
     return tuple(word)
+
+
+def triangular_word(a: Matrix) -> GeneratorWord:
+    """The canonical generator word of a zero-diagonal matrix: raising
+    keys for the upper part (columns outermost-first), then lowering
+    keys for the lower part, each entry m contributing a chain of
+    transfer keys (m E_{h,h+1}; 0, 0) or (m E_{h+1,h}; 0, 0) between
+    its row and the diagonal.
+    """
+    if not has_zero_diagonal(a):
+        raise DomainError("triangular words need zero-diagonal matrices")
+    # transposition swaps raising and lowering keys and reverses words
+    lower = reversed(_raising_word(transpose(a)))
+    return _raising_word(a) + tuple((transpose(b), d, l) for b, d, l in lower)
 
 
 def triangular_product(a: Matrix) -> tuple[SymbolicElement, dict]:

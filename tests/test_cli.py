@@ -157,6 +157,32 @@ def test_negative_symbolic_entries_are_rejected(args):
     assert "parse error" in res.stderr
 
 
+FIXED_WITH_TORUS = json.dumps(
+    {"n": 2, "r": 1, "terms": [{"matrix": [[0, 1], [0, 0]], "delta": [5, 5], "lambda": [1, 1]}]}
+)
+FIXED_DIAGONAL = json.dumps({"n": 2, "r": 1, "terms": [{"matrix": [[0, 0], [0, 1]]}]})
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("multiply", FIXED_WITH_TORUS, FIXED_DIAGONAL),
+        ("multiply", json.dumps({**json.loads(ELEMENT_A), "extra": 5}), ELEMENT_B),
+        ("expand", json.dumps({"n": 2, "terms": [{"matrix": [[0, 1], [0, 0]], "r": 3}]})),
+        ("expand", json.dumps({"n": 2, "terms": [{"matrix": [[0, 1], [0, 0]], "coef": 2}]})),
+        ("multiply", ELEMENT_A, ELEMENT_B, "--rmax", "3"),
+    ],
+    ids=["fixed-term-torus-keys", "element-extra-key", "symbolic-term-r",
+         "symbolic-term-typo", "fixed-degree-rmax"],
+)
+def test_ignored_input_is_rejected(args):
+    # each of these used to be dropped without a word, with exit 0
+    res = run_cli(*args)
+    assert res.returncode == 2, res.stderr
+    assert res.stdout == ""
+    assert "parse error" in res.stderr
+
+
 def test_dimension_mismatch_exit_code():
     other = json.dumps({"n": 2, "r": 3, "terms": []})
     res = run_cli("multiply", ELEMENT_A, other)

@@ -17,7 +17,7 @@ from qschur.hecke import (
     x_lambda,
 )
 from qschur.laurent import ONE, LaurentPoly, v_power
-from qschur.matrices import entry_sum, ro, co, theta_matrices
+from qschur.matrices import entry_sum, ro, co, theta_matrices, transpose
 from qschur.permutations import all_permutations, length, mult_gen_right, young_subgroup
 from sr_reference import (
     adjacent_transposition,
@@ -410,10 +410,6 @@ def test_coset_rewrites_check_their_reconstruction():
     for bad in ({(0, 1, 0): ONE}, {(0, 1, 0): ONE, (1, 0, 0): v_power(1)}):
         with pytest.raises(ConsistencyError):
             read(bad, mu)
-
-
-def transpose(m):
-    return tuple(zip(*m))
 
 
 def transposed_product(a, b, cap):

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qschur.errors import DomainError
+from qschur.errors import DimensionMismatch, DomainError
 from qschur.laurent import balanced_binomial
 from qschur.matrices import entry_matrix, zero_matrix
 from qschur.presentation import (
@@ -84,6 +84,13 @@ def test_empty_word_is_the_unit():
     assert realize_word((), 2, 3) == TruncatedElement.unit(2, 3)
 
 
+def test_keys_of_another_size_are_rejected():
+    e3 = (entry_matrix(3, 1, 2), (0,) * 3, (0,) * 3)
+    for word in ((e3,), (e3, e3), (E(), e3)):
+        with pytest.raises(DimensionMismatch):
+            realize_word(word, 2, 2)
+
+
 def count_family(n, bound):
     # matrices with off-diagonal weight s contribute binomial exponent
     # budget bound - s; exponent vectors over {0,1} are free
@@ -131,15 +138,11 @@ def test_generator_products_never_reach_the_oracle(monkeypatch):
         raise AssertionError(f"oracle reached: {args}")
 
     monkeypatch.setattr(schur, "oracle_product", no_oracle)
-    schur._basis_product_cached.cache_clear()
-    try:
-        assert check_relations(2, 5)["ok"]
-        assert check_relations(3, 5)["ok"]
-        for key in pbw_family(2, 2):
-            pbw_monomial(key, 7)
-        assert bk_independence(bk_products(2, 2, 5), 3)["independent"]
-    finally:
-        schur._basis_product_cached.cache_clear()
+    assert check_relations(2, 5)["ok"]
+    assert check_relations(3, 5)["ok"]
+    for key in pbw_family(2, 2):
+        pbw_monomial(key, 7)
+    assert bk_independence(bk_products(2, 2, 5), 3)["independent"]
 
 
 def _relation_instances(n):

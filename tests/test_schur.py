@@ -4,12 +4,14 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qschur import schur
 from qschur.cli import parse_element
 from qschur.errors import DimensionMismatch, DomainError
 from qschur.hecke import oracle_product, x_lambda
 from qschur.laurent import LaurentPoly, ONE, ZERO, v_power, vector_binomial
 from qschur.matrices import (
     add_to_entry,
+    co,
     diag_matrix,
     ro,
     theta_matrices,
@@ -119,6 +121,32 @@ def test_lowering_checks_its_bounds_on_the_unmirrored_rows():
     for h in (0, 3):
         with pytest.raises(DomainError, match=f"^row index {h} out of range$"):
             multiply_lowering(h, 1, a)
+
+
+@pytest.mark.parametrize(
+    "product, name",
+    [(general_product, "_basis_terms"), (force_oracle_product, "oracle_product")],
+)
+def test_products_send_only_composable_pairs_on(monkeypatch, product, name):
+    # [a][b] is zero unless co(a) == ro(b), so the router behind
+    # general_product and the oracle behind force_oracle_product see
+    # only those pairs, each once
+    pairs = []
+    inner = getattr(schur, name)
+
+    def spy(a, b, cap):
+        assert co(a) == ro(b), (a, b)
+        pairs.append((a, b))
+        return inner(a, b, cap)
+
+    monkeypatch.setattr(schur, name, spy)
+    composable = []
+    for n, r in ((2, 3), (3, 2)):
+        mats = theta_matrices(n, r)
+        x = SchurElement(n, r, {a: ONE for a in mats})
+        assert not product(x, x).is_zero()
+        composable += [(a, b) for a in mats for b in mats if co(a) == ro(b)]
+    assert pairs == composable
 
 
 @settings(max_examples=40, deadline=None)

@@ -23,6 +23,9 @@ def test_even_order_is_rejected():
     x = SymbolicElement.unit(2).realize_truncated(2)
     with pytest.raises(DomainError):
         specialize(x, 2)
+    # no coefficient to evaluate, so specialize checks the order itself
+    with pytest.raises(DomainError, match="odd"):
+        specialize(TruncatedElement.zero(2, 2), 4)
     with pytest.raises(DomainError):
         bk_independence(bk_products(2, 1, 3), 4)
 

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -189,3 +191,14 @@ def test_formula2_oracle_stratum_at_rank_four():
     cfg = RunConfig(n=4)
     count, fails = _stratum_worker(("formula2:oracle", cfg.to_json_obj(), 0, 12))
     assert count == 12 and fails == []
+
+
+NUMBER_WORDS = ("zero", "one", "two", "three", "four", "five", "six", "seven", "eight",
+                "nine", "ten", "eleven", "twelve")
+
+
+def test_readme_lists_exactly_the_suites():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text.split("| suite | checks |", 1)[1].split("\n\n", 1)[0]
+    assert tuple(re.findall(r"^\| `([^`]+)` \|", table, re.M)) == SUITE_NAMES
+    assert f"one of the {NUMBER_WORDS[len(SUITE_NAMES)]} verification suites" in text

@@ -128,6 +128,34 @@ def test_triangular_word_splits_off_diagonal_mass():
     )
 
 
+def explicit_triangular_word(a):
+    # both halves written out, kept as the reference for the lowering
+    # half derived by transposition
+    n = len(a)
+    zero = (0,) * n
+    word = []
+    for jcol in range(n, 1, -1):
+        for irow in range(jcol - 1, 0, -1):
+            mval = a[irow - 1][jcol - 1]
+            if mval:
+                for h in range(irow, jcol):
+                    word.append((entry_matrix(n, h, h + 1, mval), zero, zero))
+    for jcol in range(2, n + 1):
+        for irow in range(1, jcol):
+            mval = a[jcol - 1][irow - 1]
+            if mval:
+                for h in range(jcol - 1, irow - 1, -1):
+                    word.append((entry_matrix(n, h + 1, h, mval), zero, zero))
+    return tuple(word)
+
+
+def test_triangular_word_matches_the_explicit_loops():
+    mats = [*theta_pm(2, 4), *theta_pm(3, 4), *theta_pm(4, 3)]
+    assert len(mats) == 680
+    for a in mats:
+        assert triangular_word(a) == explicit_triangular_word(a), a
+
+
 def test_gen_mult_dispatches_each_kind_of_generator():
     n = 3
     z = (0,) * n
@@ -336,7 +364,8 @@ def test_transfer_tables_match_the_triple_loop():
                     for h in range(1, n):
                         got = symbolic._raising_key(m, h, a, delta, lam)
                         assert got == triple_loop_raising_key(m, h, a, delta, lam)
-                        got = symbolic._lowering_key(m, h, a, delta, lam)
+                        x = SymbolicElement.gen(a, delta, lam)
+                        got = tuple(lowering_mult(m, h, x).terms.items())
                         assert got == triple_loop_lowering_key(m, h, a, delta, lam)
                         count += 1
     assert count == 10 * 16 * 3 + 28 * 64 * 3 * 2
@@ -369,10 +398,10 @@ def test_torus_tables_match_the_per_nu_product():
 def test_rule_tables_are_keyed_by_shape():
     a = ((0, 1, 2), (1, 0, 0), (0, 2, 0))
     lam = (1, 2, 1)
-    for key_fn in (symbolic._raising_key, symbolic._lowering_key):
-        key_fn(2, 1, a, (0, 1, -1), lam)
+    for rule in (raising_mult, lowering_mult):
+        rule(2, 1, SymbolicElement.gen(a, (0, 1, -1), lam))
         before = symbolic._raising_table.cache_info()
-        key_fn(2, 1, a, (3, -2, 2), lam)
+        rule(2, 1, SymbolicElement.gen(a, (3, -2, 2), lam))
         after = symbolic._raising_table.cache_info()
         assert after.misses == before.misses
         assert after.hits > before.hits
