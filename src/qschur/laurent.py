@@ -1,17 +1,25 @@
 """Exact Laurent polynomials in one variable v over the integers.
 
-A polynomial is stored as a dict mapping exponents to nonzero integer
-coefficients, so equality of values coincides with equality of the
-canonical representation.  Products take one of three routes.  A
-one-term operand c v^e shifts the other operand by e and scales it by c
-(the unit returns the other operand itself).  Otherwise two polynomials
-multiply by the double loop over their terms when either has fewer than
-8 terms.  Longer ones are multiplied as one big integer (Kronecker
-substitution): each is laid out densely in signed 64-bit slots on its
-common exponent stride, and the integer product holds the product's
-coefficients slot by slot.  When a product coefficient could need more
-than 62 bits, or an operand would fill too few of its slots, the double
-loop is used instead.
+A polynomial is stored packed: its lowest exponent, the common step of
+its exponents, and one big integer that holds its coefficients in
+signed slots, sum c_k 2^(w k) for the coefficient c_k of
+v^(lowest + step k).  The slot width w is 64 bits, or the next multiple
+of 64 when a coefficient needs it, and each value keeps a sound bound on
+the bits of its coefficients.  Sums, differences, products (Kronecker
+substitution), scaling and equality are then one big-integer operation
+each, and a shift only moves the lowest exponent.  When an operation's
+bound would overflow its slots, the bound is first tightened by reading
+the slots back, and the operands are widened only if the result still
+does not fit, so values are exact at any size.  Operands on different
+steps are laid out on their common step first.
+
+A value whose exponents would span more than 8 slots per term (say,
+exponents 0..6 and 10^9) keeps an exponent -> coefficient dict instead,
+and sums and products that involve it take the double loop over the
+terms, as do sums and products of packed operands whose result would
+break the same rule.  Equal values compare and hash equal whichever
+form or width they are stored in.  Only `to_pairs`, `bar`, `divexact`,
+`evaluate`, `coeff` and the hash read the slots back.
 
 On top of the ring operations this module provides the bar involution
 (v -> v^-1) and the quantum combinatorics used everywhere else in the
@@ -26,7 +34,10 @@ package:
   binomials with an arbitrary integer on top, defined as the falling
   product divided by a bracket factorial and computed from the
   Gaussian binomial in v^2 (one shift-subtract and one strided prefix
-  sum per factor);
+  sum per factor).  Gaussian binomials are palindromic, so for
+  x >= t >= 0 the bar of the one-sided [x choose t] is the shift
+  v^(-t(x-t)) of the balanced one, and callers shift instead of taking
+  the bar;
 * entrywise vector versions of the binomial and trinomial.
 
 All divisions are exact divisions in Z[v, v^-1] and raise
@@ -78,9 +89,9 @@ __all__ = [
 class LaurentPoly:
     """An element of Z[v, v^-1].
 
-    The term dict is normalized on construction (zero coefficients are
-    dropped) and never mutated afterwards, so instances may be shared,
-    compared and hashed freely.
+    Instances are never mutated after construction (only a cached hash
+    and a tightened coefficient bound are filled in later), so they may
+    be shared, compared and hashed freely.
 
     >>> p = LaurentPoly({1: 1, -1: 1})
     >>> p * p == LaurentPoly({2: 1, 0: 2, -2: 1})
@@ -89,26 +100,20 @@ class LaurentPoly:
     True
     """
 
-    __slots__ = ("_terms", "_hash")
+    # A dense value keeps _lo, _step, _packed, _width and _bits: slot k
+    # holds the coefficient of v^(_lo + _step k), and every slot is below
+    # 2^_bits <= 2^(_width - 1) in absolute value.  A sparse value keeps
+    # _packed = None, _width = 0 and _terms.  _hash is filled in on first
+    # use.
+    __slots__ = ("_lo", "_step", "_packed", "_width", "_bits", "_terms", "_hash")
 
     def __init__(self, terms: dict[int, int] | None = None):
-        if terms:
-            self._terms = {e: c for e, c in terms.items() if c}
-        else:
-            self._terms = {}
-        self._hash: int | None = None
-
-    @classmethod
-    def _raw(cls, terms: dict[int, int]) -> "LaurentPoly":
-        # Trusted constructor: terms must already contain no zeros.
-        p = object.__new__(cls)
-        p._terms = terms
-        p._hash = None
-        return p
+        _store(self, {e: c for e, c in terms.items() if c} if terms else {})
 
     @classmethod
     def from_int(cls, c: int) -> "LaurentPoly":
-        return cls._raw({0: c}) if c else cls._raw({})
+        bits = c.bit_length()
+        return _dense(0, 0, c, _width_for(bits), bits) if c else ZERO
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "LaurentPoly":
@@ -119,58 +124,72 @@ class LaurentPoly:
 
     def to_pairs(self) -> list[tuple[int, int]]:
         """Canonical form: [exponent, coefficient] pairs, ascending."""
-        return [(e, self._terms[e]) for e in sorted(self._terms)]
+        packed = self._packed
+        if packed is None:
+            terms = self._terms
+            return [(e, terms[e]) for e in sorted(terms)]
+        width, e, step = self._width, self._lo, self._step
+        if packed.bit_length() > _SHORT * width:
+            return [(e + step * k, c) for k, c in enumerate(_slots(self)) if c]
+        half, mask = _half_mask(width)
+        out = []
+        while packed:
+            c = packed & mask
+            if c >= half:
+                c -= mask + 1
+            if c:
+                out.append((e, c))
+            packed = (packed - c) >> width
+            e += step
+        return out
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return self._packed == 0
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return self._packed != 0
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPoly):
-            return self._terms == other._terms
+            # a dense value is unique given its width and step; width 0
+            # is the sparse form
+            width = self._width
+            if width == other._width:
+                if not width:
+                    return self._terms == other._terms
+                if self._step == other._step:
+                    return self._packed == other._packed and self._lo == other._lo
+            return self.to_pairs() == other.to_pairs()
         if isinstance(other, int):
-            return self._terms == ({0: other} if other else {})
+            return self == LaurentPoly.from_int(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = self._hash = hash(tuple(self.to_pairs()))
+        return h
 
     def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             if not isinstance(other, int):
                 return NotImplemented
             other = LaurentPoly.from_int(other)
-        terms = dict(self._terms)
-        for e, c in other._terms.items():
-            s = terms.get(e, 0) + c
-            if s:
-                terms[e] = s
-            elif e in terms:
-                del terms[e]
-        return LaurentPoly._raw(terms)
+        return _sum(self, other, operator.add)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._raw({e: -c for e, c in self._terms.items()})
+        if self._packed is None:
+            return _sparse({e: -c for e, c in self._terms.items()})
+        return _dense(self._lo, self._step, -self._packed, self._width, self._bits)
 
     def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             if not isinstance(other, int):
                 return NotImplemented
             other = LaurentPoly.from_int(other)
-        terms = dict(self._terms)
-        for e, c in other._terms.items():
-            s = terms.get(e, 0) - c
-            if s:
-                terms[e] = s
-            elif e in terms:
-                del terms[e]
-        return LaurentPoly._raw(terms)
+        return _sum(self, other, operator.sub)
 
     def __rsub__(self, other: int) -> "LaurentPoly":
         if not isinstance(other, int):
@@ -184,57 +203,96 @@ class LaurentPoly:
                 return NotImplemented
             if not other:
                 return ZERO
-            return LaurentPoly._raw({e: c * other for e, c in self._terms.items()})
-        if len(self._terms) > len(other._terms):
-            self, other = other, self
-        a, b = self._terms, other._terms
-        if not a:
+            if self._packed is None:
+                return _sparse({e: c * other for e, c in self._terms.items()})
+            a, bits = self, self._bits + other.bit_length()
+            if bits >= self._width:
+                a, _, bits = _fit(self, self, lambda x, _: x._bits + other.bit_length())
+            return _dense(a._lo, a._step, a._packed * other, a._width, bits)
+        pa, pb = self._packed, other._packed
+        if pa is None or pb is None:
+            return _double_loop(_terms_of(self), _terms_of(other))
+        if not (pa and pb):
             return ZERO
-        if len(a) == 1:
-            [(e, c)] = a.items()
-            if c == 1:
-                return other.shift(e)
-            return LaurentPoly._raw({k + e: c * x for k, x in b.items()})
-        if len(a) >= _PACKED_MIN_TERMS:
-            packed = _packed_product(a, b)
-            if packed is not None:
-                return LaurentPoly._raw(packed)
-        terms: dict[int, int] = {}
-        get = terms.get
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = ea + eb
-                s = get(e, 0) + ca * cb
-                if s:
-                    terms[e] = s
-                elif e in terms:
-                    del terms[e]
-        return LaurentPoly._raw(terms)
+        width, step = self._width, self._step
+        # a product coefficient sums at most min(slots) products of two
+        # coefficients below 2^_bits each
+        bits = self._bits + other._bits + (min(pa.bit_length(), pb.bit_length()) // width).bit_length()
+        if step != other._step:
+            if not step:
+                step = other._step
+            elif other._step:
+                step = gcd(step, other._step)
+                na, nb = pa.bit_length() // width, pb.bit_length() // other._width
+                if (na * self._step + nb * other._step) // step >= _SPARSE * (na + nb + 2):
+                    # too spread to pack on the common step
+                    return _double_loop(_terms_of(self), _terms_of(other))
+                pa, pb = _spread(self, step), _spread(other, step)
+        if bits >= width or width != other._width:
+            a, b, bits = _fit(self, other, _product_bits)
+            pa, pb, width = _spread(a, step), _spread(b, step), a._width
+        return _dense(self._lo + other._lo, step, pa * pb, width, bits)
 
     __rmul__ = __mul__
 
     def shift(self, e: int) -> "LaurentPoly":
         """Multiply by the monomial v^e."""
-        if not e:
+        if not e or not self:
             return self
-        return LaurentPoly._raw({k + e: c for k, c in self._terms.items()})
+        if self._packed is None:
+            return _sparse({k + e: c for k, c in self._terms.items()})
+        return _dense(self._lo + e, self._step, self._packed, self._width, self._bits)
 
     def bar(self) -> "LaurentPoly":
         """The involution sending v to v^-1."""
-        return LaurentPoly._raw({-e: c for e, c in self._terms.items()})
+        packed = self._packed
+        if packed is None:
+            return _sparse({-e: c for e, c in self._terms.items()})
+        if not packed:
+            return self
+        width, step, top = self._width, self._step, self.max_exp()
+        if packed.bit_length() > _SHORT * width:
+            slots = _slots(self)
+            slots.reverse()
+            return _dense(-top, step, _pack(slots, width), width, self._bits)
+        # read the slots from the bottom and push each onto the bottom of
+        # the reversed value
+        half, mask = _half_mask(width)
+        out = 0
+        while packed:
+            c = packed & mask
+            if c >= half:
+                c -= mask + 1
+            out = (out << width) + c
+            packed = (packed - c) >> width
+        return _dense(-top, step, out, width, self._bits)
 
     def min_exp(self) -> int:
-        if not self._terms:
+        if not self:
             raise DomainError("zero polynomial has no valuation")
-        return min(self._terms)
+        return self._lo if self._packed is not None else min(self._terms)
 
     def max_exp(self) -> int:
-        if not self._terms:
+        if not self:
             raise DomainError("zero polynomial has no degree")
-        return max(self._terms)
+        if self._packed is None:
+            return max(self._terms)
+        return self._lo + self._step * (self._packed.bit_length() // self._width)
 
     def coeff(self, e: int) -> int:
-        return self._terms.get(e, 0)
+        if self._packed is None:
+            return self._terms.get(e, 0)
+        k, width, step = e - self._lo, self._width, self._step
+        if step:
+            k, off = divmod(k, step)
+            if off:
+                return 0
+        if k < 0 or k > self._packed.bit_length() // width:
+            return 0
+        # round the slots below k away, then read the lowest slot left
+        rest = (self._packed + (1 << (width * k) >> 1)) >> (width * k)
+        half, mask = _half_mask(width)
+        return ((rest + half) & mask) - half
 
     def divexact(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises ExactDivisionError on any remainder.
@@ -247,11 +305,11 @@ class LaurentPoly:
             raise ExactDivisionError("division by zero")
         if self.is_zero():
             return ZERO
-        rem = dict(self._terms)
-        dmax = divisor.max_exp()
-        dlead = divisor._terms[dmax]
+        rem = dict(self.to_pairs())
+        dterms = divisor.to_pairs()
+        dmax, dlead = dterms[-1]
         # an exact quotient cannot reach below this exponent
-        emin = self.min_exp() - divisor.min_exp()
+        emin = self.min_exp() - dterms[0][0]
         out: dict[int, int] = {}
         while rem:
             rmax = max(rem)
@@ -262,34 +320,41 @@ class LaurentPoly:
             if e < emin:
                 raise ExactDivisionError("remainder after full descent")
             out[e] = q
-            for de, dc in divisor._terms.items():
+            for de, dc in dterms:
                 k = de + e
                 s = rem.get(k, 0) - dc * q
                 if s:
                     rem[k] = s
                 elif k in rem:
                     del rem[k]
-        return LaurentPoly._raw(out)
+        return _store(object.__new__(LaurentPoly), out)
 
     def evaluate(self, x: Fraction | int) -> Fraction:
         """Exact evaluation at a nonzero rational point."""
         x = Fraction(x)
         if not x:
             raise DomainError("cannot evaluate a Laurent polynomial at 0")
-        total = Fraction(0)
-        for e, c in self._terms.items():
-            total += c * x**e
-        return total
+        pairs = self.to_pairs()
+        if not pairs:
+            return Fraction(0)
+        # Horner's rule on the numerator of x^-lo p(x) over the integers
+        lo, num, den = pairs[0][0], x.numerator, x.denominator
+        acc, top, scale = 0, pairs[-1][0], 1
+        for e, c in reversed(pairs):
+            acc = acc * num ** (top - e) + c * scale * den ** (top - e)
+            scale *= den ** (top - e)
+            top = e
+        return Fraction(acc, scale) * x**lo
 
     def __repr__(self) -> str:
-        return f"LaurentPoly({dict(sorted(self._terms.items()))!r})"
+        return f"LaurentPoly({dict(self.to_pairs())!r})"
 
     def __str__(self) -> str:
-        if not self._terms:
+        pairs = self.to_pairs()
+        if not pairs:
             return "0"
         chunks: list[str] = []
-        for e in sorted(self._terms):
-            c = self._terms[e]
+        for e, c in pairs:
             if e == 0:
                 t = str(abs(c))
             else:
@@ -302,68 +367,265 @@ class LaurentPoly:
         return " ".join(chunks)
 
 
-# Both operands need this many terms before one packed integer product
-# beats the double loop of `__mul__`.  An operand spread over more than
-# this many slots per term stays on the double loop: packing it would
-# multiply mostly zero slots.
-_PACKED_MIN_TERMS = 8
-_PACKED_MAX_SLOTS_PER_TERM = 8
-_TOP_BIT = (1 << 63).to_bytes(8, "little")
+# Slots per term beyond which a value stays a term dict: packing it
+# would store mostly zero slots.
+_SPARSE = 8
+# Runs of up to this many slots are read and packed by a plain loop;
+# longer ones go through bytes.
+_SHORT = 16
+_WIDTH = 64
+_HALF, _MASK = 1 << 63, (1 << 64) - 1
 
 
-def _pack(terms: dict[int, int], lo: int, g: int, size: int) -> int:
-    # sum c * 2^(64 (e - lo) / g): read the two's-complement slots as
-    # one unsigned integer, then XOR in and subtract a bias of 2^63 per
-    # slot, which turns each slot back into its signed value
-    slots = array("q", bytes(8 * size))
-    for e, c in terms.items():
-        slots[(e - lo) // g] = c
-    if sys.byteorder == "big":
-        slots.byteswap()
-    bias = int.from_bytes(_TOP_BIT * size, "little")
-    return (int.from_bytes(slots.tobytes(), "little") ^ bias) - bias
+def _width_for(bits: int) -> int:
+    """The narrowest slot width, a multiple of 64, that holds signed
+    coefficients below 2^bits."""
+    return (bits // _WIDTH + 1) * _WIDTH
 
 
-def _packed_product(a: dict[int, int], b: dict[int, int]) -> dict[int, int] | None:
-    """The product of two term dicts as one big-integer product
-    (Kronecker substitution), or None when a product coefficient might
-    not fit a signed 64-bit slot or an operand is too sparse to pack.
-    Each dict holds at least two terms, so the stride g below is positive.
-
-    Exponents are divided by their common stride g, so polynomials in
-    v^2 take one slot per term.  Every product coefficient is bounded by
-    min(len) * max|a| * max|b| < 2^62, so the slots of the packed
-    product never carry into each other, and adding and XORing the bias
-    reads them back as signed 64-bit integers.
-    """
-    bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
-    if bound.bit_length() > 62:
-        return None
-    lo_a, lo_b = min(a), min(b)
-    g = gcd(*[e - lo_a for e in a], *[e - lo_b for e in b])
-    size_a = (max(a) - lo_a) // g + 1
-    size_b = (max(b) - lo_b) // g + 1
-    if size_a > _PACKED_MAX_SLOTS_PER_TERM * len(a) or size_b > _PACKED_MAX_SLOTS_PER_TERM * len(b):
-        return None
-    n = size_a + size_b - 1
-    bias = int.from_bytes(_TOP_BIT * n, "little")
-    product = _pack(a, lo_a, g, size_a) * _pack(b, lo_b, g, size_b)
-    out = array("q", ((product + bias) ^ bias).to_bytes(8 * n, "little"))
-    if sys.byteorder == "big":
-        out.byteswap()
-    lo = lo_a + lo_b
-    return {lo + g * k: c for k, c in enumerate(out) if c}
+def _half_mask(width: int) -> tuple[int, int]:
+    return (_HALF, _MASK) if width == _WIDTH else (1 << width >> 1, (1 << width) - 1)
 
 
-ZERO = LaurentPoly._raw({})
-ONE = LaurentPoly._raw({0: 1})
-V = LaurentPoly._raw({1: 1})
-VINV = LaurentPoly._raw({-1: 1})
+def _dense(lo: int, step: int, packed: int, width: int, bits: int) -> LaurentPoly:
+    # Trusted constructor: packed is nonzero in its lowest slot (or is
+    # zero with lo = 0), step is 0 only for a single slot, and every slot
+    # is below 2^bits <= 2^(width-1).
+    p = object.__new__(LaurentPoly)
+    p._lo = lo
+    p._step = step
+    p._packed = packed
+    p._width = width
+    p._bits = bits
+    return p
+
+
+def _sparse(terms: dict[int, int]) -> LaurentPoly:
+    # Trusted constructor: terms is nonempty, holds no zeros and breaks
+    # the density rule.
+    p = object.__new__(LaurentPoly)
+    p._packed = None
+    p._width = 0
+    p._terms = terms
+    return p
+
+
+def _store(p: LaurentPoly, terms: dict[int, int]) -> LaurentPoly:
+    """Fill p with the value of terms, which holds no zeros: packed on
+    the exponents' common step when that spans at most _SPARSE slots per
+    term, else as the dict itself."""
+    if len(terms) == 1:
+        [(lo, packed)] = terms.items()
+        step, bits = 0, packed.bit_length()
+        width = _WIDTH if bits < _WIDTH else _width_for(bits)
+    elif terms:
+        lo = min(terms)
+        step = gcd(*[e - lo for e in terms])
+        span = (max(terms) - lo) // step + 1
+        if span > _SPARSE * len(terms):
+            p._packed, p._width, p._terms = None, 0, terms
+            return p
+        bits = max(map(abs, terms.values())).bit_length()
+        width = _WIDTH if bits < _WIDTH else _width_for(bits)
+        if span <= _SHORT:
+            packed = 0
+            for e, c in terms.items():
+                packed += c << (width * ((e - lo) // step))
+        else:
+            slots = [0] * span
+            for e, c in terms.items():
+                slots[(e - lo) // step] = c
+            packed = _pack(slots, width)
+    else:
+        lo = step = packed = bits = 0
+        width = _WIDTH
+    p._lo = lo
+    p._step = step
+    p._packed = packed
+    p._width = width
+    p._bits = bits
+    return p
+
+
+def _bias(width: int, n: int) -> int:
+    # 2^(width-1) in each of n slots
+    return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * n, "little")
+
+
+def _pack(slots, width: int) -> int:
+    """The sum of slots[k] 2^(width k) for signed slots below 2^(width-1)."""
+    if len(slots) <= _SHORT:
+        packed = 0
+        for c in reversed(slots):
+            packed = (packed << width) + c
+        return packed
+    if width == _WIDTH:
+        raw = array("q", slots)
+        if sys.byteorder == "big":
+            raw.byteswap()
+        raw = raw.tobytes()
+    else:
+        raw = b"".join(c.to_bytes(width // 8, "little", signed=True) for c in slots)
+    # the bytes hold each slot in two's complement: XORing a bias of
+    # 2^(width-1) per slot lifts each slot by that bias, which is then
+    # subtracted from the whole
+    bias = _bias(width, len(slots))
+    return (int.from_bytes(raw, "little") ^ bias) - bias
+
+
+def _slots(p: LaurentPoly):
+    """The signed slots of a nonzero dense value, lowest first: an array
+    of 64-bit integers, or a list for wider slots."""
+    width, n = p._width, p._packed.bit_length() // p._width + 1
+    # adding the bias makes every slot nonnegative, so no slot borrows
+    # from the next; XORing it back gives each slot in two's complement
+    bias = _bias(width, n)
+    raw = ((p._packed + bias) ^ bias).to_bytes(width // 8 * n, "little")
+    if width == _WIDTH:
+        slots = array("q", raw)
+        if sys.byteorder == "big":
+            slots.byteswap()
+        return slots
+    size = width // 8
+    return [int.from_bytes(raw[i : i + size], "little", signed=True) for i in range(0, len(raw), size)]
+
+
+def _spread(p: LaurentPoly, step: int) -> int:
+    """The packed slots of p laid out on a step that divides its own."""
+    if p._step == step or p._packed.bit_length() < p._width:
+        return p._packed
+    slots, by = _slots(p), p._step // step
+    size = by * (len(slots) - 1) + 1
+    out = array("q", bytes(8 * size)) if p._width == _WIDTH else [0] * size
+    out[::by] = slots
+    return _pack(out, p._width)
+
+
+def _terms_of(p: LaurentPoly) -> dict[int, int]:
+    return dict(p.to_pairs()) if p._packed is not None else p._terms
+
+
+def _tighten(p: LaurentPoly) -> None:
+    # the exact bit length of the largest coefficient, read from the slots
+    if p._packed:
+        p._bits = max(map(abs, _slots(p))).bit_length()
+
+
+def _product_bits(a: LaurentPoly, b: LaurentPoly) -> int:
+    slots = min(a._packed.bit_length() // a._width, b._packed.bit_length() // b._width)
+    return a._bits + b._bits + slots.bit_length()
+
+
+def _fit(a: LaurentPoly, b: LaurentPoly, bound) -> tuple[LaurentPoly, LaurentPoly, int]:
+    """a and b in one slot width that holds bound(a, b) bits: the bound
+    is recomputed from the coefficients read back, and the slots are
+    widened when it still does not fit."""
+    width = max(a._width, b._width)
+    bits = bound(a, b)
+    if bits >= width:
+        _tighten(a)
+        _tighten(b)
+        bits = bound(a, b)
+        width = max(width, _width_for(bits))
+    return _rewidth(a, width), _rewidth(b, width), bits
+
+
+def _rewidth(p: LaurentPoly, width: int) -> LaurentPoly:
+    if p._width == width or not p._packed:
+        return p
+    return _dense(p._lo, p._step, _pack(_slots(p), width), width, p._bits)
+
+
+def _sum(a: LaurentPoly, b: LaurentPoly, op) -> LaurentPoly:
+    """a + b or a - b, for op operator.add or operator.sub."""
+    pa, pb = a._packed, b._packed
+    if pa is None or pb is None:
+        return _term_sum(_terms_of(a), _terms_of(b), op)
+    if not pb:
+        return a
+    if not pa:
+        return b if op is operator.add else -b
+    width, bits = a._width, a._bits
+    if b._bits > bits:
+        bits = b._bits
+    bits += 1
+    if bits >= width or width != b._width:
+        a, b, bits = _fit(a, b, lambda x, y: max(x._bits, y._bits) + 1)
+        pa, pb, width = a._packed, b._packed, a._width
+    lo, d, step = a._lo, b._lo - a._lo, a._step
+    restep = step != b._step or (d % step if step else d)
+    if restep:
+        # the common step of both exponent sets
+        step = gcd(step, b._step, d)
+    if restep or step and (d >= _SPARSE * step or d <= -_SPARSE * step):
+        # the sum's span in slots of the common step, against its terms
+        na, nb = pa.bit_length() // width, pb.bit_length() // width
+        top_a, top_b, dd = na * a._step // step, nb * b._step // step, d // step
+        if max(top_a, dd + top_b) - min(0, dd) >= _SPARSE * (na + nb + 2):
+            return _term_sum(_terms_of(a), _terms_of(b), op)
+        if na and a._step != step:
+            pa = _spread(a, step)
+        if nb and b._step != step:
+            pb = _spread(b, step)
+    if not d:
+        packed = op(pa, pb)
+        if not packed:
+            return ZERO
+        if not packed & (_MASK if width == _WIDTH else (1 << width) - 1):
+            # the lowest slots cancelled
+            k = ((packed & -packed).bit_length() - 1) // width
+            packed >>= width * k
+            lo += k * step
+        if packed.bit_length() < width:
+            step = 0
+        return _dense(lo, step, packed, width, bits)
+    d //= step
+    if d > 0:
+        return _dense(lo, step, op(pa, pb << (width * d)), width, bits)
+    return _dense(lo + d * step, step, op(pa << (width * -d), pb), width, bits)
+
+
+def _term_sum(a: dict[int, int], b: dict[int, int], op) -> LaurentPoly:
+    terms = dict(a)
+    for e, c in b.items():
+        s = op(terms.get(e, 0), c)
+        if s:
+            terms[e] = s
+        elif e in terms:
+            del terms[e]
+    return _store(object.__new__(LaurentPoly), terms)
+
+
+def _double_loop(a: dict[int, int], b: dict[int, int]) -> LaurentPoly:
+    terms: dict[int, int] = {}
+    get = terms.get
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            s = get(e, 0) + ca * cb
+            if s:
+                terms[e] = s
+            elif e in terms:
+                del terms[e]
+    return _store(object.__new__(LaurentPoly), terms)
+
+
+ZERO = _dense(0, 0, 0, _WIDTH, 0)
+ONE = _dense(0, 0, 1, _WIDTH, 1)
+V = _dense(1, 0, 1, _WIDTH, 1)
+VINV = _dense(-1, 0, 1, _WIDTH, 1)
 
 
 def v_power(e: int) -> LaurentPoly:
     """The monomial v^e."""
-    return LaurentPoly._raw({e: 1})
+    return _dense(e, 0, 1, _WIDTH, 1)
+
+
+def _every_other(lo: int, coeffs: list[int]) -> LaurentPoly:
+    """sum of coeffs[j] v^(lo + 2 j), for nonzero end coefficients."""
+    bits = max(map(abs, coeffs)).bit_length()
+    width = _width_for(bits)
+    return _dense(lo, 2 if len(coeffs) > 1 else 0, _pack(coeffs, width), width, bits)
 
 
 @cache
@@ -379,7 +641,7 @@ def balanced_bracket(i: int) -> LaurentPoly:
         return ZERO
     if i < 0:
         return -balanced_bracket(-i)
-    return LaurentPoly._raw({i - 1 - 2 * k: 1 for k in range(i)})
+    return _every_other(1 - i, [1] * i)
 
 
 @cache
@@ -394,8 +656,8 @@ def unbalanced_bracket(i: int) -> LaurentPoly:
     if i == 0:
         return ZERO
     if i > 0:
-        return LaurentPoly._raw({2 * k: 1 for k in range(i)})
-    return LaurentPoly._raw({-2 * k: -1 for k in range(1, -i + 1)})
+        return _every_other(0, [1] * i)
+    return _every_other(2 * i, [-1] * -i)
 
 
 def _factorial(factorial, bracket, t: int) -> LaurentPoly:
@@ -454,9 +716,10 @@ def _binomial(top: int, t: int, two_sided: bool) -> LaurentPoly:
             shift = 2 * t * top - t * (t - 1)
     if two_sided:
         shift = -t * (m - t)
-    return LaurentPoly._raw(
-        {shift + 2 * j: sign * c for j, c in enumerate(_gaussian(m, t)) if c}
-    )
+    coeffs = _gaussian(m, t)
+    if sign < 0:
+        coeffs = [-c for c in coeffs]
+    return _every_other(shift, coeffs)
 
 
 @cache

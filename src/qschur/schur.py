@@ -26,7 +26,7 @@ from types import MappingProxyType
 
 from .errors import DimensionMismatch, DomainError
 from .hecke import DEFAULT_ORACLE_CAP, oracle_product
-from .laurent import ONE, LaurentPoly, unbalanced_binomial, v_power, vector_binomial
+from .laurent import ONE, LaurentPoly, balanced_binomial, v_power, vector_binomial
 from .matrices import (
     Matrix,
     co,
@@ -196,18 +196,22 @@ def multiply_raising(h: int, m: int, a: Matrix) -> SchurElement:
     row_top = a[hi]
     row_bot = a[hi + 1]
     out = SchurElement(n, entry_sum(a))
+    # the bar of the one-sided [x choose t] is v^(-t(x-t)) times the
+    # balanced [x choose t]; here that is v^(-t_u row_top[u]), which drops
+    # row_top[u] from the suffix sum of column u
+    gain = [sum(row_top[u + 1 :]) - sum(row_bot[u + 1 :]) for u in range(n)]
     for t in compositions_capped(n, m, tuple(row_bot)):
         exp = 0
         for u in range(n):
             tu = t[u]
             if tu:
-                exp += tu * sum(row_top[u:]) - tu * sum(row_bot[u + 1 :])
+                exp += tu * gain[u]
                 for u2 in range(u + 1, n):
                     exp += tu * t[u2]
         coeff = v_power(exp)
         for u in range(n):
             if t[u]:
-                coeff = coeff * unbalanced_binomial(row_top[u] + t[u], t[u]).bar()
+                coeff = coeff * balanced_binomial(row_top[u] + t[u], t[u])
         rows = [list(row) for row in a]
         for u in range(n):
             rows[hi][u] += t[u]

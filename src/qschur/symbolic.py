@@ -53,7 +53,6 @@ from .laurent import (
     LaurentPoly,
     balanced_binomial,
     balanced_trinomial,
-    unbalanced_binomial,
     v_power,
 )
 from .matrices import (
@@ -378,26 +377,32 @@ def _raising_key(
     hi = h - 1
     row_top = a[hi]
     row_bot = a[hi + 1]
+    # each unit moved up in column u picks up row h from column u on and
+    # row h+1 after column u, both off their diagonal entries, and t_u2
+    # for every later column u2 outside {h, h+1}; outside column h it
+    # also carries the bar of the one-sided [row_top[u] + t_u choose t_u],
+    # which is v^(-t_u row_top[u]) times the balanced binomial
+    off = row_top[hi] - row_bot[hi + 1]
+    gain = [
+        sum(row_top[u if u == hi else u + 1 :]) - sum(row_bot[u + 1 :]) - (off if u <= hi else 0)
+        for u in range(n)
+    ]
     out = []
     for t in compositions(n, m):
         if any(row_bot[u] < t[u] for u in range(n) if u != hi + 1):
             continue
         base_exp = t[hi + 1] * delta[hi + 1] - t[hi] * delta[hi]
-        # each unit moved up in column u picks up row h from column u on
-        # and row h+1 after column u, both off their diagonal entries, and
-        # t_u2 for every later column u2 outside {h, h+1}
         later = 0
         for u in range(n - 1, -1, -1):
             tu = t[u]
             if tu:
-                off = row_top[hi] - row_bot[hi + 1] if u <= hi else 0
-                base_exp += tu * (sum(row_top[u:]) - sum(row_bot[u + 1 :]) - off + later)
+                base_exp += tu * (gain[u] + later)
                 if u != hi and u != hi + 1:
                     later += tu
         base = v_power(base_exp)
         for u in range(n):
             if u != hi and t[u]:
-                base = base * unbalanced_binomial(row_top[u] + t[u], t[u]).bar()
+                base = base * balanced_binomial(row_top[u] + t[u], t[u])
         rows = [list(row) for row in a]
         for u in range(n):
             if u != hi:

@@ -1,5 +1,7 @@
+import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +11,7 @@ from qschur.laurent import (
     LaurentPoly,
     ONE,
     V,
-    _packed_product,
+    ZERO,
     balanced_binomial,
     balanced_bracket,
     balanced_factorial,
@@ -62,12 +64,20 @@ polys = st.builds(
 def long_polys(draw):
     """0-40 terms on exponent strides 1, 2 and 3, mixed within one
     polynomial, with coefficients up to 2^70: products of two of them
-    take the packed route below 62 bits and the double loop above."""
+    stay in 64-bit slots for small coefficients and widen above."""
     strides = draw(st.lists(st.sampled_from((1, 2, 3)), min_size=1, max_size=3, unique=True))
     base = draw(st.integers(-30, 30))
     bound = 2 ** draw(st.sampled_from((3, 16, 29, 31, 70)))
     exponent = st.builds(lambda s, k: base + s * k, st.sampled_from(strides), st.integers(-12, 12))
     return LaurentPoly(draw(st.dictionaries(exponent, st.integers(-bound, bound), max_size=40)))
+
+
+def reference_sum(p, q, sign):
+    """[exponent, coefficient] pairs of p + sign q, zeros dropped."""
+    out = dict(p.to_pairs())
+    for e, c in q.to_pairs():
+        out[e] = out.get(e, 0) + sign * c
+    return sorted((e, c) for e, c in out.items() if c)
 
 
 def schoolbook(p, q):
@@ -134,18 +144,30 @@ def test_unit_and_monomial_products_leave_their_operands_alone(k):
     assert ONE.to_pairs() == [(0, 1)] and hash(ONE) == hash(LaurentPoly({0: 1}))
 
 
+def _gapped(n, span, first=0, scale=1):
+    # n terms on one step from first to first + span - 1: a run of n - 1
+    # and one term at the far end
+    exps = [first + i for i in range(n - 1)] + [first + span - 1]
+    return LaurentPoly({e: scale * (i + 1) for i, e in enumerate(exps)})
+
+
 @pytest.mark.parametrize("m", [7, 8])
 @pytest.mark.parametrize("n", [7, 8, 9])
 def test_products_at_the_packing_threshold(m, n):
-    # a product with a 7-term operand takes the double loop, the others
-    # are packed
-    p, q = _run(m, -9, 2, -3), _run(n, -4, 3, 5)
-    assert (p * q).to_pairs() == schoolbook(p, q)
+    # a value is packed while its span is at most 8 slots per term: p sits
+    # on the threshold, q one slot past it
+    p, q = _gapped(m, 8 * m, -9, -3), _gapped(n, 8 * n + 1, -4, 5)
+    assert p._packed is not None and q._packed is None
+    for x, y in ((p, p), (p, q), (q, p), (q, q)):
+        assert (x * y).to_pairs() == schoolbook(x, y)
+        assert (x + y).to_pairs() == reference_sum(x, y, 1)
+    assert (p * p)._packed is not None
 
 
 def test_packed_product_with_negative_exponents():
     p, q = _run(12, -40, 2, -1), _run(9, -17, 1, 3)
-    assert _packed_product(p._terms, q._terms) is not None
+    assert p._packed is not None and q._packed is not None
+    assert (p * q)._packed is not None
     assert (p * q).to_pairs() == schoolbook(p, q)
     assert (p * q).min_exp() == -57 and (p * q).max_exp() == -27
 
@@ -153,12 +175,12 @@ def test_packed_product_with_negative_exponents():
 @pytest.mark.parametrize("k", [8, 9, 20, 40])
 def test_packed_product_stores_no_zero_coefficients(k):
     # (1 - v) W * (1 + v + ... + v^k) = W (1 - v^(k+1)): the exponents
-    # between deg W and k+1 cancel, and no zero may be kept for them
+    # between deg W and k+1 cancel, and no zero may be read back for them
     w = _run(8)
     p = (ONE - V) * w
     q = LaurentPoly({i: 1 for i in range(k + 1)})
     assert len(p.to_pairs()) == 9
-    assert _packed_product(p._terms, q._terms) is not None
+    assert p._packed is not None and q._packed is not None
     assert (p * q).to_pairs() == w.to_pairs() + [(e + k + 1, -c) for e, c in w.to_pairs()]
 
 
@@ -171,23 +193,52 @@ def test_packed_product_cancels_every_odd_exponent():
     ]
 
 
-@pytest.mark.parametrize("b_max, packed", [(2**30 - 1, True), (2**30, False)])
-def test_the_62_bit_bound(b_max, packed):
-    # 8 * 2^29 * (2^30 - 1) needs exactly 62 bits, and the product's
-    # middle coefficient reaches that bound
+@pytest.mark.parametrize("b_max, narrow", [(2**30 - 1, True), (2**30, False)])
+def test_the_64_bit_slot_bound(b_max, narrow):
+    # the bound 8 * 2^30 * b_max of a product coefficient needs 63 bits
+    # for b_max < 2^30 and 64 bits above, even read back exactly: the
+    # product then moves to 128-bit slots, though its true middle
+    # coefficient -8 * 2^29 * b_max still fits 64
     p = LaurentPoly({i: -(2**29) for i in range(8)})
     q = LaurentPoly({i: b_max for i in range(8)})
-    assert (_packed_product(p._terms, q._terms) is not None) == packed
+    assert p._width == q._width == 64
+    assert (p * q)._width == (64 if narrow else 128)
     assert (p * q).coeff(7) == -8 * 2**29 * b_max
     assert (p * q).to_pairs() == schoolbook(p, q)
+    assert p * q == LaurentPoly(dict(schoolbook(p, q)))
+
+
+def test_a_loose_bound_is_tightened_before_the_slots_widen():
+    # each sum adds a bit to the bound, not to the coefficients: after 18
+    # rounds the bound of p * p asks for 81 bits, the coefficients read
+    # back need 3, and the product stays in 64-bit slots; 100 rounds more
+    # never widen p itself
+    p = _run(5)
+    for _ in range(18):
+        p = (p + V) - V
+    assert p == _run(5) and p._bits == 39
+    assert (p * p)._width == 64 and p._bits == 3
+    assert (p * p).to_pairs() == schoolbook(_run(5), _run(5))
+    for _ in range(100):
+        p = (p + V) - V
+    assert p == _run(5) and p._width == 64 and p._bits < 64
 
 
 def test_sparse_operands_stay_on_the_double_loop():
-    # a common stride packs densely; a gap does not
-    assert len(_packed_product(*[{10**9 * i: 1 for i in range(8)}] * 2)) == 15
+    # a common step packs densely; a gap does not, and neither the gapped
+    # value nor its square costs memory in its span
+    stride = LaurentPoly({10**9 * i: 1 for i in range(8)})
+    assert stride._packed is not None and len((stride * stride).to_pairs()) == 15
     p = LaurentPoly({**{i: 1 for i in range(7)}, 10**9: 1})
-    assert _packed_product(p._terms, p._terms) is None
+    assert p._packed is None and (p * p)._packed is None
     assert (p * p).to_pairs() == schoolbook(p, p)
+
+
+def test_sums_that_would_spread_fall_back_to_the_term_dict():
+    far = v_power(10**9) + _run(3)
+    assert far._packed is None and far.to_pairs() == [(0, 1), (1, 2), (2, 3), (10**9, 1)]
+    assert (far - v_power(10**9))._packed is not None
+    assert (far - v_power(10**9)) == _run(3)
 
 
 def test_long_product_is_fast():
@@ -322,3 +373,136 @@ def test_exact_division_roundtrip(p, q):
 def test_divexact_rejects_inexact():
     with pytest.raises(ExactDivisionError):
         (V + ONE + ONE).divexact(V - v_power(-1))
+
+
+# ---------------------------------------------------------------------------
+# the packed kernel against the term-dict reference, at the slot boundaries
+
+# coefficients near 2^62, 2^63, 2^64 and beyond 2^127, where 64-bit
+# slots overflow and wider ones take over
+NEAR_BOUNDARY = st.builds(
+    lambda k, d, s: s * ((1 << k) + d),
+    st.sampled_from((0, 3, 61, 62, 63, 64, 127, 128, 190)),
+    st.integers(-2, 2),
+    st.sampled_from((1, -1)),
+)
+
+
+@st.composite
+def kernel_polys(draw):
+    """A dense run (on step 1 or 2), a spread on step 10^6, or a run and
+    a spread together, which is too sparse to pack; built by one of three
+    routes: the constructor, accumulated pairs, or a sum of scaled
+    monomials."""
+    base = draw(st.integers(-20, 20))
+    shape = draw(st.sampled_from(("dense", "even", "sparse", "mixed")))
+    exps = []
+    if shape == "even":
+        exps += [2 * k for k in draw(st.lists(st.integers(0, 15), max_size=12))]
+    elif shape != "sparse":
+        exps += draw(st.lists(st.integers(0, 30), max_size=24))
+    if shape != "dense":
+        exps += [10**6 * k for k in draw(st.lists(st.integers(1, 5), max_size=4))]
+    terms = {base + e: draw(NEAR_BOUNDARY) for e in exps}
+    route = draw(st.sampled_from(("dict", "pairs", "monomials")))
+    if route == "dict":
+        return LaurentPoly(terms)
+    if route == "pairs":
+        # every pair twice, once split in halves that cancel with a third
+        pairs = [(e, c) for e, c in terms.items()] + [(e, 7) for e in terms] + [(e, -7) for e in terms]
+        return LaurentPoly.from_pairs(pairs)
+    out = ZERO
+    for e, c in terms.items():
+        out = out + v_power(e) * c
+    return out
+
+
+@given(kernel_polys(), kernel_polys(), NEAR_BOUNDARY, st.integers(-40, 40))
+def test_kernel_operations_match_the_reference(p, q, c, e):
+    pairs = p.to_pairs()
+    assert all(c for _, c in pairs) and [x for x, _ in pairs] == sorted({x for x, _ in pairs})
+    assert (p + q).to_pairs() == reference_sum(p, q, 1)
+    assert (p - q).to_pairs() == reference_sum(p, q, -1)
+    assert (p * q).to_pairs() == schoolbook(p, q)
+    scaled = sorted((x, c * y) for x, y in pairs if c * y)
+    assert (p * c).to_pairs() == (c * p).to_pairs() == scaled
+    assert (-p).to_pairs() == [(x, -y) for x, y in pairs]
+    assert p.shift(e).to_pairs() == [(x + e, y) for x, y in pairs]
+    assert p.bar().to_pairs() == sorted((-x, y) for x, y in pairs)
+    for x, y in pairs[:3] + pairs[-3:]:
+        assert p.coeff(x) == y and p.coeff(x + 10**7) == 0
+    if pairs:
+        assert (p.min_exp(), p.max_exp()) == (pairs[0][0], pairs[-1][0])
+
+
+@given(kernel_polys(), kernel_polys(), st.sampled_from((2, -3, Fraction(2, 3), Fraction(-5, 4))))
+def test_kernel_division_and_evaluation_match_the_reference(p, q, x):
+    if not q.is_zero():
+        assert (p * q).divexact(q) == p
+    # powers of x to the sparse exponents near 10^6 would be huge
+    if all(abs(e) <= 60 for e, _ in p.to_pairs()):
+        assert p.evaluate(x) == sum((c * Fraction(x) ** e for e, c in p.to_pairs()), Fraction(0))
+
+
+@given(kernel_polys())
+def test_equal_values_compare_and_hash_equal_across_routes(p):
+    wide = LaurentPoly({e: 2**200 + e for e in range(-3, 4)})
+    far = v_power(10**9)
+    routes = [
+        LaurentPoly(dict(p.to_pairs())),
+        LaurentPoly.from_pairs(reversed(p.to_pairs())),
+        (p + wide) - wide,  # in slots of at least 256 bits
+        (p + far) - far,  # through the term dict
+        p * 3 - p * 2,
+        p.bar().bar(),
+        p.shift(7).shift(-7),
+        p * ONE,
+    ]
+    for r in routes:
+        assert r == p and p == r and hash(r) == hash(p)
+        assert r != p + ONE and r != p * 2 or p.is_zero()
+
+
+@given(kernel_polys())
+def test_cancellation_to_zero(p):
+    wide = p * 2**130
+    for z in (p - p, p + (-p), wide - wide, p * 0, (p - p).shift(5), (p - p).bar()):
+        assert z.is_zero() and not z and z.to_pairs() == []
+        assert z == ZERO and z == 0 and hash(z) == hash(ZERO)
+        assert z + p == p and z * p == ZERO
+
+
+def test_dense_and_sparse_forms_of_one_value_are_equal():
+    # 1 - v^30 from (1 - v)(1 + ... + v^29) packs on step 1, and on step
+    # 30 when given as a dict; plus v^7, the dict is too sparse to pack
+    dense = (ONE - V) * LaurentPoly({i: 1 for i in range(30)})
+    assert dense == LaurentPoly({0: 1, 30: -1}) and hash(dense) == hash(LaurentPoly({0: 1, 30: -1}))
+    dense = dense + v_power(7)
+    sparse = LaurentPoly({0: 1, 7: 1, 30: -1})
+    assert dense._packed is not None and sparse._packed is None
+    assert dense == sparse and sparse == dense and hash(dense) == hash(sparse)
+    assert dense - sparse == ZERO and (dense - sparse).is_zero()
+
+
+def test_central_binomial_of_100_is_exact():
+    # [100 choose 50] has coefficients near 2^86: wider than 64-bit slots
+    b = balanced_binomial(100, 50)
+    pairs = b.to_pairs()
+    assert max(c for _, c in pairs).bit_length() > 64 and b._width > 64
+    assert sum(c for _, c in pairs) == math.comb(100, 50)
+    assert pairs == [(-e, c) for e, c in reversed(pairs)]
+    # (100 choose 50)_q at q = 4 from its product formula, times v^-2500
+    q, want = 4, Fraction(1)
+    for i in range(1, 51):
+        want *= Fraction(1 - q ** (50 + i), 1 - q**i)
+    assert b.evaluate(2) == want / 2**2500
+    assert b == falling_binomial(balanced_bracket, balanced_factorial, 100, 50)
+
+
+def test_the_bar_of_a_binomial_is_a_shift():
+    # Gaussian binomials are palindromic, so for x >= t >= 0 the bar of the
+    # one-sided [x choose t] is v^(-t(x-t)) times the balanced one
+    for x in range(41):
+        for t in range(x + 1):
+            want = unbalanced_binomial(x, t).bar()
+            assert balanced_binomial(x, t).shift(-t * (x - t)) == want, (x, t)
