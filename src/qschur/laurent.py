@@ -13,13 +13,17 @@ the slots back, and the operands are widened only if the result still
 does not fit, so values are exact at any size.  Operands on different
 steps are laid out on their common step first.
 
-A value whose exponents would span more than 8 slots per term (say,
-exponents 0..6 and 10^9) keeps an exponent -> coefficient dict instead,
-and sums and products that involve it take the double loop over the
-terms, as do sums and products of packed operands whose result would
-break the same rule.  Equal values compare and hash equal whichever
-form or width they are stored in.  Only `to_pairs`, `bar`, `divexact`,
-`evaluate`, `coeff` and the hash read the slots back.
+Each value also keeps a bound on its number of terms: exact for a value
+built from a dict, the sum of the operands' bounds for a sum or a
+difference, and their product (at most the span) for a product.  A
+packed value spans at most 8 slots per term of its bound.  A dict whose
+exponents would span more (say, exponents 0..6 and 10^9) is kept as an
+exponent -> coefficient dict instead, and sums and products that involve
+it take the double loop over the terms, as do sums and products of
+packed operands whose span would break the rule.  Equal values compare
+and hash equal whichever form or width they are stored in.  Only
+`to_pairs`, `bar`, `divexact`, `evaluate`, `coeff` and the hash read the
+slots back.
 
 On top of the ring operations this module provides the bar involution
 (v -> v^-1) and the quantum combinatorics used everywhere else in the
@@ -100,12 +104,12 @@ class LaurentPoly:
     True
     """
 
-    # A dense value keeps _lo, _step, _packed, _width and _bits: slot k
-    # holds the coefficient of v^(_lo + _step k), and every slot is below
-    # 2^_bits <= 2^(_width - 1) in absolute value.  A sparse value keeps
-    # _packed = None, _width = 0 and _terms.  _hash is filled in on first
-    # use.
-    __slots__ = ("_lo", "_step", "_packed", "_width", "_bits", "_terms", "_hash")
+    # A dense value keeps _lo, _step, _packed, _width, _bits and _n: slot
+    # k holds the coefficient of v^(_lo + _step k), every slot is below
+    # 2^_bits <= 2^(_width - 1) in absolute value, and at most _n slots
+    # are nonzero.  A sparse value keeps _packed = None, _width = 0 and
+    # _terms.  _hash is filled in on first use.
+    __slots__ = ("_lo", "_step", "_packed", "_width", "_bits", "_n", "_terms", "_hash")
 
     def __init__(self, terms: dict[int, int] | None = None):
         _store(self, {e: c for e, c in terms.items() if c} if terms else {})
@@ -113,7 +117,7 @@ class LaurentPoly:
     @classmethod
     def from_int(cls, c: int) -> "LaurentPoly":
         bits = c.bit_length()
-        return _dense(0, 0, c, _width_for(bits), bits) if c else ZERO
+        return _dense(0, 0, c, _width_for(bits), bits, 1) if c else ZERO
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "LaurentPoly":
@@ -128,18 +132,24 @@ class LaurentPoly:
         if packed is None:
             terms = self._terms
             return [(e, terms[e]) for e in sorted(terms)]
-        width, e, step = self._width, self._lo, self._step
-        if packed.bit_length() > _SHORT * width:
-            return [(e + step * k, c) for k, c in enumerate(_slots(self)) if c]
-        half, mask = _half_mask(width)
+        width, e, step, size = self._width, self._lo, self._step, packed.bit_length()
+        if size < width:
+            # one slot, which is the coefficient itself
+            return [(e, packed)] if packed else []
+        if size > _SHORT * width:
+            slots = _slots(self)
+            return list(filter(_coefficient, zip(range(e, e + step * len(slots), step), slots)))
+        # lifted by 2^(width-1) each, the slots are plain base-2^width
+        # digits, and the top one is positive
+        lifted = packed + _bias(width, size // width + 1)
+        mask = (1 << width) - 1
+        half = (mask >> 1) + 1
         out = []
-        while packed:
-            c = packed & mask
-            if c >= half:
-                c -= mask + 1
+        while lifted:
+            c = (lifted & mask) - half
             if c:
                 out.append((e, c))
-            packed = (packed - c) >> width
+            lifted >>= width
             e += step
         return out
 
@@ -159,6 +169,10 @@ class LaurentPoly:
                     return self._terms == other._terms
                 if self._step == other._step:
                     return self._packed == other._packed and self._lo == other._lo
+            if width and other._width:
+                # equal values share their lowest and highest exponents
+                if self._lo != other._lo or _top(self) != _top(other):
+                    return False
             return self.to_pairs() == other.to_pairs()
         if isinstance(other, int):
             return self == LaurentPoly.from_int(other)
@@ -182,7 +196,7 @@ class LaurentPoly:
     def __neg__(self) -> "LaurentPoly":
         if self._packed is None:
             return _sparse({e: -c for e, c in self._terms.items()})
-        return _dense(self._lo, self._step, -self._packed, self._width, self._bits)
+        return _dense(self._lo, self._step, -self._packed, self._width, self._bits, self._n)
 
     def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -208,30 +222,34 @@ class LaurentPoly:
             a, bits = self, self._bits + other.bit_length()
             if bits >= self._width:
                 a, _, bits = _fit(self, self, lambda x, _: x._bits + other.bit_length())
-            return _dense(a._lo, a._step, a._packed * other, a._width, bits)
+            return _dense(a._lo, a._step, a._packed * other, a._width, bits, a._n)
         pa, pb = self._packed, other._packed
         if pa is None or pb is None:
             return _double_loop(_terms_of(self), _terms_of(other))
         if not (pa and pb):
             return ZERO
         width, step = self._width, self._step
-        # a product coefficient sums at most min(slots) products of two
-        # coefficients below 2^_bits each
-        bits = self._bits + other._bits + (min(pa.bit_length(), pb.bit_length()) // width).bit_length()
+        # the top slots, and the terms in at most the product's span
+        ka, kb = pa.bit_length() // width, pb.bit_length() // other._width
+        n = min(self._n * other._n, ka + kb + 1)
+        # a product coefficient sums at most min(ka, kb) + 1 products of
+        # two coefficients below 2^_bits each
+        bits = self._bits + other._bits + min(ka, kb).bit_length()
         if step != other._step:
             if not step:
                 step = other._step
             elif other._step:
                 step = gcd(step, other._step)
-                na, nb = pa.bit_length() // width, pb.bit_length() // other._width
-                if (na * self._step + nb * other._step) // step >= _SPARSE * (na + nb + 2):
+                span = (ka * self._step + kb * other._step) // step + 1
+                n = min(self._n, ka + 1) * min(other._n, kb + 1)
+                if span > _SPARSE * n:
                     # too spread to pack on the common step
                     return _double_loop(_terms_of(self), _terms_of(other))
                 pa, pb = _spread(self, step), _spread(other, step)
         if bits >= width or width != other._width:
             a, b, bits = _fit(self, other, _product_bits)
             pa, pb, width = _spread(a, step), _spread(b, step), a._width
-        return _dense(self._lo + other._lo, step, pa * pb, width, bits)
+        return _dense(self._lo + other._lo, step, pa * pb, width, bits, n)
 
     __rmul__ = __mul__
 
@@ -241,31 +259,29 @@ class LaurentPoly:
             return self
         if self._packed is None:
             return _sparse({k + e: c for k, c in self._terms.items()})
-        return _dense(self._lo + e, self._step, self._packed, self._width, self._bits)
+        return _dense(self._lo + e, self._step, self._packed, self._width, self._bits, self._n)
 
     def bar(self) -> "LaurentPoly":
         """The involution sending v to v^-1."""
         packed = self._packed
         if packed is None:
             return _sparse({-e: c for e, c in self._terms.items()})
-        if not packed:
-            return self
-        width, step, top = self._width, self._step, self.max_exp()
-        if packed.bit_length() > _SHORT * width:
+        width, k = self._width, packed.bit_length() // self._width
+        if not k:
+            return _dense(-self._lo, 0, packed, width, self._bits, self._n)
+        if width == _WIDTH:
+            # with every slot lifted by 2^63 the slots are plain base-2^64
+            # digits: write them most significant first and swap the
+            # bytes within each slot, which reverses the slots alone
+            bias = _bias(width, k + 1)
+            raw = array("Q", (packed + bias).to_bytes(8 * (k + 1), "big"))
+            raw.byteswap()
+            packed = int.from_bytes(raw, "little") - bias
+        else:
             slots = _slots(self)
             slots.reverse()
-            return _dense(-top, step, _pack(slots, width), width, self._bits)
-        # read the slots from the bottom and push each onto the bottom of
-        # the reversed value
-        half, mask = _half_mask(width)
-        out = 0
-        while packed:
-            c = packed & mask
-            if c >= half:
-                c -= mask + 1
-            out = (out << width) + c
-            packed = (packed - c) >> width
-        return _dense(-top, step, out, width, self._bits)
+            packed = _pack(slots, width)
+        return _dense(-self._lo - self._step * k, self._step, packed, width, self._bits, self._n)
 
     def min_exp(self) -> int:
         if not self:
@@ -277,7 +293,7 @@ class LaurentPoly:
             raise DomainError("zero polynomial has no degree")
         if self._packed is None:
             return max(self._terms)
-        return self._lo + self._step * (self._packed.bit_length() // self._width)
+        return _top(self)
 
     def coeff(self, e: int) -> int:
         if self._packed is None:
@@ -291,7 +307,8 @@ class LaurentPoly:
             return 0
         # round the slots below k away, then read the lowest slot left
         rest = (self._packed + (1 << (width * k) >> 1)) >> (width * k)
-        half, mask = _half_mask(width)
+        mask = (1 << width) - 1
+        half = (mask >> 1) + 1
         return ((rest + half) & mask) - half
 
     def divexact(self, divisor: "LaurentPoly") -> "LaurentPoly":
@@ -334,17 +351,10 @@ class LaurentPoly:
         x = Fraction(x)
         if not x:
             raise DomainError("cannot evaluate a Laurent polynomial at 0")
-        pairs = self.to_pairs()
-        if not pairs:
-            return Fraction(0)
-        # Horner's rule on the numerator of x^-lo p(x) over the integers
-        lo, num, den = pairs[0][0], x.numerator, x.denominator
-        acc, top, scale = 0, pairs[-1][0], 1
-        for e, c in reversed(pairs):
-            acc = acc * num ** (top - e) + c * scale * den ** (top - e)
-            scale *= den ** (top - e)
-            top = e
-        return Fraction(acc, scale) * x**lo
+        total = Fraction(0)
+        for e, c in self.to_pairs():
+            total += c * x**e
+        return total
 
     def __repr__(self) -> str:
         return f"LaurentPoly({dict(self.to_pairs())!r})"
@@ -374,7 +384,8 @@ _SPARSE = 8
 # longer ones go through bytes.
 _SHORT = 16
 _WIDTH = 64
-_HALF, _MASK = 1 << 63, (1 << 64) - 1
+_MASK = (1 << 64) - 1
+_coefficient = operator.itemgetter(1)
 
 
 def _width_for(bits: int) -> int:
@@ -383,20 +394,23 @@ def _width_for(bits: int) -> int:
     return (bits // _WIDTH + 1) * _WIDTH
 
 
-def _half_mask(width: int) -> tuple[int, int]:
-    return (_HALF, _MASK) if width == _WIDTH else (1 << width >> 1, (1 << width) - 1)
+def _top(p: LaurentPoly) -> int:
+    # the highest exponent of a dense value (0 for zero)
+    return p._lo + p._step * (p._packed.bit_length() // p._width)
 
 
-def _dense(lo: int, step: int, packed: int, width: int, bits: int) -> LaurentPoly:
+def _dense(lo: int, step: int, packed: int, width: int, bits: int, n: int) -> LaurentPoly:
     # Trusted constructor: packed is nonzero in its lowest slot (or is
-    # zero with lo = 0), step is 0 only for a single slot, and every slot
-    # is below 2^bits <= 2^(width-1).
+    # zero with lo = 0), step is 0 only for a single slot, every slot is
+    # below 2^bits <= 2^(width-1), at most n slots are nonzero, and the
+    # slots span at most _SPARSE n.
     p = object.__new__(LaurentPoly)
     p._lo = lo
     p._step = step
     p._packed = packed
     p._width = width
     p._bits = bits
+    p._n = n
     return p
 
 
@@ -414,28 +428,25 @@ def _store(p: LaurentPoly, terms: dict[int, int]) -> LaurentPoly:
     """Fill p with the value of terms, which holds no zeros: packed on
     the exponents' common step when that spans at most _SPARSE slots per
     term, else as the dict itself."""
-    if len(terms) == 1:
-        [(lo, packed)] = terms.items()
-        step, bits = 0, packed.bit_length()
-        width = _WIDTH if bits < _WIDTH else _width_for(bits)
-    elif terms:
+    n = len(terms)
+    if n > 1:
         lo = min(terms)
         step = gcd(*[e - lo for e in terms])
         span = (max(terms) - lo) // step + 1
-        if span > _SPARSE * len(terms):
+        if span > _SPARSE * n:
             p._packed, p._width, p._terms = None, 0, terms
             return p
         bits = max(map(abs, terms.values())).bit_length()
-        width = _WIDTH if bits < _WIDTH else _width_for(bits)
-        if span <= _SHORT:
-            packed = 0
-            for e, c in terms.items():
-                packed += c << (width * ((e - lo) // step))
-        else:
-            slots = [0] * span
-            for e, c in terms.items():
-                slots[(e - lo) // step] = c
-            packed = _pack(slots, width)
+        width = _width_for(bits)
+        slots = [0] * span
+        for e, c in terms.items():
+            slots[(e - lo) // step] = c
+        packed = _pack(slots, width)
+    elif n:
+        # one slot holds the coefficient itself
+        [(lo, packed)] = terms.items()
+        step, bits = 0, packed.bit_length()
+        width = _width_for(bits)
     else:
         lo = step = packed = bits = 0
         width = _WIDTH
@@ -444,11 +455,18 @@ def _store(p: LaurentPoly, terms: dict[int, int]) -> LaurentPoly:
     p._packed = packed
     p._width = width
     p._bits = bits
+    p._n = n
     return p
+
+
+# 2^63 in each of n 64-bit slots, for the short values read back most
+_BIAS64 = [((1 << _WIDTH * n) - 1) // _MASK << (_WIDTH - 1) for n in range(4 * _SHORT)]
 
 
 def _bias(width: int, n: int) -> int:
     # 2^(width-1) in each of n slots
+    if width == _WIDTH and n < len(_BIAS64):
+        return _BIAS64[n]
     return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * n, "little")
 
 
@@ -492,9 +510,23 @@ def _slots(p: LaurentPoly):
 
 def _spread(p: LaurentPoly, step: int) -> int:
     """The packed slots of p laid out on a step that divides its own."""
-    if p._step == step or p._packed.bit_length() < p._width:
-        return p._packed
-    slots, by = _slots(p), p._step // step
+    packed, width = p._packed, p._width
+    if p._step == step or packed.bit_length() < width:
+        return packed
+    by = p._step // step
+    if packed.bit_length() <= _SHORT * width:
+        # lift the slots to plain digits and put each one back, by slots
+        # apart
+        lifted = packed + _bias(width, packed.bit_length() // width + 1)
+        mask = (1 << width) - 1
+        half, gap = (mask >> 1) + 1, width * by
+        packed = shift = 0
+        while lifted:
+            packed += ((lifted & mask) - half) << shift
+            lifted >>= width
+            shift += gap
+        return packed
+    slots = _slots(p)
     size = by * (len(slots) - 1) + 1
     out = array("q", bytes(8 * size)) if p._width == _WIDTH else [0] * size
     out[::by] = slots
@@ -533,7 +565,7 @@ def _fit(a: LaurentPoly, b: LaurentPoly, bound) -> tuple[LaurentPoly, LaurentPol
 def _rewidth(p: LaurentPoly, width: int) -> LaurentPoly:
     if p._width == width or not p._packed:
         return p
-    return _dense(p._lo, p._step, _pack(_slots(p), width), width, p._bits)
+    return _dense(p._lo, p._step, _pack(_slots(p), width), width, p._bits, p._n)
 
 
 def _sum(a: LaurentPoly, b: LaurentPoly, op) -> LaurentPoly:
@@ -552,16 +584,20 @@ def _sum(a: LaurentPoly, b: LaurentPoly, op) -> LaurentPoly:
     if bits >= width or width != b._width:
         a, b, bits = _fit(a, b, lambda x, y: max(x._bits, y._bits) + 1)
         pa, pb, width = a._packed, b._packed, a._width
-    lo, d, step = a._lo, b._lo - a._lo, a._step
-    restep = step != b._step or (d % step if step else d)
-    if restep:
-        # the common step of both exponent sets
-        step = gcd(step, b._step, d)
-    if restep or step and (d >= _SPARSE * step or d <= -_SPARSE * step):
-        # the sum's span in slots of the common step, against its terms
+    lo, d, step, n, spread = a._lo, b._lo - a._lo, a._step, a._n + b._n, False
+    if b._step != step or (d % step if step else d):
+        # the common step of both exponent sets; a single slot has step 0
+        # and lies on any step
+        common = gcd(step, b._step, d)
+        spread = step and step != common or b._step and b._step != common
+        step = common
+    # on their own steps and less than _SPARSE slots apart, the sum spans
+    # at most _SPARSE n slots if its operands do; otherwise check its span
+    if spread or step and (d >= _SPARSE * step or d <= -_SPARSE * step):
         na, nb = pa.bit_length() // width, pb.bit_length() // width
         top_a, top_b, dd = na * a._step // step, nb * b._step // step, d // step
-        if max(top_a, dd + top_b) - min(0, dd) >= _SPARSE * (na + nb + 2):
+        n = min(a._n, na + 1) + min(b._n, nb + 1)
+        if max(top_a, dd + top_b) - min(0, dd) >= _SPARSE * n:
             return _term_sum(_terms_of(a), _terms_of(b), op)
         if na and a._step != step:
             pa = _spread(a, step)
@@ -576,13 +612,15 @@ def _sum(a: LaurentPoly, b: LaurentPoly, op) -> LaurentPoly:
             k = ((packed & -packed).bit_length() - 1) // width
             packed >>= width * k
             lo += k * step
-        if packed.bit_length() < width:
-            step = 0
-        return _dense(lo, step, packed, width, bits)
-    d //= step
-    if d > 0:
-        return _dense(lo, step, op(pa, pb << (width * d)), width, bits)
-    return _dense(lo + d * step, step, op(pa << (width * -d), pb), width, bits)
+    elif d > 0:
+        packed = op(pa, pb << (width * (d // step)))
+    else:
+        packed = op(pa << (width * (-d // step)), pb)
+        lo += d
+    if packed.bit_length() < width:
+        # one slot is left, which has no step
+        step = 0
+    return _dense(lo, step, packed, width, bits, n)
 
 
 def _term_sum(a: dict[int, int], b: dict[int, int], op) -> LaurentPoly:
@@ -610,22 +648,22 @@ def _double_loop(a: dict[int, int], b: dict[int, int]) -> LaurentPoly:
     return _store(object.__new__(LaurentPoly), terms)
 
 
-ZERO = _dense(0, 0, 0, _WIDTH, 0)
-ONE = _dense(0, 0, 1, _WIDTH, 1)
-V = _dense(1, 0, 1, _WIDTH, 1)
-VINV = _dense(-1, 0, 1, _WIDTH, 1)
+ZERO = _dense(0, 0, 0, _WIDTH, 0, 0)
+ONE = _dense(0, 0, 1, _WIDTH, 1, 1)
+V = _dense(1, 0, 1, _WIDTH, 1, 1)
+VINV = _dense(-1, 0, 1, _WIDTH, 1, 1)
 
 
 def v_power(e: int) -> LaurentPoly:
     """The monomial v^e."""
-    return _dense(e, 0, 1, _WIDTH, 1)
+    return _dense(e, 0, 1, _WIDTH, 1, 1)
 
 
 def _every_other(lo: int, coeffs: list[int]) -> LaurentPoly:
     """sum of coeffs[j] v^(lo + 2 j), for nonzero end coefficients."""
     bits = max(map(abs, coeffs)).bit_length()
     width = _width_for(bits)
-    return _dense(lo, 2 if len(coeffs) > 1 else 0, _pack(coeffs, width), width, bits)
+    return _dense(lo, 2 if len(coeffs) > 1 else 0, _pack(coeffs, width), width, bits, len(coeffs))
 
 
 @cache

@@ -144,6 +144,15 @@ def test_unit_and_monomial_products_leave_their_operands_alone(k):
     assert ONE.to_pairs() == [(0, 1)] and hash(ONE) == hash(LaurentPoly({0: 1}))
 
 
+def assert_layout(p):
+    """A packed value has at most _n terms and spans at most 8 slots per
+    term of that bound."""
+    if p._packed:
+        terms = len(p.to_pairs())
+        span = (p.max_exp() - p.min_exp()) // (p._step or 1) + 1
+        assert terms <= p._n and span <= 8 * p._n, (terms, span, p._n)
+
+
 def _gapped(n, span, first=0, scale=1):
     # n terms on one step from first to first + span - 1: a run of n - 1
     # and one term at the far end
@@ -158,10 +167,14 @@ def test_products_at_the_packing_threshold(m, n):
     # on the threshold, q one slot past it
     p, q = _gapped(m, 8 * m, -9, -3), _gapped(n, 8 * n + 1, -4, 5)
     assert p._packed is not None and q._packed is None
-    for x, y in ((p, p), (p, q), (q, p), (q, q)):
+    # runs on steps 2 and 3, which a product lays out on step 1 first
+    r, s = _run(m, -9, 2, -3), _run(n, -4, 3, 5)
+    for x, y in ((p, p), (p, q), (q, p), (q, q), (r, s), (s, r), (p, s)):
         assert (x * y).to_pairs() == schoolbook(x, y)
         assert (x + y).to_pairs() == reference_sum(x, y, 1)
-    assert (p * p)._packed is not None
+        assert_layout(x * y)
+        assert_layout(x + y)
+    assert (p * p)._packed is not None and (r * s)._packed is not None
 
 
 def test_packed_product_with_negative_exponents():
@@ -239,6 +252,26 @@ def test_sums_that_would_spread_fall_back_to_the_term_dict():
     assert far._packed is None and far.to_pairs() == [(0, 1), (1, 2), (2, 3), (10**9, 1)]
     assert (far - v_power(10**9))._packed is not None
     assert (far - v_power(10**9)) == _run(3)
+
+
+def test_far_apart_operands_do_not_spread_a_packed_value():
+    # each monomial lands just inside 8 slots per slot of the sum so far,
+    # so a bound by slots would let the span grow 8-fold per term (about
+    # 5 * 10^7 slots at ten terms); the bound by terms packs three terms
+    # at most
+    p, top, want = ONE + V, 1, [(0, 1), (1, 1)]
+    for k in range(9):
+        top = 8 * top + 15
+        p, want = p + v_power(top), want + [(top, 1)]
+        assert p.to_pairs() == want
+        assert_layout(p)
+        assert (p._packed is not None) == (k == 0)
+    assert (p * p).to_pairs() == schoolbook(p, p)
+    # three terms over 24 slots on steps 2 and 3 pack; their product on
+    # step 1 would span 116 slots for at most 9 terms, so it does not
+    x, y = LaurentPoly({0: 1, 2: 1, 46: 1}), LaurentPoly({0: 1, 3: 1, 69: 1})
+    assert x._packed is not None and y._packed is not None
+    assert (x * y)._packed is None and (x * y).to_pairs() == schoolbook(x, y)
 
 
 def test_long_product_is_fast():
@@ -429,6 +462,8 @@ def test_kernel_operations_match_the_reference(p, q, c, e):
     assert (-p).to_pairs() == [(x, -y) for x, y in pairs]
     assert p.shift(e).to_pairs() == [(x + e, y) for x, y in pairs]
     assert p.bar().to_pairs() == sorted((-x, y) for x, y in pairs)
+    for r in (p, p + q, p - q, p * q, p * c, p.bar()):
+        assert_layout(r)
     for x, y in pairs[:3] + pairs[-3:]:
         assert p.coeff(x) == y and p.coeff(x + 10**7) == 0
     if pairs:
@@ -482,6 +517,13 @@ def test_dense_and_sparse_forms_of_one_value_are_equal():
     assert dense._packed is not None and sparse._packed is None
     assert dense == sparse and sparse == dense and hash(dense) == hash(sparse)
     assert dense - sparse == ZERO and (dense - sparse).is_zero()
+
+
+def test_a_sum_that_leaves_one_slot_keeps_no_step():
+    # all but one slot cancel, from above and from below: the value left
+    # is a monomial like ONE, so == stays one integer comparison
+    for z in ((ONE + v_power(2)) - v_power(2), v_power(2) - (v_power(2) - ONE)):
+        assert z._step == ONE._step == 0 and z == ONE and z.to_pairs() == [(0, 1)]
 
 
 def test_central_binomial_of_100_is_exact():
