@@ -38,24 +38,32 @@ by grouping its words by their matrix relative to the column blocks;
 each group must be a complete orbit carrying one coefficient, and any
 mismatch raises ConsistencyError rather than returning silently wrong
 data.
+
+What depends on one shape alone comes from bounded, read-only tables,
+each an lru_cache keyed by one matrix or one count vector, never by a
+pair: the arrangements of a count vector, the double-coset words of a
+matrix (a's image, b's support, and the orbit that each group of the
+result is checked against), the walk for a right factor b, and
+`norm_exponent`.  A pair still pays for its validation, one generator
+step per node of the walk, the sum over the support, the grouping and
+the check of every group.  No result is cached.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from itertools import chain, product
-from math import factorial, prod
+from operator import gt
 from types import MappingProxyType
 
 from .errors import ConsistencyError, DimensionMismatch, DomainError, ResourceLimit
-from .laurent import ONE, LaurentPoly, v_power
+from .laurent import ONE, LaurentPoly
 from .matrices import Matrix, co, entry_sum, is_nonnegative, ro
 from .permutations import (
     Permutation,
     all_permutations,
     block_ranges,
     inverse,
-    mult_gen_right,
     young_subgroup,
 )
 from .vectors import IntVector
@@ -77,39 +85,49 @@ HeckeElt = dict[Word, LaurentPoly]
 
 DEFAULT_ORACLE_CAP = 6
 
+# The size of each table kept per shape (a matrix or a count vector).
+_MATRICES = 1 << 10
+
 
 def hecke_add_into(acc: HeckeElt, h: HeckeElt) -> None:
     """acc += h, dropping cancelled terms."""
     for w, y in h.items():
         s = acc.get(w)
-        s = y if s is None else s + y
-        if s.is_zero():
-            acc.pop(w, None)
+        if s is None:
+            acc[w] = y
         else:
-            acc[w] = s
+            s = s + y
+            if s:
+                acc[w] = s
+            else:
+                del acc[w]
 
 
 def right_mult_gen(h: HeckeElt, i: int) -> HeckeElt:
-    """h * T_i in one pass over the weight words."""
+    """h * T_i in one pass over the weight words.
+
+    A word w ascending at i and its swap u = w s_i pair up: x w T_i = x u
+    and x u T_i = (q - 1) x u + q x w, so each word of the result is
+    written once, by the descent of its pair when h holds it.
+    """
     out: HeckeElt = {}
-
-    def put(w: Word, c: LaurentPoly) -> None:
-        s = out.get(w)
-        s = c if s is None else s + c
-        if s.is_zero():
-            out.pop(w, None)
-        else:
-            out[w] = s
-
     for w, c in h.items():
-        if w[i] < w[i + 1]:
-            put(mult_gen_right(w, i), c)
-        elif w[i] == w[i + 1]:
-            put(w, c.shift(2))
-        else:
+        x, y = w[i], w[i + 1]
+        if x == y:
+            out[w] = c.shift(2)
+            continue
+        u = w[:i] + (y, x) + w[i + 2 :]
+        if x > y:
             qc = c.shift(2)
-            put(w, qc - c)
-            put(mult_gen_right(w, i), qc)
+            out[u] = qc
+            s = qc - c
+            a = h.get(u)
+            if a is not None:
+                s = s + a
+            if s:
+                out[w] = s
+        elif u not in h:
+            out[u] = c
     return out
 
 
@@ -139,6 +157,7 @@ def distinguished_reps(lam: IntVector, mu: IntVector) -> tuple[Permutation, ...]
     )
 
 
+@lru_cache(maxsize=_MATRICES)
 def norm_exponent(a: Matrix) -> int:
     """Exponent of the v-power relating the coset basis to the
     normalized basis: pairs of entries with (i, j) weakly below and
@@ -153,24 +172,58 @@ def norm_exponent(a: Matrix) -> int:
     return total
 
 
-def _arrangements(counts: tuple[int, ...]) -> list[Word]:
+@lru_cache(maxsize=_MATRICES)
+def _arrangements(counts: tuple[int, ...]) -> tuple[Word, ...]:
     """Every distinct word with counts[k] letters k."""
     if not any(counts):
-        return [()]
+        return ((),)
     out: list[Word] = []
     for k, c in enumerate(counts):
         if c:
             rest = counts[:k] + (c - 1,) + counts[k + 1 :]
             out += [(k, *w) for w in _arrangements(rest)]
-    return out
+    return tuple(out)
 
 
-def _double_coset_words(a: Matrix) -> list[Word]:
+@lru_cache(maxsize=_MATRICES)
+def _double_coset_words(a: Matrix) -> tuple[Word, ...]:
     """The right cosets in the double coset of a as weight-ro(a) words:
     on column block l, every arrangement of a[k][l] letters k."""
     n = len(a)
     columns = [_arrangements(tuple(row[l] for row in a)) for l in range(n)]
-    return [tuple(chain.from_iterable(parts)) for parts in product(*columns)]
+    return tuple(tuple(chain.from_iterable(parts)) for parts in product(*columns))
+
+
+@lru_cache(maxsize=_MATRICES)
+def _walk(b: Matrix) -> tuple[bool, int, tuple[tuple[int, int, bool], ...]]:
+    """The tree walk for a right factor b, over the ancestors of its
+    support `_double_coset_words(b)`: whether the root (the sorted word)
+    is in the support, the deepest level, and every other node in depth
+    first order as (level, j, whether it is in the support), where the
+    node is its parent times T_j and its parent is the last node before
+    it one level up."""
+    support = _double_coset_words(b)
+    root = tuple(sorted(support[0]))
+    children: dict[Word, list[tuple[Word, int]]] = {}
+    seen = {root}
+    for u in support:
+        while u not in seen:
+            seen.add(u)
+            # the parent swaps the leftmost descent j
+            j = list(map(gt, u, u[1:])).index(True)
+            parent = u[:j] + (u[j + 1], u[j]) + u[j + 2 :]
+            children.setdefault(parent, []).append((u, j))
+            u = parent
+    in_support = frozenset(support)
+    steps = []
+    stack = [(root, 0, 0)]
+    while stack:
+        u, level, j = stack.pop()
+        if level:
+            steps.append((level, j, u in in_support))
+        for child, i in children.get(u, ()):
+            stack.append((child, level + 1, i))
+    return root in in_support, max((s[0] for s in steps), default=0), tuple(steps)
 
 
 def _double_coset_coeffs(z: HeckeElt, mu: IntVector) -> dict[Matrix, LaurentPoly]:
@@ -178,26 +231,29 @@ def _double_coset_coeffs(z: HeckeElt, mu: IntVector) -> dict[Matrix, LaurentPoly
     coefficient per matrix: a word's matrix counts its letters k on
     mu-block l.
 
-    The expansion is verified by reconstruction: each class of words
-    must be a complete orbit, with prod_l mu_l! / prod_k m[k][l]!
-    members for its matrix m, and carry one coefficient.
+    The expansion is verified by reconstruction: the words of each
+    matrix m in z must be its whole orbit `_double_coset_words(m)`, with
+    prod_l mu_l! / prod_k m[k][l]! members, and carry one coefficient.
     """
     n = len(mu)
-    blocks = block_ranges(mu)
-    groups: dict[Matrix, list[LaurentPoly]] = {}
-    for u, c in z.items():
+    columns = [l for l, part in enumerate(mu) for _ in range(part)]
+    rest = dict(z)
+    out: dict[Matrix, LaurentPoly] = {}
+    while rest:
+        u, c = rest.popitem()
         rows = [[0] * n for _ in range(n)]
-        for l, blk in enumerate(blocks):
-            for p in blk:
-                rows[u[p]][l] += 1
-        groups.setdefault(tuple(tuple(row) for row in rows), []).append(c)
-    for m, cs in groups.items():
-        size = prod(
-            factorial(mu[l]) // prod(factorial(row[l]) for row in m) for l in range(n)
-        )
-        if len(cs) != size or any(c != cs[0] for c in cs[1:]):
-            raise ConsistencyError("element is not a combination of the expected coset sums")
-    return {m: cs[0] for m, cs in groups.items()}
+        for k, l in zip(u, columns):
+            rows[k][l] += 1
+        m = tuple(map(tuple, rows))
+        for w in _double_coset_words(m):
+            if w != u:
+                d = rest.pop(w, None)
+                if d is None or d != c:
+                    raise ConsistencyError(
+                        "element is not a combination of the expected coset sums"
+                    )
+        out[m] = c
+    return out
 
 
 def oracle_product(a: Matrix, b: Matrix, cap: int = DEFAULT_ORACLE_CAP) -> dict[Matrix, LaurentPoly]:
@@ -220,42 +276,22 @@ def oracle_product(a: Matrix, b: Matrix, cap: int = DEFAULT_ORACLE_CAP) -> dict[
     if r > cap:
         raise ResourceLimit(f"degree {r} exceeds the oracle cap {cap}")
 
-    # Image of the generator x_{co(b)} under the right endomorphism: the
-    # sum of x_{ro(b)} T_d over the right cosets in b's double coset.
-    support = _double_coset_words(b)
-
-    # Apply the left endomorphism: x_{ro(b)} h |-> (a's double coset sum) h.
-    # With j the leftmost descent of a word, the parent word swaps j and
-    # j+1, and T_d = T_{d s_j} T_j, so each product is one generator step
-    # from its parent's.  The walk is depth first over the ancestors of
-    # the support only, and a product is computed when its node is
-    # popped, so only about one root path of products is held at a time.
-    root = tuple(sorted(support[0]))
-    children: dict[Word, list[tuple[Word, int]]] = {}
-    seen = {root}
-    for u in support:
-        while u not in seen:
-            seen.add(u)
-            j = next(j for j in range(r - 1) if u[j] > u[j + 1])
-            parent = mult_gen_right(u, j)
-            children.setdefault(parent, []).append((u, j))
-            u = parent
-    in_support = set(support)
-    z: HeckeElt = {}
-    image_of_x = {w: ONE for w in _double_coset_words(a)}
-    stack: list[tuple[Word, HeckeElt, int | None]] = [(root, image_of_x, None)]
-    while stack:
-        u, h, j = stack.pop()
-        if j is not None:
-            h = right_mult_gen(h, j)
-        if u in in_support:
+    # The right endomorphism sends the generator x_{co(b)} to the sum of
+    # x_{ro(b)} T_d over b's support words, and the left one sends
+    # x_{ro(b)} h to (a's double coset sum) h.  The walk reaches each
+    # product with T_d from its parent's in one generator step, and
+    # holds only the products on the path from the root to its node.
+    keep_root, depth, steps = _walk(b)
+    image_of_x = dict.fromkeys(_double_coset_words(a), ONE)
+    z: HeckeElt = dict(image_of_x) if keep_root else {}
+    path = [image_of_x] * (depth + 1)
+    for level, j, keep in steps:
+        h = path[level] = right_mult_gen(path[level - 1], j)
+        if keep:
             hecke_add_into(z, h)
-        stack.extend((child, h, i) for child, i in children.get(u, ()))
 
     shift = -norm_exponent(a) - norm_exponent(b)
-    out: dict[Matrix, LaurentPoly] = {}
-    for m, g in _double_coset_coeffs(z, co(b)).items():
-        coeff = g * v_power(shift + norm_exponent(m))
-        if not coeff.is_zero():
-            out[m] = coeff
-    return out
+    return {
+        m: g.shift(shift + norm_exponent(m))
+        for m, g in _double_coset_coeffs(z, co(b)).items()
+    }

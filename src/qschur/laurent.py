@@ -429,19 +429,28 @@ def _store(p: LaurentPoly, terms: dict[int, int]) -> LaurentPoly:
     the exponents' common step when that spans at most _SPARSE slots per
     term, else as the dict itself."""
     n = len(terms)
-    if n > 1:
-        lo = min(terms)
-        step = gcd(*[e - lo for e in terms])
-        span = (max(terms) - lo) // step + 1
-        if span > _SPARSE * n:
+    if n > 3:
+        return _store_slots(p, terms)
+    # two or three terms are laid out as _store_slots would, with no
+    # slot list
+    if n == 3:
+        (lo, c0), (e1, c1), (e2, c2) = sorted(terms.items())
+        step = gcd(e1 - lo, e2 - lo)
+        k2 = (e2 - lo) // step
+        if k2 >= _SPARSE * 3:
             p._packed, p._width, p._terms = None, 0, terms
             return p
-        bits = max(map(abs, terms.values())).bit_length()
+        bits = max(abs(c0), abs(c1), abs(c2)).bit_length()
         width = _width_for(bits)
-        slots = [0] * span
-        for e, c in terms.items():
-            slots[(e - lo) // step] = c
-        packed = _pack(slots, width)
+        packed = (c2 << width * k2) + (c1 << width * ((e1 - lo) // step)) + c0
+    elif n == 2:
+        (lo, c0), (e1, c1) = terms.items()
+        if e1 < lo:
+            lo, c0, e1, c1 = e1, c1, lo, c0
+        step = e1 - lo
+        bits = max(abs(c0), abs(c1)).bit_length()
+        width = _width_for(bits)
+        packed = (c1 << width) + c0
     elif n:
         # one slot holds the coefficient itself
         [(lo, packed)] = terms.items()
@@ -453,6 +462,29 @@ def _store(p: LaurentPoly, terms: dict[int, int]) -> LaurentPoly:
     p._lo = lo
     p._step = step
     p._packed = packed
+    p._width = width
+    p._bits = bits
+    p._n = n
+    return p
+
+
+def _store_slots(p: LaurentPoly, terms: dict[int, int]) -> LaurentPoly:
+    """`_store` for two or more terms, through a slot list."""
+    n = len(terms)
+    lo = min(terms)
+    step = gcd(*[e - lo for e in terms])
+    span = (max(terms) - lo) // step + 1
+    if span > _SPARSE * n:
+        p._packed, p._width, p._terms = None, 0, terms
+        return p
+    bits = max(map(abs, terms.values())).bit_length()
+    width = _width_for(bits)
+    slots = [0] * span
+    for e, c in terms.items():
+        slots[(e - lo) // step] = c
+    p._lo = lo
+    p._step = step
+    p._packed = _pack(slots, width)
     p._width = width
     p._bits = bits
     p._n = n
@@ -819,14 +851,17 @@ def vector_binomial(mu: tuple[int, ...], lam: tuple[int, ...]) -> LaurentPoly:
     """
     if len(mu) != len(lam):
         raise DimensionMismatch("vector lengths differ")
-    out = ONE
+    out = None
     for m, t in zip(mu, lam):
         if t < 0:
             raise DomainError("binomial with negative lower index")
-        out = out * balanced_binomial(m, t)
-        if out.is_zero():
-            return ZERO
-    return out
+        if t:
+            # [m choose 0] = 1 is left out of the product
+            x = balanced_binomial(m, t)
+            out = x if out is None else out * x
+            if out.is_zero():
+                return ZERO
+    return ONE if out is None else out
 
 
 def vector_trinomial(

@@ -244,7 +244,15 @@ class TruncatedElement:
         mult = _ENGINES.get(engine)
         if mult is None:
             raise DomainError(f"unknown engine {engine!r}: use 'fast' or 'oracle'")
-        return self._zip(other, lambda a, b: mult(a, b, cap))
+
+        def product(a: SchurElement, b: SchurElement) -> SchurElement:
+            if a.terms and b.terms:
+                return mult(a, b, cap)
+            # a degree with an empty side has the empty product
+            a._check(b)
+            return b if a.terms else a
+
+        return self._zip(other, product)
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)

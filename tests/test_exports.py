@@ -146,10 +146,10 @@ SOURCES = sorted(
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
-    """Names bound by module-level imports that the module never reads;
-    a name listed in `__all__` counts as read."""
+    """Names bound by imports, at module level or inside a function, that
+    the file never reads; a name listed in `__all__` counts as read."""
     bound = []
-    for node in tree.body:
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             bound += [a.asname or a.name.split(".")[0] for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
@@ -172,6 +172,8 @@ def test_the_import_walk_sees_every_tree():
     names = {str(p.relative_to(ROOT)) for p in SOURCES}
     assert {"src/qschur/schur.py", "tests/test_exports.py", "scripts/depth_study.py"} <= names
     assert _unused_imports(ast.parse("import a.b\nfrom c import d as e\n__all__ = ['e']")) == ["a"]
+    nested = "def f():\n    import os\n    from sys import argv\n    return argv\n"
+    assert _unused_imports(ast.parse(nested)) == ["os"]
 
 
 def _foreign_imports(tree: ast.AST) -> list[str]:

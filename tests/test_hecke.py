@@ -286,8 +286,8 @@ def positive_compositions(r):
 def test_double_coset_sum_extreme_cases():
     # at lam = mu = (r) the double coset is all of S_r, one right coset
     # with the sorted word; at (1,..,1) a point, the identity
-    assert hecke._double_coset_words(((3,),)) == [(0, 0, 0)]
-    assert hecke._double_coset_words(((1, 0, 0), (0, 1, 0), (0, 0, 1))) == [(0, 1, 2)]
+    assert hecke._double_coset_words(((3,),)) == ((0, 0, 0),)
+    assert hecke._double_coset_words(((1, 0, 0), (0, 1, 0), (0, 0, 1))) == ((0, 1, 2),)
     # in general the words are the right cosets of the all-pairs double coset
     for n in (2, 3):
         for r in range(5):
@@ -410,6 +410,25 @@ def test_coset_rewrites_check_their_reconstruction():
     for bad in ({(0, 1, 0): ONE}, {(0, 1, 0): ONE, (1, 0, 0): v_power(1)}):
         with pytest.raises(ConsistencyError):
             read(bad, mu)
+
+
+def test_coset_rewrites_check_their_reconstruction_with_warm_tables():
+    # the same checks after a product has filled the tables of its shapes
+    read = hecke._double_coset_coeffs
+    a, b = ((3, 0), (1, 3)), ((2, 2), (2, 1))
+    got = oracle_product(a, b, 7)
+    mu = co(b)
+    m = max(got, key=lambda m: len(hecke._double_coset_words(m)))
+    before = hecke._double_coset_words.cache_info()
+    orbit = hecke._double_coset_words(m)
+    assert hecke._double_coset_words.cache_info().hits == before.hits + 1
+    assert len(orbit) > 2 and co(m) == mu
+    c = got[m]
+    assert read(dict.fromkeys(orbit, c), mu) == {m: c}
+    for bad in (dict.fromkeys(orbit[1:], c), {**dict.fromkeys(orbit, c), orbit[-1]: c.shift(1)}):
+        with pytest.raises(ConsistencyError):
+            read(bad, mu)
+    assert oracle_product(a, b, 7) == got
 
 
 def transposed_product(a, b, cap):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from qschur import laurent
 from qschur.errors import DomainError, ExactDivisionError
 from qschur.laurent import (
     LaurentPoly,
@@ -468,6 +469,33 @@ def test_kernel_operations_match_the_reference(p, q, c, e):
         assert p.coeff(x) == y and p.coeff(x + 10**7) == 0
     if pairs:
         assert (p.min_exp(), p.max_exp()) == (pairs[0][0], pairs[-1][0])
+    # two- and three-term dicts skip the slot list and keep its layout
+    for k in (2, 3):
+        for short in (dict(pairs[:k]), dict(pairs[-k:]), dict(pairs[::2][:k])):
+            if len(short) == k:
+                assert stored(laurent._store, short) == stored(laurent._store_slots, short)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {0: 1, 1: 2, 23: 3},  # 24 slots: packed
+        {0: 1, 1: 2, 24: 3},  # 25 slots for 3 terms: the term dict
+        {-4: 5, 2: -1, 8: 2**70},  # step 6, wide slots
+        {3: -(2**63), 10**9: 1},  # two terms pack whatever their gap
+        {7: 1, -5: -2, 1: 3},  # unsorted, step 6
+    ],
+)
+def test_short_dicts_keep_the_slot_layout(terms):
+    assert stored(laurent._store, terms) == stored(laurent._store_slots, terms)
+    assert LaurentPoly(terms).to_pairs() == sorted(terms.items())
+
+
+def stored(store, terms):
+    p = store(object.__new__(LaurentPoly), dict(terms))
+    if p._packed is None:
+        return p._terms
+    return p._lo, p._step, p._packed, p._width, p._bits, p._n
 
 
 @given(kernel_polys(), kernel_polys(), st.sampled_from((2, -3, Fraction(2, 3), Fraction(-5, 4))))

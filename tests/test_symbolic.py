@@ -30,7 +30,7 @@ from qschur.matrices import (
     theta_pm,
     zero_matrix,
 )
-from qschur.schur import diag_sum
+from qschur.schur import SchurElement, diag_sum
 from qschur.vectors import boxes, compositions, dot, is_natural, vadd, vsub
 from qschur.symbolic import (
     SymbolicElement,
@@ -685,3 +685,25 @@ def test_unknown_engine_is_rejected():
     with pytest.raises(DomainError, match="'fast' or 'oracle'"):
         x.multiply(x, engine="fats")
     assert x.multiply(x, engine="fast") == x.multiply(x, engine="oracle")
+
+
+@pytest.mark.parametrize("engine", ["fast", "oracle"])
+def test_truncated_products_skip_empty_degrees_but_check_headers(engine, monkeypatch):
+    # E realized through degree 2 is empty in degree 0; E times the
+    # unit multiplies only the nonempty degrees and keeps the empty one
+    x = SymbolicElement.gen(((0, 1), (0, 0)), (0, 0), (0, 0)).realize_truncated(2)
+    unit = TruncatedElement.unit(2, 2)
+    assert not x.components[0].terms and x.components[1].terms
+    calls = []
+    mult = symbolic._ENGINES[engine]
+    monkeypatch.setitem(
+        symbolic._ENGINES, engine, lambda a, b, cap: calls.append(a.r) or mult(a, b, cap)
+    )
+    assert x.multiply(unit, engine=engine) == x == unit.multiply(x, engine=engine)
+    assert calls == [1, 2, 1, 2]
+    # an empty component of the wrong degree is still a mismatch, on
+    # either side and whether or not the other side is empty
+    wrong = TruncatedElement(2, 2, (SchurElement(2, 1), *x.components[1:]))
+    for left, right in ((wrong, unit), (unit, wrong), (wrong, x), (x, wrong)):
+        with pytest.raises(DimensionMismatch):
+            left.multiply(right, engine=engine)
