@@ -112,12 +112,12 @@ def right_mult_gen(h: HeckeElt, i: int) -> HeckeElt:
     """
     out: HeckeElt = {}
     for w, c in h.items():
-        x, y = w[i], w[i + 1]
-        if x == y:
+        k, l = w[i], w[i + 1]
+        if k == l:
             out[w] = c.shift(2)
             continue
-        u = w[:i] + (y, x) + w[i + 2 :]
-        if x > y:
+        u = w[:i] + (l, k) + w[i + 2 :]
+        if k > l:
             qc = c.shift(2)
             out[u] = qc
             s = qc - c
