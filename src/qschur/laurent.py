@@ -1,27 +1,29 @@
 """Exact Laurent polynomials in one variable v over the integers.
 
-A polynomial is stored packed: its lowest exponent, the common step of
-its exponents, and one big integer that holds its coefficients in
-signed slots, sum c_k 2^(w k) for the coefficient c_k of
-v^(lowest + step k).  The slot width w is 64 bits, or the next multiple
-of 64 when a coefficient needs it, and each value keeps a sound bound on
-the bits of its coefficients.  Sums, differences, products (Kronecker
+A polynomial is stored packed: its lowest exponent and one big integer
+that holds its coefficients in signed slots, sum c_k 2^(w k) for the
+coefficient c_k of v^(lowest + k), one slot per exponent from the lowest
+to the highest.  The slot width w is 64 bits, or the next multiple of 64
+when a coefficient needs it, and each value keeps a sound bound on the
+bits of its coefficients.  Sums, differences, products (Kronecker
 substitution), scaling and equality are then one big-integer operation
 each, and a shift only moves the lowest exponent.  When an operation's
 bound would overflow its slots, the bound is first tightened by reading
 the slots back, and the operands are widened only if the result still
-does not fit, so values are exact at any size.  Operands on different
-steps are laid out on their common step first.
+does not fit, so values are exact at any size.  Equal packed values of
+one width are the same integer at the same lowest exponent.
 
 Each value also keeps a bound on its number of terms: exact for a value
 built from a dict, the sum of the operands' bounds for a sum or a
 difference, and their product (at most the span) for a product.  A
-packed value spans at most 8 slots per term of its bound.  A dict whose
-exponents would span more (say, exponents 0..6 and 10^9) is kept as an
-exponent -> coefficient dict instead, and sums and products that involve
-it take the double loop over the terms, as do sums and products of
-packed operands whose span would break the rule.  Equal values compare
-and hash equal whichever form or width they are stored in.  Only
+packed value spans at most 8 slots per term of its bound, so a
+polynomial in v^2 such as a binomial, with a zero slot between its
+terms, packs.  A dict whose exponents would span more (say {0: 1, 2: 1,
+46: 1}, exponents 0..6 and 10^9, or any stride of 16 or more) is kept as
+an exponent -> coefficient dict instead, and sums and products that
+involve it take the double loop over the terms, as do sums of packed
+operands whose span would break the rule.  Equal values compare and
+hash equal whichever form or width they are stored in.  Only
 `to_pairs`, `bar`, `divexact`, `evaluate`, `coeff` and the hash read the
 slots back.
 
@@ -65,7 +67,6 @@ from array import array
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
-from math import gcd
 from typing import Iterable
 
 from .errors import DimensionMismatch, DomainError, ExactDivisionError
@@ -104,12 +105,12 @@ class LaurentPoly:
     True
     """
 
-    # A dense value keeps _lo, _step, _packed, _width, _bits and _n: slot
-    # k holds the coefficient of v^(_lo + _step k), every slot is below
+    # A dense value keeps _lo, _packed, _width, _bits and _n: slot k holds
+    # the coefficient of v^(_lo + k), every slot is below
     # 2^_bits <= 2^(_width - 1) in absolute value, and at most _n slots
     # are nonzero.  A sparse value keeps _packed = None, _width = 0 and
     # _terms.  _hash is filled in on first use.
-    __slots__ = ("_lo", "_step", "_packed", "_width", "_bits", "_n", "_terms", "_hash")
+    __slots__ = ("_lo", "_packed", "_width", "_bits", "_n", "_terms", "_hash")
 
     def __init__(self, terms: dict[int, int] | None = None):
         _store(self, {e: c for e, c in terms.items() if c} if terms else {})
@@ -117,7 +118,7 @@ class LaurentPoly:
     @classmethod
     def from_int(cls, c: int) -> "LaurentPoly":
         bits = c.bit_length()
-        return _dense(0, 0, c, _width_for(bits), bits, 1) if c else ZERO
+        return _dense(0, c, _width_for(bits), bits, 1) if c else ZERO
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "LaurentPoly":
@@ -132,13 +133,13 @@ class LaurentPoly:
         if packed is None:
             terms = self._terms
             return [(e, terms[e]) for e in sorted(terms)]
-        width, e, step, size = self._width, self._lo, self._step, packed.bit_length()
+        width, e, size = self._width, self._lo, packed.bit_length()
         if size < width:
             # one slot, which is the coefficient itself
             return [(e, packed)] if packed else []
         if size > _SHORT * width:
             slots = _slots(self)
-            return list(filter(_coefficient, zip(range(e, e + step * len(slots), step), slots)))
+            return list(filter(_coefficient, zip(range(e, e + len(slots)), slots)))
         # lifted by 2^(width-1) each, the slots are plain base-2^width
         # digits, and the top one is positive
         lifted = packed + _bias(width, size // width + 1)
@@ -150,7 +151,7 @@ class LaurentPoly:
             if c:
                 out.append((e, c))
             lifted >>= width
-            e += step
+            e += 1
         return out
 
     def is_zero(self) -> bool:
@@ -161,14 +162,13 @@ class LaurentPoly:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPoly):
-            # a dense value is unique given its width and step; width 0
-            # is the sparse form
+            # a dense value is unique given its width; width 0 is the
+            # sparse form
             width = self._width
             if width == other._width:
                 if not width:
                     return self._terms == other._terms
-                if self._step == other._step:
-                    return self._packed == other._packed and self._lo == other._lo
+                return self._packed == other._packed and self._lo == other._lo
             if width and other._width:
                 # equal values share their lowest and highest exponents
                 if self._lo != other._lo or _top(self) != _top(other):
@@ -196,7 +196,7 @@ class LaurentPoly:
     def __neg__(self) -> "LaurentPoly":
         if self._packed is None:
             return _sparse({e: -c for e, c in self._terms.items()})
-        return _dense(self._lo, self._step, -self._packed, self._width, self._bits, self._n)
+        return _dense(self._lo, -self._packed, self._width, self._bits, self._n)
 
     def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -222,34 +222,24 @@ class LaurentPoly:
             a, bits = self, self._bits + other.bit_length()
             if bits >= self._width:
                 a, _, bits = _fit(self, self, lambda x, _: x._bits + other.bit_length())
-            return _dense(a._lo, a._step, a._packed * other, a._width, bits, a._n)
+            return _dense(a._lo, a._packed * other, a._width, bits, a._n)
         pa, pb = self._packed, other._packed
         if pa is None or pb is None:
             return _double_loop(_terms_of(self), _terms_of(other))
         if not (pa and pb):
             return ZERO
-        width, step = self._width, self._step
-        # the top slots, and the terms in at most the product's span
+        width = self._width
+        # the top slots, and the terms in at most the product's span,
+        # which is at most _SPARSE n if the operands' spans are
         ka, kb = pa.bit_length() // width, pb.bit_length() // other._width
         n = min(self._n * other._n, ka + kb + 1)
         # a product coefficient sums at most min(ka, kb) + 1 products of
         # two coefficients below 2^_bits each
         bits = self._bits + other._bits + min(ka, kb).bit_length()
-        if step != other._step:
-            if not step:
-                step = other._step
-            elif other._step:
-                step = gcd(step, other._step)
-                span = (ka * self._step + kb * other._step) // step + 1
-                n = min(self._n, ka + 1) * min(other._n, kb + 1)
-                if span > _SPARSE * n:
-                    # too spread to pack on the common step
-                    return _double_loop(_terms_of(self), _terms_of(other))
-                pa, pb = _spread(self, step), _spread(other, step)
         if bits >= width or width != other._width:
             a, b, bits = _fit(self, other, _product_bits)
-            pa, pb, width = _spread(a, step), _spread(b, step), a._width
-        return _dense(self._lo + other._lo, step, pa * pb, width, bits, n)
+            pa, pb, width = a._packed, b._packed, a._width
+        return _dense(self._lo + other._lo, pa * pb, width, bits, n)
 
     __rmul__ = __mul__
 
@@ -259,7 +249,7 @@ class LaurentPoly:
             return self
         if self._packed is None:
             return _sparse({k + e: c for k, c in self._terms.items()})
-        return _dense(self._lo + e, self._step, self._packed, self._width, self._bits, self._n)
+        return _dense(self._lo + e, self._packed, self._width, self._bits, self._n)
 
     def bar(self) -> "LaurentPoly":
         """The involution sending v to v^-1."""
@@ -268,7 +258,7 @@ class LaurentPoly:
             return _sparse({-e: c for e, c in self._terms.items()})
         width, k = self._width, packed.bit_length() // self._width
         if not k:
-            return _dense(-self._lo, 0, packed, width, self._bits, self._n)
+            return _dense(-self._lo, packed, width, self._bits, self._n)
         if width == _WIDTH:
             # with every slot lifted by 2^63 the slots are plain base-2^64
             # digits: write them most significant first and swap the
@@ -281,7 +271,7 @@ class LaurentPoly:
             slots = _slots(self)
             slots.reverse()
             packed = _pack(slots, width)
-        return _dense(-self._lo - self._step * k, self._step, packed, width, self._bits, self._n)
+        return _dense(-self._lo - k, packed, width, self._bits, self._n)
 
     def min_exp(self) -> int:
         if not self:
@@ -298,11 +288,7 @@ class LaurentPoly:
     def coeff(self, e: int) -> int:
         if self._packed is None:
             return self._terms.get(e, 0)
-        k, width, step = e - self._lo, self._width, self._step
-        if step:
-            k, off = divmod(k, step)
-            if off:
-                return 0
+        k, width = e - self._lo, self._width
         if k < 0 or k > self._packed.bit_length() // width:
             return 0
         # round the slots below k away, then read the lowest slot left
@@ -378,7 +364,10 @@ class LaurentPoly:
 
 
 # Slots per term beyond which a value stays a term dict: packing it
-# would store mostly zero slots.
+# would store mostly zero slots.  With one slot per exponent this alone
+# decides the form: a polynomial in v^2 packs with a zero slot between
+# its terms, while {0: 1, 2: 1, 46: 1} (47 slots for 3 terms), two terms
+# 16 or more apart, or a stride of 10^9 keep the dict.
 _SPARSE = 8
 # Runs of up to this many slots are read and packed by a plain loop;
 # longer ones go through bytes.
@@ -396,17 +385,15 @@ def _width_for(bits: int) -> int:
 
 def _top(p: LaurentPoly) -> int:
     # the highest exponent of a dense value (0 for zero)
-    return p._lo + p._step * (p._packed.bit_length() // p._width)
+    return p._lo + p._packed.bit_length() // p._width
 
 
-def _dense(lo: int, step: int, packed: int, width: int, bits: int, n: int) -> LaurentPoly:
+def _dense(lo: int, packed: int, width: int, bits: int, n: int) -> LaurentPoly:
     # Trusted constructor: packed is nonzero in its lowest slot (or is
-    # zero with lo = 0), step is 0 only for a single slot, every slot is
-    # below 2^bits <= 2^(width-1), at most n slots are nonzero, and the
-    # slots span at most _SPARSE n.
+    # zero with lo = 0), every slot is below 2^bits <= 2^(width-1), at
+    # most n slots are nonzero, and the slots span at most _SPARSE n.
     p = object.__new__(LaurentPoly)
     p._lo = lo
-    p._step = step
     p._packed = packed
     p._width = width
     p._bits = bits
@@ -425,9 +412,9 @@ def _sparse(terms: dict[int, int]) -> LaurentPoly:
 
 
 def _store(p: LaurentPoly, terms: dict[int, int]) -> LaurentPoly:
-    """Fill p with the value of terms, which holds no zeros: packed on
-    the exponents' common step when that spans at most _SPARSE slots per
-    term, else as the dict itself."""
+    """Fill p with the value of terms, which holds no zeros: packed when
+    its exponents span at most _SPARSE slots per term, else as the dict
+    itself."""
     n = len(terms)
     if n > 3:
         return _store_slots(p, terms)
@@ -435,32 +422,31 @@ def _store(p: LaurentPoly, terms: dict[int, int]) -> LaurentPoly:
     # slot list
     if n == 3:
         (lo, c0), (e1, c1), (e2, c2) = sorted(terms.items())
-        step = gcd(e1 - lo, e2 - lo)
-        k2 = (e2 - lo) // step
-        if k2 >= _SPARSE * 3:
+        if e2 - lo >= _SPARSE * 3:
             p._packed, p._width, p._terms = None, 0, terms
             return p
         bits = max(abs(c0), abs(c1), abs(c2)).bit_length()
         width = _width_for(bits)
-        packed = (c2 << width * k2) + (c1 << width * ((e1 - lo) // step)) + c0
+        packed = (c2 << width * (e2 - lo)) + (c1 << width * (e1 - lo)) + c0
     elif n == 2:
         (lo, c0), (e1, c1) = terms.items()
         if e1 < lo:
             lo, c0, e1, c1 = e1, c1, lo, c0
-        step = e1 - lo
+        if e1 - lo >= _SPARSE * 2:
+            p._packed, p._width, p._terms = None, 0, terms
+            return p
         bits = max(abs(c0), abs(c1)).bit_length()
         width = _width_for(bits)
-        packed = (c1 << width) + c0
+        packed = (c1 << width * (e1 - lo)) + c0
     elif n:
         # one slot holds the coefficient itself
         [(lo, packed)] = terms.items()
-        step, bits = 0, packed.bit_length()
+        bits = packed.bit_length()
         width = _width_for(bits)
     else:
-        lo = step = packed = bits = 0
+        lo = packed = bits = 0
         width = _WIDTH
     p._lo = lo
-    p._step = step
     p._packed = packed
     p._width = width
     p._bits = bits
@@ -472,8 +458,7 @@ def _store_slots(p: LaurentPoly, terms: dict[int, int]) -> LaurentPoly:
     """`_store` for two or more terms, through a slot list."""
     n = len(terms)
     lo = min(terms)
-    step = gcd(*[e - lo for e in terms])
-    span = (max(terms) - lo) // step + 1
+    span = max(terms) - lo + 1
     if span > _SPARSE * n:
         p._packed, p._width, p._terms = None, 0, terms
         return p
@@ -481,9 +466,8 @@ def _store_slots(p: LaurentPoly, terms: dict[int, int]) -> LaurentPoly:
     width = _width_for(bits)
     slots = [0] * span
     for e, c in terms.items():
-        slots[(e - lo) // step] = c
+        slots[e - lo] = c
     p._lo = lo
-    p._step = step
     p._packed = _pack(slots, width)
     p._width = width
     p._bits = bits
@@ -540,31 +524,6 @@ def _slots(p: LaurentPoly):
     return [int.from_bytes(raw[i : i + size], "little", signed=True) for i in range(0, len(raw), size)]
 
 
-def _spread(p: LaurentPoly, step: int) -> int:
-    """The packed slots of p laid out on a step that divides its own."""
-    packed, width = p._packed, p._width
-    if p._step == step or packed.bit_length() < width:
-        return packed
-    by = p._step // step
-    if packed.bit_length() <= _SHORT * width:
-        # lift the slots to plain digits and put each one back, by slots
-        # apart
-        lifted = packed + _bias(width, packed.bit_length() // width + 1)
-        mask = (1 << width) - 1
-        half, gap = (mask >> 1) + 1, width * by
-        packed = shift = 0
-        while lifted:
-            packed += ((lifted & mask) - half) << shift
-            lifted >>= width
-            shift += gap
-        return packed
-    slots = _slots(p)
-    size = by * (len(slots) - 1) + 1
-    out = array("q", bytes(8 * size)) if p._width == _WIDTH else [0] * size
-    out[::by] = slots
-    return _pack(out, p._width)
-
-
 def _terms_of(p: LaurentPoly) -> dict[int, int]:
     return dict(p.to_pairs()) if p._packed is not None else p._terms
 
@@ -597,7 +556,7 @@ def _fit(a: LaurentPoly, b: LaurentPoly, bound) -> tuple[LaurentPoly, LaurentPol
 def _rewidth(p: LaurentPoly, width: int) -> LaurentPoly:
     if p._width == width or not p._packed:
         return p
-    return _dense(p._lo, p._step, _pack(_slots(p), width), width, p._bits, p._n)
+    return _dense(p._lo, _pack(_slots(p), width), width, p._bits, p._n)
 
 
 def _sum(a: LaurentPoly, b: LaurentPoly, op) -> LaurentPoly:
@@ -616,25 +575,14 @@ def _sum(a: LaurentPoly, b: LaurentPoly, op) -> LaurentPoly:
     if bits >= width or width != b._width:
         a, b, bits = _fit(a, b, lambda x, y: max(x._bits, y._bits) + 1)
         pa, pb, width = a._packed, b._packed, a._width
-    lo, d, step, n, spread = a._lo, b._lo - a._lo, a._step, a._n + b._n, False
-    if b._step != step or (d % step if step else d):
-        # the common step of both exponent sets; a single slot has step 0
-        # and lies on any step
-        common = gcd(step, b._step, d)
-        spread = step and step != common or b._step and b._step != common
-        step = common
-    # on their own steps and less than _SPARSE slots apart, the sum spans
-    # at most _SPARSE n slots if its operands do; otherwise check its span
-    if spread or step and (d >= _SPARSE * step or d <= -_SPARSE * step):
+    lo, d, n = a._lo, b._lo - a._lo, a._n + b._n
+    # less than _SPARSE slots apart, the sum spans at most _SPARSE n slots
+    # if its operands do; otherwise check its span
+    if d >= _SPARSE or d <= -_SPARSE:
         na, nb = pa.bit_length() // width, pb.bit_length() // width
-        top_a, top_b, dd = na * a._step // step, nb * b._step // step, d // step
         n = min(a._n, na + 1) + min(b._n, nb + 1)
-        if max(top_a, dd + top_b) - min(0, dd) >= _SPARSE * n:
+        if max(na, d + nb) - min(0, d) >= _SPARSE * n:
             return _term_sum(_terms_of(a), _terms_of(b), op)
-        if na and a._step != step:
-            pa = _spread(a, step)
-        if nb and b._step != step:
-            pb = _spread(b, step)
     if not d:
         packed = op(pa, pb)
         if not packed:
@@ -643,16 +591,13 @@ def _sum(a: LaurentPoly, b: LaurentPoly, op) -> LaurentPoly:
             # the lowest slots cancelled
             k = ((packed & -packed).bit_length() - 1) // width
             packed >>= width * k
-            lo += k * step
+            lo += k
     elif d > 0:
-        packed = op(pa, pb << (width * (d // step)))
+        packed = op(pa, pb << (width * d))
     else:
-        packed = op(pa << (width * (-d // step)), pb)
+        packed = op(pa << (width * -d), pb)
         lo += d
-    if packed.bit_length() < width:
-        # one slot is left, which has no step
-        step = 0
-    return _dense(lo, step, packed, width, bits, n)
+    return _dense(lo, packed, width, bits, n)
 
 
 def _term_sum(a: dict[int, int], b: dict[int, int], op) -> LaurentPoly:
@@ -680,22 +625,25 @@ def _double_loop(a: dict[int, int], b: dict[int, int]) -> LaurentPoly:
     return _store(object.__new__(LaurentPoly), terms)
 
 
-ZERO = _dense(0, 0, 0, _WIDTH, 0, 0)
-ONE = _dense(0, 0, 1, _WIDTH, 1, 1)
-V = _dense(1, 0, 1, _WIDTH, 1, 1)
-VINV = _dense(-1, 0, 1, _WIDTH, 1, 1)
+ZERO = _dense(0, 0, _WIDTH, 0, 0)
+ONE = _dense(0, 1, _WIDTH, 1, 1)
+V = _dense(1, 1, _WIDTH, 1, 1)
+VINV = _dense(-1, 1, _WIDTH, 1, 1)
 
 
 def v_power(e: int) -> LaurentPoly:
     """The monomial v^e."""
-    return _dense(e, 0, 1, _WIDTH, 1, 1)
+    return _dense(e, 1, _WIDTH, 1, 1)
 
 
 def _every_other(lo: int, coeffs: list[int]) -> LaurentPoly:
-    """sum of coeffs[j] v^(lo + 2 j), for nonzero end coefficients."""
+    """sum of coeffs[j] v^(lo + 2 j), for nonzero end coefficients: the
+    coefficients with a zero slot between each two."""
     bits = max(map(abs, coeffs)).bit_length()
     width = _width_for(bits)
-    return _dense(lo, 2 if len(coeffs) > 1 else 0, _pack(coeffs, width), width, bits, len(coeffs))
+    slots = [0] * (2 * len(coeffs) - 1)
+    slots[::2] = coeffs
+    return _dense(lo, _pack(slots, width), width, bits, len(coeffs))
 
 
 @cache

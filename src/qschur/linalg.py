@@ -166,16 +166,22 @@ def poly_kernel(rows: list[SparseRow], depth: int) -> list[list[LaurentPoly]]:
     return out
 
 
-def evaluation_rank(rows: list[SparseRow]) -> int:
-    """The best rank of the rows evaluated at the points 2, 3, 5, 7: a
-    lower bound for their rank over the Laurent field, reached at the
-    first point where it is the row count."""
+def _best_rank(rows: list[SparseRow]) -> tuple[int, Fraction | None]:
+    """The best rank of the rows evaluated at the points 2, 3, 5, 7, and
+    the first point where it is the row count (None if there is none)."""
     best = 0
     for x in DEFAULT_POINTS:
         best = max(best, rank_at_point(rows, x))
         if best == len(rows):
-            break
-    return best
+            return best, x
+    return best, None
+
+
+def evaluation_rank(rows: list[SparseRow]) -> int:
+    """The best rank of the rows evaluated at the points 2, 3, 5, 7: a
+    lower bound for their rank over the Laurent field, reached at the
+    first point where it is the row count."""
+    return _best_rank(rows)[0]
 
 
 def _kernel_rank_bound(kernel: list[list[LaurentPoly]]) -> int:
@@ -206,16 +212,9 @@ def independence_verdict(rows: list[SparseRow]) -> dict:
     """
     if not rows:
         return {"independent": True, "rank": 0, "rows": 0, "certified_at": None}
-    best = 0
-    for x in DEFAULT_POINTS:
-        best = max(best, rank_at_point(rows, x))
-        if best == len(rows):
-            return {
-                "independent": True,
-                "rank": best,
-                "rows": len(rows),
-                "certified_at": str(x),
-            }
+    best, x = _best_rank(rows)
+    if x is not None:
+        return {"independent": True, "rank": best, "rows": len(rows), "certified_at": str(x)}
     limit = _degree_spread(rows)
     depth = 0
     while True:

@@ -42,13 +42,6 @@ def length(w: Permutation) -> int:
     return sum(1 for i in range(r) for j in range(i + 1, r) if w[i] > w[j])
 
 
-def mult_gen_right(w: Permutation, i: int) -> Permutation:
-    """w * s_i: swaps the values at positions i and i+1."""
-    out = list(w)
-    out[i], out[i + 1] = out[i + 1], out[i]
-    return tuple(out)
-
-
 @cache
 def all_permutations(r: int) -> tuple[Permutation, ...]:
     """Every permutation of degree r, sorted by length then lex."""

@@ -25,6 +25,13 @@ def compose(w: Permutation, u: Permutation) -> Permutation:
     return tuple(w[u[p]] for p in range(len(w)))
 
 
+def mult_gen_right(w: Permutation, i: int) -> Permutation:
+    """w * s_i: swaps the values at positions i and i+1."""
+    out = list(w)
+    out[i], out[i + 1] = out[i + 1], out[i]
+    return tuple(out)
+
+
 def adjacent_transposition(r: int, i: int) -> Permutation:
     """The generator swapping 0-based positions i and i+1."""
     if not 0 <= i < r - 1:

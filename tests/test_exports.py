@@ -5,12 +5,13 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
 
 import qschur
-from qschur import schur
+from qschur import schur, suites
 
 MODULES = sorted(
     info.name
@@ -97,9 +98,9 @@ def test_the_benchmark_worker_caches_keep_cache_info():
         assert hasattr(fn, "cache_info"), ast.unparse(value)
 
 
-# A public name stays in the library only while the library, the scripts
-# or the benchmark read it; reference code that only the tests read
-# lives under tests/.
+# A public name stays in the library only while the library, the scripts,
+# the benchmark or an installed command read it; reference code that only
+# the tests read lives under tests/.
 READ_BY_TESTS_ONLY = {
     # criterion 8 counts double cosets by filtering S_r with it, which
     # building them from matrices would make circular
@@ -120,16 +121,37 @@ def _reads(tree: ast.AST) -> set[str]:
     return out
 
 
+def _entry_points() -> set[str]:
+    """The functions that the console scripts in pyproject.toml call."""
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    return {target.rpartition(":")[2] for target in scripts.values()}
+
+
+def _public_names(name: str) -> set[str]:
+    """A module's `__all__`, and every public function and class it
+    defines, listed there or not."""
+    module = importlib.import_module(name)
+    out = set(getattr(module, "__all__", ()))
+    for x, obj in vars(module).items():
+        obj = inspect.unwrap(obj)
+        if not x.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj)):
+            if obj.__module__ == name:
+                out.add(x)
+    return out
+
+
 def test_every_public_name_has_a_reader_outside_the_tests():
     paths = [*ROOT.glob("src/qschur/*.py"), *READERS]
     read = set().union(*(_reads(ast.parse(p.read_text(encoding="utf-8"))) for p in paths))
-    unread = {
-        f"{name}.{x}"
-        for name in MODULES
-        for x in getattr(importlib.import_module(name), "__all__", ())
-        if x not in read
-    }
+    read |= _entry_points()
+    unread = {f"{name}.{x}" for name in MODULES for x in _public_names(name) if x not in read}
     assert unread == READ_BY_TESTS_ONLY
+
+
+def test_the_public_walk_sees_names_outside_all():
+    assert "run_closure" in _public_names("qschur.suites") and "run_closure" not in suites.__all__
+    assert "main" in _public_names("qschur.cli") and _entry_points() == {"main"}
 
 
 @pytest.mark.parametrize("fn", [schur.general_product, schur.force_oracle_product])

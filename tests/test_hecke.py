@@ -18,7 +18,7 @@ from qschur.hecke import (
 )
 from qschur.laurent import ONE, LaurentPoly, v_power
 from qschur.matrices import entry_sum, ro, co, theta_matrices, transpose
-from qschur.permutations import all_permutations, length, mult_gen_right, young_subgroup
+from qschur.permutations import all_permutations, length, young_subgroup
 from sr_reference import (
     adjacent_transposition,
     compose,
@@ -27,6 +27,7 @@ from sr_reference import (
     hecke_unit,
     identity,
     matrix_to_coset,
+    mult_gen_right,
     reduced_word,
     right_mult_perm,
 )

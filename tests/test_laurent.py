@@ -150,7 +150,7 @@ def assert_layout(p):
     term of that bound."""
     if p._packed:
         terms = len(p.to_pairs())
-        span = (p.max_exp() - p.min_exp()) // (p._step or 1) + 1
+        span = p.max_exp() - p.min_exp() + 1
         assert terms <= p._n and span <= 8 * p._n, (terms, span, p._n)
 
 
@@ -168,7 +168,7 @@ def test_products_at_the_packing_threshold(m, n):
     # on the threshold, q one slot past it
     p, q = _gapped(m, 8 * m, -9, -3), _gapped(n, 8 * n + 1, -4, 5)
     assert p._packed is not None and q._packed is None
-    # runs on steps 2 and 3, which a product lays out on step 1 first
+    # runs with gaps of 2 and 3, which pack with zero slots between terms
     r, s = _run(m, -9, 2, -3), _run(n, -4, 3, 5)
     for x, y in ((p, p), (p, q), (q, p), (q, q), (r, s), (s, r), (p, s)):
         assert (x * y).to_pairs() == schoolbook(x, y)
@@ -239,13 +239,14 @@ def test_a_loose_bound_is_tightened_before_the_slots_widen():
 
 
 def test_sparse_operands_stay_on_the_double_loop():
-    # a common step packs densely; a gap does not, and neither the gapped
-    # value nor its square costs memory in its span
+    # a wide stride and a far gap both keep the term dict, and neither
+    # value nor its square nor their product costs memory in its span
     stride = LaurentPoly({10**9 * i: 1 for i in range(8)})
-    assert stride._packed is not None and len((stride * stride).to_pairs()) == 15
     p = LaurentPoly({**{i: 1 for i in range(7)}, 10**9: 1})
-    assert p._packed is None and (p * p)._packed is None
-    assert (p * p).to_pairs() == schoolbook(p, p)
+    for x, y in ((stride, stride), (p, p), (stride, p)):
+        assert x._packed is None and (x * y)._packed is None
+        assert (x * y).to_pairs() == schoolbook(x, y)
+    assert len((stride * stride).to_pairs()) == 15
 
 
 def test_sums_that_would_spread_fall_back_to_the_term_dict():
@@ -268,10 +269,15 @@ def test_far_apart_operands_do_not_spread_a_packed_value():
         assert_layout(p)
         assert (p._packed is not None) == (k == 0)
     assert (p * p).to_pairs() == schoolbook(p, p)
-    # three terms over 24 slots on steps 2 and 3 pack; their product on
-    # step 1 would span 116 slots for at most 9 terms, so it does not
+    # three terms pack over at most 24 slots whatever their gaps, and so
+    # does their square; over 47 and 70 slots they keep the term dict,
+    # and so does their product
+    z = LaurentPoly({0: 1, 3: 1, 23: 1})
+    assert z._packed is not None and (z * z)._packed is not None
+    assert (z * z).to_pairs() == schoolbook(z, z)
+    assert_layout(z * z)
     x, y = LaurentPoly({0: 1, 2: 1, 46: 1}), LaurentPoly({0: 1, 3: 1, 69: 1})
-    assert x._packed is not None and y._packed is not None
+    assert x._packed is None and y._packed is None
     assert (x * y)._packed is None and (x * y).to_pairs() == schoolbook(x, y)
 
 
@@ -424,8 +430,9 @@ NEAR_BOUNDARY = st.builds(
 
 @st.composite
 def kernel_polys(draw):
-    """A dense run (on step 1 or 2), a spread on step 10^6, or a run and
-    a spread together, which is too sparse to pack; built by one of three
+    """A dense run (on every exponent or on even ones), a spread on
+    multiples of 10^6, or a run and a spread together, which are too
+    sparse to pack; built by one of three
     routes: the constructor, accumulated pairs, or a sum of scaled
     monomials."""
     base = draw(st.integers(-20, 20))
@@ -481,9 +488,11 @@ def test_kernel_operations_match_the_reference(p, q, c, e):
     [
         {0: 1, 1: 2, 23: 3},  # 24 slots: packed
         {0: 1, 1: 2, 24: 3},  # 25 slots for 3 terms: the term dict
-        {-4: 5, 2: -1, 8: 2**70},  # step 6, wide slots
-        {3: -(2**63), 10**9: 1},  # two terms pack whatever their gap
-        {7: 1, -5: -2, 1: 3},  # unsorted, step 6
+        {-4: 5, 2: -1, 8: 2**70},  # 13 slots, wide slots
+        {3: -(2**63), 10**9: 1},  # two terms far apart: the term dict
+        {7: 1, -5: -2, 1: 3},  # unsorted, 13 slots
+        {3: -(2**63), 18: 1},  # 16 slots for 2 terms: packed
+        {19: 1, 3: -(2**63)},  # unsorted, 17 slots: the term dict
     ],
 )
 def test_short_dicts_keep_the_slot_layout(terms):
@@ -495,7 +504,7 @@ def stored(store, terms):
     p = store(object.__new__(LaurentPoly), dict(terms))
     if p._packed is None:
         return p._terms
-    return p._lo, p._step, p._packed, p._width, p._bits, p._n
+    return p._lo, p._packed, p._width, p._bits, p._n
 
 
 @given(kernel_polys(), kernel_polys(), st.sampled_from((2, -3, Fraction(2, 3), Fraction(-5, 4))))
@@ -536,8 +545,8 @@ def test_cancellation_to_zero(p):
 
 
 def test_dense_and_sparse_forms_of_one_value_are_equal():
-    # 1 - v^30 from (1 - v)(1 + ... + v^29) packs on step 1, and on step
-    # 30 when given as a dict; plus v^7, the dict is too sparse to pack
+    # 1 - v^30 from (1 - v)(1 + ... + v^29) packs, but given as a dict its
+    # two terms are too far apart to pack; plus v^7, neither is the dict
     dense = (ONE - V) * LaurentPoly({i: 1 for i in range(30)})
     assert dense == LaurentPoly({0: 1, 30: -1}) and hash(dense) == hash(LaurentPoly({0: 1, 30: -1}))
     dense = dense + v_power(7)
@@ -547,11 +556,29 @@ def test_dense_and_sparse_forms_of_one_value_are_equal():
     assert dense - sparse == ZERO and (dense - sparse).is_zero()
 
 
-def test_a_sum_that_leaves_one_slot_keeps_no_step():
-    # all but one slot cancel, from above and from below: the value left
-    # is a monomial like ONE, so == stays one integer comparison
-    for z in ((ONE + v_power(2)) - v_power(2), v_power(2) - (v_power(2) - ONE)):
-        assert z._step == ONE._step == 0 and z == ONE and z.to_pairs() == [(0, 1)]
+def layout(p):
+    return p._lo, p._packed, p._width
+
+
+def test_equal_values_from_different_routes_are_laid_out_alike():
+    # one slot per exponent from the lowest: equal packed values of one
+    # width are one integer at one lowest exponent, whatever built them,
+    # so == stays one integer comparison; a sum that leaves one slot,
+    # from above or from below, is laid out like ONE
+    one_plus_q = LaurentPoly({0: 1, 2: 1})
+    cases = [
+        (ONE + V + v_power(2) - V, one_plus_q),
+        ((ONE + V) * (ONE - V) + v_power(2) * 2, one_plus_q),
+        (LaurentPoly.from_pairs([(2, 1), (1, 5), (0, 1), (1, -5)]), one_plus_q),
+        (unbalanced_bracket(2), one_plus_q),
+        (balanced_binomial(4, 2), LaurentPoly(dict(BALANCED_BINOMIALS[(4, 2)]))),
+        (balanced_bracket(2) * balanced_bracket(2), LaurentPoly({-2: 1, 0: 2, 2: 1})),
+        ((ONE + v_power(2)) - v_power(2), ONE),
+        (v_power(2) - (v_power(2) - ONE), ONE),
+    ]
+    for got, want in cases:
+        assert layout(got) == layout(want) and got == want
+        assert got.to_pairs() == want.to_pairs()
 
 
 def test_central_binomial_of_100_is_exact():

@@ -5,10 +5,9 @@ from qschur.permutations import (
     block_ranges,
     inverse,
     length,
-    mult_gen_right,
     young_subgroup,
 )
-from sr_reference import adjacent_transposition, compose, identity, reduced_word
+from sr_reference import adjacent_transposition, compose, identity, mult_gen_right, reduced_word
 
 
 def perms(r):
