@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Run the benchmark on two checkouts in alternating pairs and compare.
+
+    python3 scripts/bench_pairs.py PARENT CHANGE --pairs 10 --seed 41 \\
+        --workload formula-box --workload oracle [--seconds 20] [--trace 0]
+
+PARENT and CHANGE are checkout directories, each with its own
+perfbench/run.py, which runs from its own directory and is not
+modified.  Pair i (from 1) runs the parent first when i is odd and the
+change first when i is even.  For every workload and metric the script
+prints each side's median and quartiles (statistics.quantiles,
+inclusive), the relative change of the median ("worse by", positive when
+the change is worse) and the pairs the change won; a metric's direction
+is read from the change's BENCHMARK.json.  A run that is not correct or
+has failed operations is reported and counts as a loss for its side,
+and the output digests of all runs on both sides are compared.  With
+--json the per-run values go to a file as well.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+
+def run_once(checkout: str, workload: str, seed: int, seconds: int, trace: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    res = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = res.stdout.strip().splitlines()
+    out = json.loads(lines[-1]) if res.returncode == 0 and lines else {}
+    digest = None
+    if out:
+        record = os.path.join(checkout, ".perfbench-out", f"record-{workload}-seed{seed}-trace{trace}.json")
+        with open(record, encoding="utf-8") as fh:
+            digest = json.load(fh).get("digest")
+    ok = out.get("correct") is True and out.get("failed") == 0
+    return {"ok": ok, "digest": digest, "metrics": {k: v["value"] for k, v in out.get("metrics", {}).items()}}
+
+
+def directions(checkout: str) -> dict:
+    with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    return {m["name"]: m["better"] for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+
+
+def summary(values: list) -> tuple:
+    if len(values) < 2:
+        return (values[0],) * 3 if values else (float("nan"),) * 3
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q2, q1, q3
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=int, default=20)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--json", help="write every run's metrics to this file")
+    args = parser.parse_args()
+    better = directions(args.change)
+    record = {}
+    for workload in args.workload:
+        runs = {"parent": [], "change": []}
+        for i in range(1, args.pairs + 1):
+            order = ("parent", "change") if i % 2 else ("change", "parent")
+            for side in order:
+                runs[side].append(run_once(getattr(args, side), workload, args.seed, args.seconds, args.trace))
+            print(f"{workload} pair {i}/{args.pairs} done", file=sys.stderr)
+        record[workload] = runs
+        bad = {side: sum(not r["ok"] for r in rs) for side, rs in runs.items()}
+        digests = {json.dumps(r["digest"]) for rs in runs.values() for r in rs}
+        print(f"== {workload} (seed {args.seed}, {args.pairs} pairs, trace {args.trace}); "
+              f"runs not correct: parent {bad['parent']}, change {bad['change']}; "
+              f"distinct digests over both sides: {len(digests)}")
+        names = sorted({k for rs in runs.values() for r in rs for k in r["metrics"]})
+        for name in names:
+            sign = -1 if better.get(name, "lower") == "higher" else 1
+            vals = {side: [r["metrics"].get(name) if r["ok"] else None for r in rs] for side, rs in runs.items()}
+            wins = sum(c is not None and (p is None or sign * (c - p) < 0)
+                       for p, c in zip(vals["parent"], vals["change"]))
+            (pm, p1, p3), (cm, c1, c3) = (summary([x for x in vals[s] if x is not None]) for s in runs)
+            worse = sign * (cm - pm) / abs(pm) if pm else float("nan")
+            print(f"{name}: parent {pm:.5g} [{p1:.5g}, {p3:.5g}] -> change {cm:.5g} [{c1:.5g}, {c3:.5g}]; "
+                  f"worse by {worse:+.4f}; parent IQR {p3 - p1:.5g}; change wins {wins} of {args.pairs}")
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump(record, fh, indent=1)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

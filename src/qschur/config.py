@@ -8,7 +8,7 @@ time- or host-dependent belongs here.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 from .errors import DomainError
 from .hecke import DEFAULT_ORACLE_CAP
@@ -28,9 +28,8 @@ def threads_from_env() -> int:
     return t
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parameters of a verification run.
+class RunConfig(NamedTuple):
+    """Parameters of a verification run, frozen.
 
     r_max of None lets each suite pick the default its mathematics
     needs (independence families need deeper truncations than formula
@@ -67,4 +66,4 @@ class RunConfig:
         return self.r_max if self.r_max is not None else default
 
     def to_json_obj(self) -> dict:
-        return asdict(self)
+        return self._asdict()

@@ -7,11 +7,12 @@ to the highest.  The slot width w is 64 bits, or the next multiple of 64
 when a coefficient needs it, and each value keeps a sound bound on the
 bits of its coefficients.  Sums, differences, products (Kronecker
 substitution), scaling and equality are then one big-integer operation
-each, and a shift only moves the lowest exponent.  When an operation's
-bound would overflow its slots, the bound is first tightened by reading
-the slots back, and the operands are widened only if the result still
-does not fit, so values are exact at any size.  Equal packed values of
-one width are the same integer at the same lowest exponent.
+each, and a shift only moves the lowest exponent; a product by a
+monomial v^k is such a shift.  When an operation's bound would overflow
+its slots, the bound is first tightened by reading the slots back, and
+the operands are widened only if the result still does not fit, so
+values are exact at any size.  Equal packed values of one width are the
+same integer at the same lowest exponent.
 
 Each value also keeps a bound on its number of terms: exact for a value
 built from a dict, the sum of the operands' bounds for a sum or a
@@ -224,6 +225,11 @@ class LaurentPoly:
                 a, _, bits = _fit(self, self, lambda x, _: x._bits + other.bit_length())
             return _dense(a._lo, a._packed * other, a._width, bits, a._n)
         pa, pb = self._packed, other._packed
+        # a product by a monomial v^k is a shift
+        if pa == 1:
+            return other.shift(self._lo)
+        if pb == 1:
+            return self.shift(other._lo)
         if pa is None or pb is None:
             return _double_loop(_terms_of(self), _terms_of(other))
         if not (pa and pb):
@@ -245,7 +251,7 @@ class LaurentPoly:
 
     def shift(self, e: int) -> "LaurentPoly":
         """Multiply by the monomial v^e."""
-        if not e or not self:
+        if not e or self._packed == 0:
             return self
         if self._packed is None:
             return _sparse({k + e: c for k, c in self._terms.items()})

@@ -12,8 +12,10 @@ entry sum r.  Products fall into layers:
 * everything else falls back to the coset oracle in `hecke`.
 
 `general_product` dispatches each pair with co(a) == ro(b) between the
-layers, keeping no memo of its own; the structured layers are exactly
-what the verification suites compare against the oracle.
+layers.  A bounded table keyed by one matrix (never by a pair) holds
+ro, co and the layer of each matrix as a left factor, so a matrix is
+classified once; no product is memoized here.  The structured layers
+are exactly what the verification suites compare against the oracle.
 `Combination` holds the term arithmetic that `SchurElement` shares with
 the symbolic elements.
 """
@@ -138,10 +140,7 @@ class SchurElement(Combination):
         return {
             "n": self.n,
             "r": self.r,
-            "terms": [
-                {"matrix": [list(row) for row in a], "coeff": [[e, c] for e, c in x.to_pairs()]}
-                for a, x in self.sorted_terms()
-            ],
+            "terms": [{"matrix": a, "coeff": x.to_pairs()} for a, x in self.sorted_terms()],
         }
 
     def __repr__(self) -> str:
@@ -236,19 +235,40 @@ def multiply_lowering(h: int, m: int, a: Matrix) -> SchurElement:
     return _frozen(SchurElement(n, mirror.r, {rev(b): c for b, c in mirror.terms.items()}))
 
 
+# The route of a left factor in `_table`: the two tags without a shape
+# are compared by identity.
+_DIAGONAL = ("diagonal",)
+_ORACLE = ("oracle",)
+
+
+@lru_cache(maxsize=1 << 10)
+def _table(a: Matrix) -> tuple[IntVector, IntVector, tuple]:
+    """ro(a), co(a) and the route of [a] as a left factor: `_DIAGONAL`,
+    ("raising", h, m), ("lowering", h, m) or `_ORACLE`.  Keyed by one
+    matrix, never by a pair, and read-only."""
+    if is_diagonal(a):
+        route = _DIAGONAL
+    elif (shape := raising_shape(a)) is not None:
+        route = ("raising", *shape)
+    elif (shape := lowering_shape(a)) is not None:
+        route = ("lowering", *shape)
+    else:
+        route = _ORACLE
+    return ro(a), co(a), route
+
+
 def _basis_terms(a: Matrix, b: Matrix, cap: int) -> dict[Matrix, LaurentPoly]:
     # The terms of [a][b], co(a) == ro(b); cached dicts are shared: never mutate one.
-    if is_diagonal(a):
+    route = _table(a)[2]
+    if route is _DIAGONAL:
         return {b: ONE}
-    if is_diagonal(b):
+    if _table(b)[2] is _DIAGONAL:
         return {a: ONE}
-    shape = raising_shape(a)
-    if shape is not None:
-        return multiply_raising(shape[0], shape[1], b).terms
-    shape = lowering_shape(a)
-    if shape is not None:
-        return multiply_lowering(shape[0], shape[1], b).terms
-    return oracle_product(a, b, cap)
+    if route is _ORACLE:
+        return oracle_product(a, b, cap)
+    kind, h, m = route
+    rule = multiply_raising if kind == "raising" else multiply_lowering
+    return rule(h, m, b).terms
 
 
 def basis_product(a: Matrix, b: Matrix, cap: int = DEFAULT_ORACLE_CAP) -> SchurElement:
@@ -268,9 +288,9 @@ def _bilinear(x: SchurElement, y: SchurElement, product, cap: int) -> SchurEleme
         return out
     right: dict[IntVector, list] = {}
     for b, cb in y.terms.items():
-        right.setdefault(ro(b), []).append((b, cb))
+        right.setdefault(_table(b)[0], []).append((b, cb))
     for a, ca in x.terms.items():
-        for b, cb in right.get(co(a), ()):
+        for b, cb in right.get(_table(a)[1], ()):
             prod = product(a, b, cap)
             if prod:
                 c = ca * cb

@@ -175,12 +175,7 @@ class SymbolicElement(Combination):
 
     def to_json_obj(self) -> list[dict]:
         return [
-            {
-                "A": [list(row) for row in a],
-                "delta": list(delta),
-                "lambda": list(lam),
-                "coeff": [[e, c] for e, c in x.to_pairs()],
-            }
+            {"A": a, "delta": delta, "lambda": lam, "coeff": x.to_pairs()}
             for (a, delta, lam), x in self.sorted_terms()
         ]
 

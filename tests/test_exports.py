@@ -226,15 +226,22 @@ def test_the_dependency_walk_sees_nested_imports():
     assert _foreign_imports(tree) == ["numpy", "sympy"]
 
 
-def test_importing_the_package_leaves_the_process_pool_unloaded():
-    # only a stratum that fans out across processes imports the pool, so
-    # a bare import (every CLI call) does not load multiprocessing
-    code = (
-        "import sys, qschur\n"
-        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
-    )
+def _loaded_by_a_bare_import(modules):
+    code = f"import sys, qschur\nprint([m for m in {modules!r} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     res = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert res.stdout.strip() == "[]"
+    return res.stdout.strip()
+
+
+def test_importing_the_package_leaves_the_process_pool_unloaded():
+    # only a stratum that fans out across processes imports the pool, so
+    # a bare import (every CLI call) does not load multiprocessing
+    assert _loaded_by_a_bare_import(("concurrent.futures", "multiprocessing")) == "[]"
+
+
+def test_importing_the_package_leaves_dataclasses_and_inspect_unloaded():
+    # RunConfig is a NamedTuple: dataclasses would pull in inspect, ast,
+    # dis and tokenize on every CLI call
+    assert _loaded_by_a_bare_import(("dataclasses", "inspect")) == "[]"

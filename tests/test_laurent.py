@@ -128,6 +128,11 @@ def test_one_term_products_match_the_schoolbook_sum(e, c, q):
     assert (p * q).to_pairs() == want
     assert (q * p).to_pairs() == want
     assert (q * c).to_pairs() == (c * q).to_pairs() == schoolbook(LaurentPoly({0: c}), q)
+    # the monomial v^e itself: a shift from either side
+    m = v_power(e)
+    for got in (m * q, q * m):
+        assert got.to_pairs() == schoolbook(m, q)
+        assert_layout(got)
 
 
 def _run(n, first=0, step=1, scale=1):
@@ -152,6 +157,30 @@ def assert_layout(p):
         terms = len(p.to_pairs())
         span = p.max_exp() - p.min_exp() + 1
         assert terms <= p._n and span <= 8 * p._n, (terms, span, p._n)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        _run(9, -4, 1, 3),  # dense, 64-bit slots
+        _run(6, -9, 2, -(2**100)),  # dense on even exponents, 128-bit slots
+        LaurentPoly({-3: 5, 10**6: -(2**70)}),  # too spread to pack
+        ZERO,
+        v_power(4),
+    ],
+    ids=["dense64", "dense128", "sparse", "zero", "monomial"],
+)
+def test_a_product_by_a_monomial_is_a_shift(x):
+    assert x._packed is None or x._width == (128 if x._bits > 63 else 64)
+    for e in (-7, 0, 5):
+        m = v_power(e)
+        want = schoolbook(m, x)
+        for got in (m * x, x * m):
+            assert got.to_pairs() == want and got == x.shift(e)
+            assert_layout(got)
+            if x._packed:
+                # the same slots and bound, moved: no product was formed
+                assert layout(got) + (got._bits,) == (x._lo + e, x._packed, x._width, x._bits)
 
 
 def _gapped(n, span, first=0, scale=1):
@@ -470,7 +499,10 @@ def test_kernel_operations_match_the_reference(p, q, c, e):
     assert (-p).to_pairs() == [(x, -y) for x, y in pairs]
     assert p.shift(e).to_pairs() == [(x + e, y) for x, y in pairs]
     assert p.bar().to_pairs() == sorted((-x, y) for x, y in pairs)
-    for r in (p, p + q, p - q, p * q, p * c, p.bar()):
+    # a product by v^e on either side is the shift by e
+    m = v_power(e)
+    assert (m * p).to_pairs() == (p * m).to_pairs() == schoolbook(m, p)
+    for r in (p, p + q, p - q, p * q, p * c, p.bar(), m * p, p * m):
         assert_layout(r)
     for x, y in pairs[:3] + pairs[-3:]:
         assert p.coeff(x) == y and p.coeff(x + 10**7) == 0

@@ -13,6 +13,7 @@ from qschur.matrices import (
     add_to_entry,
     co,
     diag_matrix,
+    is_diagonal,
     ro,
     theta_matrices,
 )
@@ -23,8 +24,10 @@ from qschur.schur import (
     diag_sum,
     force_oracle_product,
     general_product,
+    lowering_shape,
     multiply_lowering,
     multiply_raising,
+    raising_shape,
 )
 from qschur.symbolic import SymbolicElement
 from qschur.vectors import compositions, dot
@@ -121,6 +124,44 @@ def test_lowering_checks_its_bounds_on_the_unmirrored_rows():
     for h in (0, 3):
         with pytest.raises(DomainError, match=f"^row index {h} out of range$"):
             multiply_lowering(h, 1, a)
+
+
+def _classified(a):
+    # the route of [a] as a left factor, from the shape tests themselves
+    if is_diagonal(a):
+        return ("diagonal",)
+    for kind, shape in (("raising", raising_shape(a)), ("lowering", lowering_shape(a))):
+        if shape is not None:
+            return (kind, *shape)
+    return ("oracle",)
+
+
+@pytest.mark.parametrize("n, r_max", [(2, 6), (3, 4), (4, 3)])
+def test_the_matrix_table_matches_the_shape_tests(n, r_max):
+    for r in range(r_max + 1):
+        for a in theta_matrices(n, r):
+            row_sums, col_sums, route = schur._table(a)
+            assert (row_sums, col_sums, route) == (ro(a), co(a), _classified(a)), a
+            # the router tells the two shapeless routes apart by identity
+            if route[0] == "diagonal":
+                assert route is schur._DIAGONAL
+            elif route[0] == "oracle":
+                assert route is schur._ORACLE
+
+
+def test_the_matrix_table_is_keyed_by_one_matrix():
+    # 35 matrices on each side meet in 259 composable pairs, through
+    # every route, and leave at most one entry per matrix
+    mats = theta_matrices(2, 4)
+    x = SchurElement(2, 4, {a: ONE for a in mats})
+    y = SchurElement(2, 4, {a: v_power(1) for a in mats})
+    pairs = sum(co(a) == ro(b) for a in mats for b in mats)
+    assert pairs > len(x.terms) + len(y.terms)
+    schur._table.cache_clear()
+    assert not general_product(x, y).is_zero()
+    info = schur._table.cache_info()
+    assert 0 < info.currsize <= len(x.terms) + len(y.terms)
+    assert info.maxsize is not None and info.maxsize <= 1 << 12
 
 
 @pytest.mark.parametrize(
