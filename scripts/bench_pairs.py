@@ -13,8 +13,12 @@ inclusive), the relative change of the median ("worse by", positive when
 the change is worse) and the pairs the change won; a metric's direction
 is read from the change's BENCHMARK.json.  A run that is not correct or
 has failed operations is reported and counts as a loss for its side,
-and the output digests of all runs on both sides are compared.  With
---json the per-run values go to a file as well.
+and the output digests of all runs on both sides are compared.  Each
+workload's summary also gives the bytecode state both sides start it
+in: PYTHONDONTWRITEBYTECODE and how many src/qschur modules have
+bytecode cached for this interpreter, flagged when the sides differ,
+since compiling the modules lands in setup_s.  With --json the per-run
+values go to a file as well.
 """
 
 import argparse
@@ -38,6 +42,15 @@ def run_once(checkout: str, workload: str, seed: int, seconds: int, trace: int) 
             digest = json.load(fh).get("digest")
     ok = out.get("correct") is True and out.get("failed") == 0
     return {"ok": ok, "digest": digest, "metrics": {k: v["value"] for k, v in out.get("metrics", {}).items()}}
+
+
+def bytecode_state(checkout: str) -> tuple:
+    """(src/qschur modules, those with bytecode cached for this interpreter)."""
+    src = os.path.join(checkout, "src", "qschur")
+    modules = [name[:-3] for name in os.listdir(src) if name.endswith(".py")]
+    tag = sys.implementation.cache_tag
+    cached = sum(os.path.exists(os.path.join(src, "__pycache__", f"{m}.{tag}.pyc")) for m in modules)
+    return len(modules), cached
 
 
 def directions(checkout: str) -> dict:
@@ -68,17 +81,22 @@ def main() -> int:
     record = {}
     for workload in args.workload:
         runs = {"parent": [], "change": []}
+        bytecode = {side: bytecode_state(getattr(args, side)) for side in runs}
         for i in range(1, args.pairs + 1):
             order = ("parent", "change") if i % 2 else ("change", "parent")
             for side in order:
                 runs[side].append(run_once(getattr(args, side), workload, args.seed, args.seconds, args.trace))
             print(f"{workload} pair {i}/{args.pairs} done", file=sys.stderr)
-        record[workload] = runs
+        record[workload] = dict(runs, bytecode={side: {"modules": m, "cached": c} for side, (m, c) in bytecode.items()})
         bad = {side: sum(not r["ok"] for r in rs) for side, rs in runs.items()}
         digests = {json.dumps(r["digest"]) for rs in runs.values() for r in rs}
         print(f"== {workload} (seed {args.seed}, {args.pairs} pairs, trace {args.trace}); "
               f"runs not correct: parent {bad['parent']}, change {bad['change']}; "
               f"distinct digests over both sides: {len(digests)}")
+        (pm, pc), (cm, cc) = bytecode.values()
+        differ = " -- the sides differ, so setup_s compares unlike imports" if pm - pc != cm - cc else ""
+        print(f"bytecode at start: PYTHONDONTWRITEBYTECODE={os.environ.get('PYTHONDONTWRITEBYTECODE', 'unset')}; "
+              f"cached src/qschur modules: parent {pc} of {pm}, change {cc} of {cm}{differ}")
         names = sorted({k for rs in runs.values() for r in rs for k in r["metrics"]})
         for name in names:
             sign = -1 if better.get(name, "lower") == "higher" else 1

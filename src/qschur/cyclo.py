@@ -37,8 +37,8 @@ def cyclotomic_coeffs(l: int) -> tuple[int, ...]:
     for d in range(1, l):
         if l % d == 0:
             num = num.divexact(LaurentPoly(dict(enumerate(cyclotomic_coeffs(d)))))
-    deg = num.max_exp()
-    return tuple(num.coeff(e) for e in range(deg + 1))
+    terms = dict(num.to_pairs())
+    return tuple(terms.get(e, 0) for e in range(num.max_exp() + 1))
 
 
 def _check_odd(l: int) -> None:

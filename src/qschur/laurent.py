@@ -24,9 +24,11 @@ terms, packs.  A dict whose exponents would span more (say {0: 1, 2: 1,
 an exponent -> coefficient dict instead, and sums and products that
 involve it take the double loop over the terms, as do sums of packed
 operands whose span would break the rule.  Equal values compare and
-hash equal whichever form or width they are stored in.  Only
-`to_pairs`, `bar`, `divexact`, `evaluate`, `coeff` and the hash read the
-slots back.
+hash equal whichever form or width they are stored in, and a constant
+hashes as the integer it equals.  One packer, `_pack`, lays out every
+dense value built from coefficients, and one reader, `_slots`, reads
+them back for `to_pairs` (and so the hash, `divexact` and `evaluate`),
+`bar` and the bound tightening.
 
 On top of the ring operations this module provides the bar involution
 (v -> v^-1) and the quantum combinatorics used everywhere else in the
@@ -134,26 +136,12 @@ class LaurentPoly:
         if packed is None:
             terms = self._terms
             return [(e, terms[e]) for e in sorted(terms)]
-        width, e, size = self._width, self._lo, packed.bit_length()
-        if size < width:
+        e = self._lo
+        if packed.bit_length() < self._width:
             # one slot, which is the coefficient itself
             return [(e, packed)] if packed else []
-        if size > _SHORT * width:
-            slots = _slots(self)
-            return list(filter(_coefficient, zip(range(e, e + len(slots)), slots)))
-        # lifted by 2^(width-1) each, the slots are plain base-2^width
-        # digits, and the top one is positive
-        lifted = packed + _bias(width, size // width + 1)
-        mask = (1 << width) - 1
-        half = (mask >> 1) + 1
-        out = []
-        while lifted:
-            c = (lifted & mask) - half
-            if c:
-                out.append((e, c))
-            lifted >>= width
-            e += 1
-        return out
+        slots = _slots(self)
+        return list(filter(_coefficient, zip(range(e, e + len(slots)), slots)))
 
     def is_zero(self) -> bool:
         return self._packed == 0
@@ -182,7 +170,13 @@ class LaurentPoly:
     def __hash__(self) -> int:
         h = getattr(self, "_hash", None)
         if h is None:
-            h = self._hash = hash(tuple(self.to_pairs()))
+            packed = self._packed
+            if packed is not None and not self._lo and packed.bit_length() < self._width:
+                # a constant, zero included, hashes as the integer it equals
+                h = hash(packed)
+            else:
+                h = hash(tuple(self.to_pairs()))
+            self._hash = h
         return h
 
     def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
@@ -216,14 +210,7 @@ class LaurentPoly:
             if not isinstance(other, int):
                 # let the other operand's reflected method decide
                 return NotImplemented
-            if not other:
-                return ZERO
-            if self._packed is None:
-                return _sparse({e: c * other for e, c in self._terms.items()})
-            a, bits = self, self._bits + other.bit_length()
-            if bits >= self._width:
-                a, _, bits = _fit(self, self, lambda x, _: x._bits + other.bit_length())
-            return _dense(a._lo, a._packed * other, a._width, bits, a._n)
+            other = LaurentPoly.from_int(other)
         pa, pb = self._packed, other._packed
         # a product by a monomial v^k is a shift
         if pa == 1:
@@ -265,19 +252,9 @@ class LaurentPoly:
         width, k = self._width, packed.bit_length() // self._width
         if not k:
             return _dense(-self._lo, packed, width, self._bits, self._n)
-        if width == _WIDTH:
-            # with every slot lifted by 2^63 the slots are plain base-2^64
-            # digits: write them most significant first and swap the
-            # bytes within each slot, which reverses the slots alone
-            bias = _bias(width, k + 1)
-            raw = array("Q", (packed + bias).to_bytes(8 * (k + 1), "big"))
-            raw.byteswap()
-            packed = int.from_bytes(raw, "little") - bias
-        else:
-            slots = _slots(self)
-            slots.reverse()
-            packed = _pack(slots, width)
-        return _dense(-self._lo - k, packed, width, self._bits, self._n)
+        slots = _slots(self)
+        slots.reverse()
+        return _dense(-self._lo - k, _pack(slots, width), width, self._bits, self._n)
 
     def min_exp(self) -> int:
         if not self:
@@ -290,18 +267,6 @@ class LaurentPoly:
         if self._packed is None:
             return max(self._terms)
         return _top(self)
-
-    def coeff(self, e: int) -> int:
-        if self._packed is None:
-            return self._terms.get(e, 0)
-        k, width = e - self._lo, self._width
-        if k < 0 or k > self._packed.bit_length() // width:
-            return 0
-        # round the slots below k away, then read the lowest slot left
-        rest = (self._packed + (1 << (width * k) >> 1)) >> (width * k)
-        mask = (1 << width) - 1
-        half = (mask >> 1) + 1
-        return ((rest + half) & mask) - half
 
     def divexact(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises ExactDivisionError on any remainder.
@@ -375,8 +340,8 @@ class LaurentPoly:
 # its terms, while {0: 1, 2: 1, 46: 1} (47 slots for 3 terms), two terms
 # 16 or more apart, or a stride of 10^9 keep the dict.
 _SPARSE = 8
-# Runs of up to this many slots are read and packed by a plain loop;
-# longer ones go through bytes.
+# Runs of up to this many slots are packed by a plain loop; longer ones
+# go through bytes.
 _SHORT = 16
 _WIDTH = 64
 _MASK = (1 << 64) - 1
@@ -422,47 +387,10 @@ def _store(p: LaurentPoly, terms: dict[int, int]) -> LaurentPoly:
     its exponents span at most _SPARSE slots per term, else as the dict
     itself."""
     n = len(terms)
-    if n > 3:
-        return _store_slots(p, terms)
-    # two or three terms are laid out as _store_slots would, with no
-    # slot list
-    if n == 3:
-        (lo, c0), (e1, c1), (e2, c2) = sorted(terms.items())
-        if e2 - lo >= _SPARSE * 3:
-            p._packed, p._width, p._terms = None, 0, terms
-            return p
-        bits = max(abs(c0), abs(c1), abs(c2)).bit_length()
-        width = _width_for(bits)
-        packed = (c2 << width * (e2 - lo)) + (c1 << width * (e1 - lo)) + c0
-    elif n == 2:
-        (lo, c0), (e1, c1) = terms.items()
-        if e1 < lo:
-            lo, c0, e1, c1 = e1, c1, lo, c0
-        if e1 - lo >= _SPARSE * 2:
-            p._packed, p._width, p._terms = None, 0, terms
-            return p
-        bits = max(abs(c0), abs(c1)).bit_length()
-        width = _width_for(bits)
-        packed = (c1 << width * (e1 - lo)) + c0
-    elif n:
-        # one slot holds the coefficient itself
-        [(lo, packed)] = terms.items()
-        bits = packed.bit_length()
-        width = _width_for(bits)
-    else:
-        lo = packed = bits = 0
-        width = _WIDTH
-    p._lo = lo
-    p._packed = packed
-    p._width = width
-    p._bits = bits
-    p._n = n
-    return p
-
-
-def _store_slots(p: LaurentPoly, terms: dict[int, int]) -> LaurentPoly:
-    """`_store` for two or more terms, through a slot list."""
-    n = len(terms)
+    if not n:
+        p._lo = p._packed = p._bits = p._n = 0
+        p._width = _WIDTH
+        return p
     lo = min(terms)
     span = max(terms) - lo + 1
     if span > _SPARSE * n:

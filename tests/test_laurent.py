@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from qschur import laurent
 from qschur.errors import DomainError, ExactDivisionError
 from qschur.laurent import (
     LaurentPoly,
@@ -246,7 +245,7 @@ def test_the_64_bit_slot_bound(b_max, narrow):
     q = LaurentPoly({i: b_max for i in range(8)})
     assert p._width == q._width == 64
     assert (p * q)._width == (64 if narrow else 128)
-    assert (p * q).coeff(7) == -8 * 2**29 * b_max
+    assert dict((p * q).to_pairs())[7] == -8 * 2**29 * b_max
     assert (p * q).to_pairs() == schoolbook(p, q)
     assert p * q == LaurentPoly(dict(schoolbook(p, q)))
 
@@ -504,15 +503,16 @@ def test_kernel_operations_match_the_reference(p, q, c, e):
     assert (m * p).to_pairs() == (p * m).to_pairs() == schoolbook(m, p)
     for r in (p, p + q, p - q, p * q, p * c, p.bar(), m * p, p * m):
         assert_layout(r)
+    terms = dict(pairs)
     for x, y in pairs[:3] + pairs[-3:]:
-        assert p.coeff(x) == y and p.coeff(x + 10**7) == 0
+        assert terms[x] == y and x + 10**7 not in terms
     if pairs:
         assert (p.min_exp(), p.max_exp()) == (pairs[0][0], pairs[-1][0])
-    # two- and three-term dicts skip the slot list and keep its layout
-    for k in (2, 3):
+    # dicts of one to four of its terms take the expected form
+    for k in (1, 2, 3, 4):
         for short in (dict(pairs[:k]), dict(pairs[-k:]), dict(pairs[::2][:k])):
-            if len(short) == k:
-                assert stored(laurent._store, short) == stored(laurent._store_slots, short)
+            if short:
+                assert_form(short)
 
 
 @pytest.mark.parametrize(
@@ -525,18 +525,37 @@ def test_kernel_operations_match_the_reference(p, q, c, e):
         {7: 1, -5: -2, 1: 3},  # unsorted, 13 slots
         {3: -(2**63), 18: 1},  # 16 slots for 2 terms: packed
         {19: 1, 3: -(2**63)},  # unsorted, 17 slots: the term dict
+        # 15, 16 and 17 slots with gaps, in 64- and then 128-bit slots:
+        # packed by the loop up to 16 slots and through bytes above
+        *(
+            {e - 7: (-1) ** e * (e + 1) * scale for e in range(slots) if e % 5 != 3}
+            for scale in (1, 2**70)
+            for slots in (15, 16, 17)
+        ),
     ],
 )
 def test_short_dicts_keep_the_slot_layout(terms):
-    assert stored(laurent._store, terms) == stored(laurent._store_slots, terms)
-    assert LaurentPoly(terms).to_pairs() == sorted(terms.items())
+    assert_form(terms)
+    assert LaurentPoly(terms).bar().to_pairs() == sorted((-e, c) for e, c in terms.items())
 
 
-def stored(store, terms):
-    p = store(object.__new__(LaurentPoly), dict(terms))
-    if p._packed is None:
-        return p._terms
-    return p._lo, p._packed, p._width, p._bits, p._n
+def assert_form(terms):
+    """LaurentPoly(terms), for a dict with no zeros, is the dict itself
+    when its exponents span more than 8 slots per term; otherwise slot k
+    holds the coefficient of v^(lowest + k), in the narrowest multiple of
+    64 bits that holds every coefficient.  Either way it reads back as
+    the dict."""
+    p = LaurentPoly(dict(terms))
+    lo, span = min(terms), max(terms) - min(terms) + 1
+    if span > 8 * len(terms):
+        assert p._packed is None and p._terms == terms
+    else:
+        bits = max(abs(c) for c in terms.values()).bit_length()
+        width = 64 * (bits // 64 + 1)
+        packed = sum(c << width * (e - lo) for e, c in terms.items())
+        assert (p._lo, p._packed, p._width, p._bits, p._n) == (lo, packed, width, bits, len(terms))
+    assert_layout(p)
+    assert p.to_pairs() == sorted(terms.items())
 
 
 @given(kernel_polys(), kernel_polys(), st.sampled_from((2, -3, Fraction(2, 3), Fraction(-5, 4))))
@@ -565,6 +584,13 @@ def test_equal_values_compare_and_hash_equal_across_routes(p):
     for r in routes:
         assert r == p and p == r and hash(r) == hash(p)
         assert r != p + ONE and r != p * 2 or p.is_zero()
+
+
+@pytest.mark.parametrize("c", [0, 1, -3, 2**70])
+def test_a_constant_hashes_as_its_integer(c):
+    # a value equal to an int is one member of a set with it
+    for p in (LaurentPoly.from_int(c), LaurentPoly({0: c}), (V + c) - V, v_power(3).shift(-3) * c):
+        assert p == c and hash(p) == hash(c) and len({p, c}) == 1
 
 
 @given(kernel_polys())

@@ -57,7 +57,7 @@ def test_the_representation_walk_sees_every_kind_of_read():
     tree = ast.parse(
         "from qschur.laurent import ONE, _slots\n"
         "from . import laurent\n"
-        "p._packed + q.coeff(0)\n"
+        "p._packed + q.to_pairs()\n"
         "laurent._pack([1], 64)\n"
     )
     assert _private_reads(tree) == ["laurent._slots", "_packed", "laurent._pack"]
