@@ -503,9 +503,6 @@ def test_kernel_operations_match_the_reference(p, q, c, e):
     assert (m * p).to_pairs() == (p * m).to_pairs() == schoolbook(m, p)
     for r in (p, p + q, p - q, p * q, p * c, p.bar(), m * p, p * m):
         assert_layout(r)
-    terms = dict(pairs)
-    for x, y in pairs[:3] + pairs[-3:]:
-        assert terms[x] == y and x + 10**7 not in terms
     if pairs:
         assert (p.min_exp(), p.max_exp()) == (pairs[0][0], pairs[-1][0])
     # dicts of one to four of its terms take the expected form
@@ -545,7 +542,7 @@ def assert_form(terms):
     holds the coefficient of v^(lowest + k), in the narrowest multiple of
     64 bits that holds every coefficient.  Either way it reads back as
     the dict."""
-    p = LaurentPoly(dict(terms))
+    p = LaurentPoly(terms)
     lo, span = min(terms), max(terms) - min(terms) + 1
     if span > 8 * len(terms):
         assert p._packed is None and p._terms == terms
