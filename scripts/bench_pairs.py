@@ -10,8 +10,11 @@ modified.  Pair i (from 1) runs the parent first when i is odd and the
 change first when i is even.  For every workload and metric the script
 prints each side's median and quartiles (statistics.quantiles,
 inclusive), the relative change of the median ("worse by", positive when
-the change is worse) and the pairs the change won; a metric's direction
-is read from the change's BENCHMARK.json.  A run that is not correct or
+the change is worse), the pairs the change won, and whether a claimed
+gain would hold: at least 9 of 10 pairs won and the medians further
+apart than the parent's interquartile range.  A metric's direction and
+bound are read from the change's BENCHMARK.json; a median worse than
+the parent's by more than its bound is flagged.  A run that is not correct or
 has failed operations is reported and counts as a loss for its side,
 and the output digests of all runs on both sides are compared.  Each
 workload's summary also gives the bytecode state both sides start it
@@ -53,10 +56,12 @@ def bytecode_state(checkout: str) -> tuple:
     return len(modules), cached
 
 
-def directions(checkout: str) -> dict:
+def directions(checkout: str) -> tuple[dict, dict]:
+    """Each metric's direction, and the bound of each end-to-end metric."""
     with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
-    return {m["name"]: m["better"] for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+    metrics = spec.get("end_to_end", []) + spec.get("per_layer", [])
+    return {m["name"]: m["better"] for m in metrics}, {m["name"]: m["bound"] for m in metrics if "bound" in m}
 
 
 def summary(values: list) -> tuple:
@@ -77,7 +82,7 @@ def main() -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--json", help="write every run's metrics to this file")
     args = parser.parse_args()
-    better = directions(args.change)
+    better, bounds = directions(args.change)
     record = {}
     for workload in args.workload:
         runs = {"parent": [], "change": []}
@@ -105,8 +110,14 @@ def main() -> int:
                        for p, c in zip(vals["parent"], vals["change"]))
             (pm, p1, p3), (cm, c1, c3) = (summary([x for x in vals[s] if x is not None]) for s in runs)
             worse = sign * (cm - pm) / abs(pm) if pm else float("nan")
+            # a gain holds when 9 of 10 pairs are won and the medians lie
+            # further apart than the parent's quartiles
+            claim = "holds" if 10 * wins >= 9 * args.pairs and sign * (pm - cm) > p3 - p1 else "fails"
+            bound = bounds.get(name)
+            flag = f"; WORSE THAN ITS BOUND {bound}" if bound is not None and worse > bound else ""
             print(f"{name}: parent {pm:.5g} [{p1:.5g}, {p3:.5g}] -> change {cm:.5g} [{c1:.5g}, {c3:.5g}]; "
-                  f"worse by {worse:+.4f}; parent IQR {p3 - p1:.5g}; change wins {wins} of {args.pairs}")
+                  f"worse by {worse:+.4f}; parent IQR {p3 - p1:.5g}; change wins {wins} of {args.pairs}; "
+                  f"claim rule {claim}{flag}")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(record, fh, indent=1)

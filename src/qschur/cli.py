@@ -104,7 +104,7 @@ def parse_element(text: str):
     """
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "terms" not in obj or "n" not in obj:
         raise ParseError("element must be an object with 'n' and 'terms'")
@@ -149,14 +149,15 @@ def parse_element(text: str):
 
 
 def _read_element_arg(text: str):
-    if text == "-":
-        return parse_element(sys.stdin.read())
-    if text.startswith("@"):
-        try:
-            with open(text[1:], "r", encoding="utf-8") as fh:
-                return parse_element(fh.read())
-        except OSError as exc:
-            raise ParseError(f"cannot read {text[1:]}: {exc}") from exc
+    source = "stdin" if text == "-" else text[1:]
+    try:
+        if text == "-":
+            text = sys.stdin.read()
+        elif text.startswith("@"):
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {source}: {exc}") from exc
     return parse_element(text)
 
 

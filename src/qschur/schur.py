@@ -125,6 +125,11 @@ class SchurElement(Combination):
     def _header(self) -> tuple[int, int]:
         return (self.n, self.r)
 
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.n == other.n and self.r == other.r and self.terms == other.terms
+
     @classmethod
     def basis(cls, a: Matrix) -> "SchurElement":
         if not is_nonnegative(a):
@@ -282,7 +287,8 @@ def basis_product(a: Matrix, b: Matrix, cap: int = DEFAULT_ORACLE_CAP) -> SchurE
 
 def _bilinear(x: SchurElement, y: SchurElement, product, cap: int) -> SchurElement:
     # Extend product(a, b, cap), the terms of [a][b], over the pairs with co(a) == ro(b).
-    x._check(y)
+    if x.n != y.n or x.r != y.r:
+        raise DimensionMismatch("elements live in different algebras")
     out = SchurElement(x.n, x.r)
     if not (x.terms and y.terms):
         return out

@@ -21,13 +21,13 @@ the library to show that each check can fail.
 from __future__ import annotations
 
 import random
-from functools import cache, partial
+from functools import partial
 from itertools import islice, product
-from types import MappingProxyType
 
 from .config import RunConfig
 from .errors import QschurError
 from .laurent import (
+    ONE,
     LaurentPoly,
     balanced_binomial,
     unbalanced_binomial,
@@ -317,38 +317,23 @@ def _formula2_random_instances(cfg: RunConfig):
 # -- formula checks: a symbolic rule against the truncated product -----------
 
 
-@cache
-def _formula_left(head: tuple, n: int, r_max: int):
-    """The truncated realization of the left generator of a formula1
-    head (gamma, mu) or formula2 head (kind, m, h).  Heads repeat across
-    instances, so each left generator is checked and realized once per
-    process.  The realization is only read, as the left factor of the
-    truncated product, and its components are read-only."""
-    if len(head) == 2:
-        key = (zero_matrix(n), *head)
-    else:
-        kind, m, h = head
-        zero = (0,) * n
-        i, j = (h, h + 1) if kind == "E" else (h + 1, h)
-        key = (entry_matrix(n, i, j, m), zero, zero)
-    left = SymbolicElement.gen(*key).realize_truncated(r_max)
-    for part in left.components:
-        part.terms = MappingProxyType(part.terms)
-    return left
-
-
 def _check_formula(cfg: RunConfig, inst, engine: str = "fast"):
     # an instance is its head, then the right key
     *head, a, delta, lam = inst
     r_max = cfg.resolve_r_max(4)
+    n = len(a)
     x = SymbolicElement.gen(a, delta, lam)
+    # the rules check the head, so its key is realized without gen's checks
     if len(head) == 2:
         sym = torus_mult(*head, x)
+        key = (zero_matrix(n), *head)
     else:
         kind, m, h = head
         sym = (raising_mult if kind == "E" else lowering_mult)(m, h, x)
+        zero = (0,) * n
+        key = (entry_matrix(n, *((h, h + 1) if kind == "E" else (h + 1, h)), m), zero, zero)
     got = sym.realize_truncated(r_max)
-    left = _formula_left(tuple(head), len(a), r_max)
+    left = SymbolicElement(n, {key: ONE}).realize_truncated(r_max)
     want = left.multiply(x.realize_truncated(r_max), cap=cfg.oracle_cap, engine=engine)
     if got == want:
         return None

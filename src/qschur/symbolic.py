@@ -11,7 +11,12 @@ degree r produces the sum over diagonal completions mu of
 and a symbolic element is a finite Laurent-combination of keys,
 realized into a `TruncatedElement`.  A completion mu covers lam
 entrywise, so realization goes key by key and starts each key at
-degree |A| + |lam|.
+degree |A| + |lam|.  Realized parts are read-only: a bounded table
+keyed by one key and its degree window holds the key's parts (the
+cached `diag_sum` slices from its lowest degree up, one shared empty
+part per degree below), a one-key element with coefficient 1 is that
+tuple, and an element of several keys copies a part only where a
+second key merges into it.
 
 Three product rules multiply a one-generator factor into a symbolic
 element without leaving the symbolic side:
@@ -43,8 +48,9 @@ corner-sum order.
 from __future__ import annotations
 
 import operator
-from functools import cache
+from functools import cache, lru_cache
 from heapq import heapify, heappop, heappush
+from types import MappingProxyType
 
 from .errors import DimensionMismatch, DomainError
 from .laurent import (
@@ -112,6 +118,32 @@ def _check_key(a: Matrix, delta: IntVector, lam: IntVector) -> None:
         raise DomainError("binomial depths must be nonnegative")
 
 
+@lru_cache(maxsize=1 << 10)
+def _empty_part(n: int, r: int) -> SchurElement:
+    """The one shared read-only empty part of degree r."""
+    out = SchurElement(n, r)
+    out.terms = MappingProxyType(out.terms)
+    return out
+
+
+@lru_cache(maxsize=1 << 14)
+def _key_parts(
+    a: Matrix, delta: IntVector, lam: IntVector, lo: int, hi: int
+) -> tuple[SchurElement, ...]:
+    """The read-only parts of the key (a; delta, lam) in degrees lo..hi:
+    `diag_sum`'s slices from the key's lowest degree |a| + |lam| up, and
+    the shared empty parts below it, where nothing is computed.  Keyed
+    by one key and its degree window, never by an element or a pair; a
+    key above every degree asked is still checked."""
+    check_diag_key(a, delta, lam)
+    low = min(max(lo, entry_sum(a) + sum(lam)), hi + 1)
+    n = len(a)
+    return tuple(
+        [_empty_part(n, r) for r in range(lo, low)]
+        + [diag_sum(a, delta, lam, r) for r in range(low, hi + 1)]
+    )
+
+
 class SymbolicElement(Combination):
     """Laurent-combination of symbolic keys of one common size n."""
 
@@ -137,35 +169,55 @@ class SymbolicElement(Combination):
         return cls(n, {(zero_matrix(n), z, z): ONE})
 
     def _realize(self, lo: int, hi: int) -> tuple[SchurElement, ...]:
-        # degrees lo..hi; no key has a completion below |a| + |lam|.  Each
-        # cached slice goes into its degree part whole: copied (parts are
-        # mutable, so never shared with the cache) or scaled into an empty
-        # part, and merged entry by entry only into a part with terms.
-        out = tuple([SchurElement(self.n, r) for r in range(lo, hi + 1)])
-        for (a, delta, lam), c in self.terms.items():
-            parts = out[max(0, entry_sum(a) + sum(lam) - lo):]
-            if not parts:
-                # diag_sum checks the key wherever it is called
+        # degrees lo..hi, read-only.  A part that one unit key fills is
+        # that key's cached slice itself; the first merge into a shared
+        # part copies it once, and a non-unit coefficient scales each
+        # entry straight into the part.
+        items = self.terms.items()
+        if len(items) == 1:
+            ((key, c),) = items
+            if c == ONE:
+                return _key_parts(*key, lo, hi)
+        n = self.n
+        out = [_empty_part(n, r) for r in range(lo, hi + 1)]
+        owned: list[dict | None] = [None] * len(out)
+        for (a, delta, lam), c in items:
+            start = entry_sum(a) + sum(lam) - lo
+            if start > hi - lo:
+                # above every degree asked: checked, never tabulated
                 check_diag_key(a, delta, lam)
+                continue
+            parts = _key_parts(a, delta, lam, lo, hi)
             unit = c == ONE
-            for part in parts:
-                piece = diag_sum(a, delta, lam, part.r).terms
-                if not unit:
-                    # never zero over Z[v, v^-1]; a specialized c can kill an entry
-                    piece = {m: y for m, x in piece.items() if not (y := c * x).is_zero()}
-                terms = part.terms
-                if not terms:
-                    part.terms = piece.copy() if unit else piece
+            for i in range(max(start, 0), hi - lo + 1):
+                piece = parts[i]
+                src = piece.terms
+                if not src:
                     continue
-                for mat, x in piece.items():
+                terms = owned[i]
+                if terms is None:
+                    if unit and not out[i].terms:
+                        out[i] = piece
+                        continue
+                    terms = owned[i] = dict(out[i].terms)
+                for mat, x in src.items():
+                    if not unit:
+                        x = c * x
                     s = terms.get(mat)
-                    if s is None:
+                    if s is not None:
+                        x = s + x
+                    # a specialized c can kill an entry; sums can cancel
+                    if not x.is_zero():
                         terms[mat] = x
-                    elif not (s := s + x).is_zero():
-                        terms[mat] = s
-                    else:
+                    elif s is not None:
                         del terms[mat]
-        return out
+        for i, terms in enumerate(owned):
+            if terms:
+                part = out[i] = SchurElement(n, lo + i)
+                part.terms = MappingProxyType(terms)
+            elif terms is not None:
+                out[i] = _empty_part(n, lo + i)
+        return tuple(out)
 
     def realize(self, r: int) -> SchurElement:
         return self._realize(r, r)[0]
@@ -244,7 +296,8 @@ class TruncatedElement:
             if a.terms and b.terms:
                 return mult(a, b, cap)
             # a degree with an empty side has the empty product
-            a._check(b)
+            if a.n != b.n or a.r != b.r:
+                raise DimensionMismatch("elements live in different algebras")
             return b if a.terms else a
 
         return self._zip(other, product)

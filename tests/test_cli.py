@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from qschur import cli
 from qschur.config import RunConfig, threads_from_env
 from qschur.errors import DomainError
 
@@ -103,6 +105,25 @@ def test_parse_error_exit_code():
     res = run_cli("multiply", "not json", "{}")
     assert res.returncode == 2
     assert res.stdout == ""
+
+
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000)
+    assert cli.main(["multiply", f"@{deep}", f"@{deep}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: invalid JSON") and "Traceback" not in err
+
+
+def test_input_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, monkeypatch):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    assert cli.main(["multiply", f"@{bad}", ELEMENT_B]) == 2
+    assert capsys.readouterr().err.startswith(f"parse error: cannot read {bad}")
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert cli.main(["multiply", "-", ELEMENT_B]) == 2
+    assert capsys.readouterr().err.startswith("parse error: cannot read stdin")
 
 
 def _fixed(n=2, r=2, matrix=((1, 0), (1, 0)), coeff=1):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from qschur import presentation, suites, symbolic
+from qschur import presentation, schur, suites, symbolic
 from qschur.config import RunConfig
 from qschur.errors import DomainError, QschurError
 from qschur.laurent import ONE
@@ -134,18 +134,24 @@ def test_formula1_strata_directly():
 
 def test_formula_left_generators_are_realized_once_per_head():
     # formula2's core at n = 2 has four heads (E, F) x (m = 1, 2), and
-    # its first instances meet all four
-    suites._formula_left.cache_clear()
+    # its first instances meet all four; each left generator is one key,
+    # realized from the per-key table
     count, fails = _stratum_worker(("formula2:core", SMALL.to_json_obj(), 0, 100))
     assert count == 100 and fails == []
-    info = suites._formula_left.cache_info()
-    assert (info.misses, info.hits) == (4, 96)
-    left = suites._formula_left(("E", 1, 1), 2, 4)
+    e = symbolic.SymbolicElement.gen(((0, 1), (0, 0)), (0, 0), (0, 0))
+    before = symbolic._key_parts.cache_info()
+    left = e.realize_truncated(4)
+    after = symbolic._key_parts.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
     unit = ((1, 0), (0, 1))
     for part in left.components:
         with pytest.raises(TypeError):
             part.add_into(unit, ONE)
-    assert left == symbolic.SymbolicElement.gen(((0, 1), (0, 0)), (0, 0), (0, 0)).realize_truncated(4)
+    symbolic._key_parts.cache_clear()
+    schur.diag_sum.cache_clear()
+    fresh = e.realize_truncated(4)
+    assert all(p is not q for p, q in zip(left.components[1:], fresh.components[1:]))
+    assert left == fresh
 
 
 def test_rank_defaults_are_echoed():

@@ -570,7 +570,10 @@ def test_realization_at_degree_40():
 
 
 def test_realization_skips_degrees_below_the_lowest_one():
-    # counted in diag_sum misses, one per (key, degree) computed
+    # counted in diag_sum misses, one per (key, degree)
+    # computed; the per-key table is cleared too, or a key realized by
+    # an earlier test would reach no diag_sum call
+    symbolic._key_parts.cache_clear()
     diag_sum.cache_clear()
     SymbolicElement(2, {(((0, 2), (1, 0)), (1, -1), (1, 2)): ONE}).realize_truncated(4)
     assert diag_sum.cache_info().misses == 0
@@ -593,7 +596,9 @@ def test_realization_checks_every_key_in_every_degree(r, lam, error):
 
 
 # ---------------------------------------------------------------------------
-# whole-slice realization: each cached slice is copied, scaled or merged
+# read-only realization: a part one unit key fills is its cached slice,
+# the first merge into it copies it, and a non-unit coefficient scales
+# each entry into the part
 
 
 def test_colliding_slices_cancel_to_zero():
@@ -621,23 +626,45 @@ def test_non_unit_coefficients_scale_the_slices(c):
     assert x.realize_truncated(6) == SymbolicElement.gen(*key).realize_truncated(6).scale(c)
 
 
-def test_realization_does_not_share_the_cached_slices():
+def test_realized_parts_are_read_only():
     a = ((0, 1), (0, 0))
     key = (a, (1, 0), (0, 1))
     want = {r: dict(diag_sum(*key, r).terms) for r in range(R + 1)}
-    x = SymbolicElement.gen(*key)
-    first = x.realize_truncated(R)
-    for part in first.components:
-        for mat in list(part.terms):
-            part.add_into(mat, ONE)
-        part.add_into(a, v_power(7))
-    # a unit key sharing matrices with the first: merged into its copy
-    both = (x + SymbolicElement.gen(a, (0, 0), (0, 0))).realize_truncated(R)
-    both.components[3].add_into(add_to_entry(a, 2, 2, 2), ONE)
-    again = x.realize_truncated(R)
+    one = SymbolicElement.gen(*key)
+    # a unit key sharing matrices with the first, and a scaled key
+    many = one + SymbolicElement.gen(a, (0, 0), (0, 0)) + SymbolicElement.gen(a, (0, 1), (0, 0), v_power(2))
+    realized = [el.realize_truncated(R) for el in (one, many, SymbolicElement(2))]
+    parts = [part for x in realized for part in x.components] + [many.realize(3)]
+    for part in parts:
+        with pytest.raises(TypeError):
+            part.add_into(add_to_entry(a, 2, 2, part.r - 1), ONE)
+    first = realized[0]
+    assert first.components[3] is diag_sum(*key, 3)
+    for fresh in (first + first, first.scale(2), first.scale(ONE)):
+        for part, old in zip(fresh.components, first.components):
+            assert part is not old
+            part.add_into(a, ONE)
     for r in range(R + 1):
         assert diag_sum(*key, r).terms == want[r]
-        assert again.components[r].terms == want[r]
+        assert one.realize(r).terms == want[r]
+
+
+def test_the_key_table_is_keyed_by_one_key():
+    # three keys in two elements, one window: at most one entry per key,
+    # and the second element finds its shared key in the table
+    a = ((0, 1), (0, 0))
+    keys = [(a, (0, 0), (0, 0)), (a, (1, 0), (0, 1)), (zero_matrix(2), (0, 1), (1, 0))]
+    x = SymbolicElement(2, {k: ONE for k in keys[:2]})
+    y = SymbolicElement(2, {k: v_power(1) for k in keys[1:]})
+    symbolic._key_parts.cache_clear()
+    x.realize_truncated(R)
+    y.realize_truncated(R)
+    info = symbolic._key_parts.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (3, 3, 1)
+    assert info.maxsize is not None and info.maxsize <= 1 << 16
+    # degrees below a key's lowest one share the empty parts
+    parts = symbolic._key_parts(*keys[1], 0, R)
+    assert parts[0] is SymbolicElement(2).realize(0) and not parts[1].terms and parts[2].terms
 
 
 @pytest.mark.parametrize(
