@@ -16,12 +16,14 @@ apart than the parent's interquartile range.  A metric's direction and
 bound are read from the change's BENCHMARK.json; a median worse than
 the parent's by more than its bound is flagged.  A run that is not correct or
 has failed operations is reported and counts as a loss for its side,
-and the output digests of all runs on both sides are compared.  Each
-workload's summary also gives the bytecode state both sides start it
-in: PYTHONDONTWRITEBYTECODE and how many src/qschur modules have
-bytecode cached for this interpreter, flagged when the sides differ,
-since compiling the modules lands in setup_s.  With --json the per-run
-values go to a file as well.
+and the output digests of all runs on both sides are compared.  For
+each side the script prints how many runs matched the golden digest
+that perfbench/golden.json records for the seed, or says that the seed
+has none.  Each workload's summary also gives the bytecode state both
+sides start it in: PYTHONDONTWRITEBYTECODE and how many src/qschur
+modules have bytecode cached for this interpreter, flagged when the
+sides differ, since compiling the modules lands in setup_s.  With
+--json the per-run values go to a file as well.
 """
 
 import argparse
@@ -38,13 +40,14 @@ def run_once(checkout: str, workload: str, seed: int, seconds: int, trace: int) 
     res = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = res.stdout.strip().splitlines()
     out = json.loads(lines[-1]) if res.returncode == 0 and lines else {}
-    digest = None
+    record = {}
     if out:
-        record = os.path.join(checkout, ".perfbench-out", f"record-{workload}-seed{seed}-trace{trace}.json")
-        with open(record, encoding="utf-8") as fh:
-            digest = json.load(fh).get("digest")
+        path = os.path.join(checkout, ".perfbench-out", f"record-{workload}-seed{seed}-trace{trace}.json")
+        with open(path, encoding="utf-8") as fh:
+            record = json.load(fh)
     ok = out.get("correct") is True and out.get("failed") == 0
-    return {"ok": ok, "digest": digest, "metrics": {k: v["value"] for k, v in out.get("metrics", {}).items()}}
+    return {"ok": ok, "digest": record.get("digest"), "golden": record.get("golden_digest"),
+            "metrics": {k: v["value"] for k, v in out.get("metrics", {}).items()}}
 
 
 def bytecode_state(checkout: str) -> tuple:
@@ -98,6 +101,13 @@ def main() -> int:
         print(f"== {workload} (seed {args.seed}, {args.pairs} pairs, trace {args.trace}); "
               f"runs not correct: parent {bad['parent']}, change {bad['change']}; "
               f"distinct digests over both sides: {len(digests)}")
+        if any(r["golden"] for rs in runs.values() for r in rs):
+            matched = {side: sum(r["golden"] is not None and r["digest"] == r["golden"] for r in rs)
+                       for side, rs in runs.items()}
+            print(f"golden digest matched: parent {matched['parent']} of {args.pairs} runs, "
+                  f"change {matched['change']} of {args.pairs} runs")
+        else:
+            print(f"seed {args.seed} has no golden digest in perfbench/golden.json")
         (pm, pc), (cm, cc) = bytecode.values()
         differ = " -- the sides differ, so setup_s compares unlike imports" if pm - pc != cm - cc else ""
         print(f"bytecode at start: PYTHONDONTWRITEBYTECODE={os.environ.get('PYTHONDONTWRITEBYTECODE', 'unset')}; "

@@ -340,6 +340,27 @@ def _completions(lam: IntVector, rest: int) -> tuple[tuple[IntVector, LaurentPol
     )
 
 
+@lru_cache(maxsize=1 << 14)
+def _completion_table(
+    a: Matrix, lam: IntVector, r: int
+) -> tuple[tuple[Matrix, IntVector, LaurentPoly], ...]:
+    """The degree-r completions of (a; lam): (a + diag(mu), mu,
+    [mu choose lam]) for each mu >= lam with |a| + |mu| = r, lex
+    ascending in mu.  Keyed by one matrix, one depth vector and one
+    degree, never by an exponent vector: v^(mu.delta) is a shift of
+    each entry.  Empty when the off-diagonal entries are not all
+    nonnegative or the degree cannot accommodate |a| + |lam|."""
+    rest = r - entry_sum(a)
+    if not (is_nonnegative(a) and rest >= sum(lam)):
+        return ()
+    # row i of a + diag(mu) is a[i] with mu_i added at position i
+    rows = [(row[:i], row[i], row[i + 1 :]) for i, row in enumerate(a)]
+    return tuple(
+        (tuple([pre + (d + m,) + post for (pre, d, post), m in zip(rows, mu)]), mu, b)
+        for mu, b in _completions(lam, rest)
+    )
+
+
 @lru_cache(maxsize=1 << 18)
 def diag_sum(a: Matrix, delta: IntVector, lam: IntVector, r: int) -> SchurElement:
     """The degree-r slice of the symbolic generator (a; delta, lam):
@@ -349,17 +370,15 @@ def diag_sum(a: Matrix, delta: IntVector, lam: IntVector, r: int) -> SchurElemen
     Zero when the off-diagonal entries are not all nonnegative or the
     degree cannot accommodate the off-diagonal mass.  [m choose l]
     vanishes exactly when 0 <= m < l, so only the completions mu >= lam
-    contribute.
+    contribute.  Each term is an entry of the (a, lam, r) completion
+    table shifted by mu.delta; a negative degree is a `DomainError`.
     """
     check_diag_key(a, delta, lam)
+    if r < 0:
+        raise DomainError(f"degree {r} is negative")
     out = SchurElement(len(a), r)
-    rest = r - entry_sum(a)
-    if is_nonnegative(a) and rest >= sum(lam):
-        # row i of a + diag(mu) is a[i] with mu_i added at position i
-        rows = [(row[:i], row[i], row[i + 1 :]) for i, row in enumerate(a)]
-        out.terms = {
-            tuple([pre + (d + m,) + post for (pre, d, post), m in zip(rows, mu)]):
-            b.shift(sum(map(operator.mul, mu, delta)))
-            for mu, b in _completions(lam, rest)
-        }
+    out.terms = {
+        m: b.shift(sum(map(operator.mul, mu, delta)))
+        for m, mu, b in _completion_table(a, lam, r)
+    }
     return _frozen(out)

@@ -11,12 +11,15 @@ degree r produces the sum over diagonal completions mu of
 and a symbolic element is a finite Laurent-combination of keys,
 realized into a `TruncatedElement`.  A completion mu covers lam
 entrywise, so realization goes key by key and starts each key at
-degree |A| + |lam|.  Realized parts are read-only: a bounded table
-keyed by one key and its degree window holds the key's parts (the
-cached `diag_sum` slices from its lowest degree up, one shared empty
-part per degree below), a one-key element with coefficient 1 is that
-tuple, and an element of several keys copies a part only where a
-second key merges into it.
+degree |A| + |lam|.  Realized parts are read-only.  The completions
+of one degree are read from a bounded table in `schur` keyed by
+(A, lam, r), never by delta: each entry holds A + diag(mu), mu and
+[mu choose lam], and delta only shifts it by v^(mu . delta).  A
+one-key element with coefficient 1 is the key's parts from a second
+bounded table keyed by one key and its degree window (the cached
+`diag_sum` slices from its lowest degree up, one shared empty part per
+degree below); any other element merges c * [mu choose lam], shifted,
+straight from the completion table into fresh parts.
 
 Three product rules multiply a one-generator factor into a symbolic
 element without leaving the symbolic side:
@@ -77,6 +80,7 @@ from .matrices import (
 from .schur import (
     Combination,
     SchurElement,
+    _completion_table,
     check_diag_key,
     diag_sum,
     force_oracle_product,
@@ -126,6 +130,15 @@ def _empty_part(n: int, r: int) -> SchurElement:
     return out
 
 
+def _part(n: int, r: int, terms: dict) -> SchurElement:
+    """A read-only part of degree r holding ``terms``."""
+    if not terms:
+        return _empty_part(n, r)
+    out = SchurElement(n, r)
+    out.terms = MappingProxyType(terms)
+    return out
+
+
 @lru_cache(maxsize=1 << 14)
 def _key_parts(
     a: Matrix, delta: IntVector, lam: IntVector, lo: int, hi: int
@@ -169,40 +182,25 @@ class SymbolicElement(Combination):
         return cls(n, {(zero_matrix(n), z, z): ONE})
 
     def _realize(self, lo: int, hi: int) -> tuple[SchurElement, ...]:
-        # degrees lo..hi, read-only.  A part that one unit key fills is
-        # that key's cached slice itself; the first merge into a shared
-        # part copies it once, and a non-unit coefficient scales each
-        # entry straight into the part.
+        # degrees lo..hi, read-only.  A one-key element with coefficient
+        # 1 is that key's cached parts; any other element merges each
+        # key's (A, lam, r) completions, scaled by its coefficient and
+        # shifted by mu.delta, so no slice is built for one delta.
+        if lo < 0 or hi < 0:
+            raise DomainError(f"degree {min(lo, hi)} is negative")
         items = self.terms.items()
         if len(items) == 1:
             ((key, c),) = items
             if c == ONE:
                 return _key_parts(*key, lo, hi)
-        n = self.n
-        out = [_empty_part(n, r) for r in range(lo, hi + 1)]
-        owned: list[dict | None] = [None] * len(out)
+        merged: list[dict] = [{} for _ in range(lo, hi + 1)]
         for (a, delta, lam), c in items:
-            start = entry_sum(a) + sum(lam) - lo
-            if start > hi - lo:
-                # above every degree asked: checked, never tabulated
-                check_diag_key(a, delta, lam)
-                continue
-            parts = _key_parts(a, delta, lam, lo, hi)
-            unit = c == ONE
-            for i in range(max(start, 0), hi - lo + 1):
-                piece = parts[i]
-                src = piece.terms
-                if not src:
-                    continue
-                terms = owned[i]
-                if terms is None:
-                    if unit and not out[i].terms:
-                        out[i] = piece
-                        continue
-                    terms = owned[i] = dict(out[i].terms)
-                for mat, x in src.items():
-                    if not unit:
-                        x = c * x
+            # checked even when above every degree asked
+            check_diag_key(a, delta, lam)
+            for r in range(max(lo, entry_sum(a) + sum(lam)), hi + 1):
+                terms = merged[r - lo]
+                for mat, mu, b in _completion_table(a, lam, r):
+                    x = (c * b).shift(sum(map(operator.mul, mu, delta)))
                     s = terms.get(mat)
                     if s is not None:
                         x = s + x
@@ -211,13 +209,7 @@ class SymbolicElement(Combination):
                         terms[mat] = x
                     elif s is not None:
                         del terms[mat]
-        for i, terms in enumerate(owned):
-            if terms:
-                part = out[i] = SchurElement(n, lo + i)
-                part.terms = MappingProxyType(terms)
-            elif terms is not None:
-                out[i] = _empty_part(n, lo + i)
-        return tuple(out)
+        return tuple(_part(self.n, lo + i, terms) for i, terms in enumerate(merged))
 
     def realize(self, r: int) -> SchurElement:
         return self._realize(r, r)[0]

@@ -326,6 +326,16 @@ def test_diag_sum_zero_cases():
     assert diag_sum(heavy, (0, 0), (0, 0), 3).is_zero()
 
 
+def test_diag_sum_rejects_negative_degrees():
+    # an error, not an empty slice, and nothing is cached for it
+    a = ((0, 1), (0, 0))
+    before = diag_sum.cache_info().currsize
+    for r in (-1, -2):
+        with pytest.raises(DomainError):
+            diag_sum(a, (1, 0), (0, 1), r)
+    assert diag_sum.cache_info().currsize == before
+
+
 def test_diag_sum_expands_over_diagonal_completions():
     # degree 2 completion of a single off-diagonal cell: diagonal gets
     # one extra unit, in either position

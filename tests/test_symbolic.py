@@ -30,7 +30,7 @@ from qschur.matrices import (
     theta_pm,
     zero_matrix,
 )
-from qschur.schur import SchurElement, diag_sum
+from qschur.schur import SchurElement, _completion_table, diag_sum
 from qschur.vectors import boxes, compositions, dot, is_natural, vadd, vsub
 from qschur.symbolic import (
     SymbolicElement,
@@ -650,8 +650,9 @@ def test_realized_parts_are_read_only():
 
 
 def test_the_key_table_is_keyed_by_one_key():
-    # three keys in two elements, one window: at most one entry per key,
-    # and the second element finds its shared key in the table
+    # only a one-key element with coefficient 1 reads the per-key table;
+    # an element of several keys, or of one scaled key, merges straight
+    # from the completion table
     a = ((0, 1), (0, 0))
     keys = [(a, (0, 0), (0, 0)), (a, (1, 0), (0, 1)), (zero_matrix(2), (0, 1), (1, 0))]
     x = SymbolicElement(2, {k: ONE for k in keys[:2]})
@@ -659,12 +660,109 @@ def test_the_key_table_is_keyed_by_one_key():
     symbolic._key_parts.cache_clear()
     x.realize_truncated(R)
     y.realize_truncated(R)
+    SymbolicElement.gen(*keys[1], v_power(1)).realize_truncated(R)
     info = symbolic._key_parts.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (3, 3, 1)
+    assert (info.currsize, info.misses, info.hits) == (0, 0, 0)
+    one = SymbolicElement.gen(*keys[1])
+    first = one.realize_truncated(R)
+    assert one.realize_truncated(R) == first
+    info = symbolic._key_parts.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
     assert info.maxsize is not None and info.maxsize <= 1 << 16
     # degrees below a key's lowest one share the empty parts
     parts = symbolic._key_parts(*keys[1], 0, R)
+    assert parts is first.components
     assert parts[0] is SymbolicElement(2).realize(0) and not parts[1].terms and parts[2].terms
+
+
+def test_the_completion_table_is_keyed_by_matrix_depths_and_degree():
+    # two keys that differ only in delta share one entry, and neither
+    # builds a diag_sum slice
+    a = ((0, 1, 0), (0, 0, 0), (2, 0, 0))
+    lam = (1, 0, 1)
+    deltas = [(0, 0, 0), (1, -2, 0)]
+    x = SymbolicElement(3, {(a, d, lam): c for d, c in zip(deltas, (ONE, v_power(2)))})
+    _completion_table.cache_clear()
+    diag_sum.cache_clear()
+    x.realize(6)
+    info = _completion_table.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+    assert info.maxsize is not None and info.maxsize <= 1 << 16
+    assert diag_sum.cache_info().misses == 0
+    # entries (a + diag(mu), mu, [mu choose lam]) over mu >= lam, lex ascending
+    table = _completion_table(a, lam, 6)
+    want = [mu for mu in compositions(3, 3) if all(m >= l for m, l in zip(mu, lam))]
+    assert [mu for _, mu, _ in table] == want
+    for mat, mu, b in table:
+        assert mat == tuple(
+            tuple(x + (mu[i] if i == j else 0) for j, x in enumerate(row)) for i, row in enumerate(a)
+        )
+        assert b == vector_binomial(mu, lam)
+    # a delta only shifts each entry
+    for d in deltas:
+        assert dict(diag_sum(a, d, lam, 6).terms) == {m: b.shift(dot(mu, d)) for m, mu, b in table}
+    # empty where diag_sum is zero: a negative entry, or too little degree
+    assert _completion_table(((0, -1), (0, 0)), (0, 0), 3) == ()
+    assert _completion_table(a, lam, 4) == () and _completion_table(a, lam, 5)
+
+
+def shared_depth_element(rng, n):
+    # three (A, lam) pairs, each under three exponent vectors, and one
+    # more pair of keys on a shared (A, lam) whose terms cancel in
+    # exactly one degree r0: their exponents differ by (1, ..., 1), so
+    # v^(mu.delta) differs by v^(r0 - |A|) there
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+    terms = {}
+    for _ in range(3):
+        a = [[0] * n for _ in range(n)]
+        for _ in range(rng.randint(0, 2)):
+            i, j = rng.choice(cells)
+            a[i][j] += 1
+        a = tuple(map(tuple, a))
+        lam = [0] * n
+        for _ in range(rng.randint(0, R - entry_sum(a))):
+            lam[rng.randrange(n)] += 1
+        lam = tuple(lam)
+        for _ in range(3):
+            delta = tuple(rng.randint(-2, 2) for _ in range(n))
+            terms[a, delta, lam] = rng.choice(MIXED)
+    r0 = rng.randint(entry_sum(a) + sum(lam), R)
+    delta = tuple(rng.randint(3, 4) for _ in range(n))
+    c = rng.choice(MIXED)
+    pair = {(a, delta, lam): c, (a, vadd(delta, (1,) * n), lam): -c * v_power(entry_sum(a) - r0)}
+    terms.update(pair)
+    return SymbolicElement(n, terms), SymbolicElement(n, pair), r0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_keys_sharing_matrix_and_depths_realize_to_the_defining_sum(n, seed):
+    x, pair, r0 = shared_depth_element(random.Random(100 * n + seed), n)
+    assert pair.realize(r0).is_zero() and not pair.realize(r0 + 1).is_zero()
+    for el in (x, pair):
+        got = el.realize_truncated(R)
+        for r in range(R + 1):
+            assert got.components[r].terms == defining_sum(el, r)
+            assert el.realize(r) == got.components[r]
+
+
+@pytest.mark.parametrize(
+    "el",
+    [
+        SymbolicElement.unit(2),
+        SymbolicElement.gen(((0, 1), (0, 0)), (1, 0), (0, 1), v_power(2)),
+        SymbolicElement.unit(2) + SymbolicElement.gen(((0, 1), (0, 0)), (1, 0), (0, 1)),
+        SymbolicElement(2),
+    ],
+)
+def test_negative_degrees_are_rejected(el):
+    # SchurElement.unit(2, -1) raises, and so does every realization
+    with pytest.raises(DomainError):
+        SchurElement.unit(2, -1)
+    with pytest.raises(DomainError):
+        el.realize(-1)
+    with pytest.raises(DomainError):
+        el.realize_truncated(-1)
 
 
 @pytest.mark.parametrize(
