@@ -14,8 +14,11 @@ entry sum r.  Products fall into layers:
 `general_product` dispatches each pair with co(a) == ro(b) between the
 layers.  A bounded table keyed by one matrix (never by a pair) holds
 ro, co and the layer of each matrix as a left factor, so a matrix is
-classified once; no product is memoized here.  The structured layers
-are exactly what the verification suites compare against the oracle.
+classified once; no product is memoized here.  A second bounded
+table, keyed by one matrix, one depth vector and one degree, holds the
+diagonal completions that `diag_sum` and symbolic realization read.
+The structured layers are exactly what the verification suites compare
+against the oracle.
 `Combination` holds the term arithmetic that `SchurElement` shares with
 the symbolic elements.
 """

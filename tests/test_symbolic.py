@@ -596,9 +596,9 @@ def test_realization_checks_every_key_in_every_degree(r, lam, error):
 
 
 # ---------------------------------------------------------------------------
-# read-only realization: a part one unit key fills is its cached slice,
-# the first merge into it copies it, and a non-unit coefficient scales
-# each entry into the part
+# read-only realization: a one-key element with coefficient 1 is its
+# cached slices, and every other element merges its keys' completions,
+# scaled and shifted by mu.delta, from one (A, lam, r) table
 
 
 def test_colliding_slices_cancel_to_zero():
