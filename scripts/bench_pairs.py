@@ -19,7 +19,9 @@ has failed operations is reported and counts as a loss for its side,
 and the output digests of all runs on both sides are compared.  For
 each side the script prints how many runs matched the golden digest
 that perfbench/golden.json records for the seed, or says that the seed
-has none.  Each workload's summary also gives the bytecode state both
+has none.  Wherever the two sides' records differ in a table's
+cache_counts ([hits, misses] over one round), it prints each side's
+counts for that table.  Each workload's summary also gives the bytecode state both
 sides start it in: PYTHONDONTWRITEBYTECODE and how many src/qschur
 modules have bytecode cached for this interpreter, flagged when the
 sides differ, since compiling the modules lands in setup_s.  With
@@ -47,6 +49,7 @@ def run_once(checkout: str, workload: str, seed: int, seconds: int, trace: int) 
             record = json.load(fh)
     ok = out.get("correct") is True and out.get("failed") == 0
     return {"ok": ok, "digest": record.get("digest"), "golden": record.get("golden_digest"),
+            "caches": record.get("cache_counts") or {},
             "metrics": {k: v["value"] for k, v in out.get("metrics", {}).items()}}
 
 
@@ -108,6 +111,11 @@ def main() -> int:
                   f"change {matched['change']} of {args.pairs} runs")
         else:
             print(f"seed {args.seed} has no golden digest in perfbench/golden.json")
+        for name in sorted({k for rs in runs.values() for r in rs for k in r["caches"]}):
+            seen = {side: " ".join(sorted({json.dumps(r["caches"].get(name)) for r in rs}))
+                    for side, rs in runs.items()}
+            if seen["parent"] != seen["change"]:
+                print(f"cache_counts {name} [hits, misses]: parent {seen['parent']} -> change {seen['change']}")
         (pm, pc), (cm, cc) = bytecode.values()
         differ = " -- the sides differ, so setup_s compares unlike imports" if pm - pc != cm - cc else ""
         print(f"bytecode at start: PYTHONDONTWRITEBYTECODE={os.environ.get('PYTHONDONTWRITEBYTECODE', 'unset')}; "

@@ -16,8 +16,9 @@ layers.  A bounded table keyed by one matrix (never by a pair) holds
 ro, co and the layer of each matrix as a left factor, so a matrix is
 classified once; no product is memoized here.  A second bounded
 table, keyed by one matrix, one depth vector and one degree, holds the
-diagonal completions that `diag_sum` and symbolic realization read.
-The structured layers are exactly what the verification suites compare
+diagonal completions; `_realize_parts`, the one realization builder,
+merges them for `diag_sum` and for symbolic realization.  Every cached
+element is read-only.  The structured layers are exactly what the verification suites compare
 against the oracle.
 `Combination` holds the term arithmetic that `SchurElement` shares with
 the symbolic elements.
@@ -178,10 +179,21 @@ def lowering_shape(a: Matrix) -> tuple[int, int] | None:
     return None if shape is None else (len(a) - shape[0], shape[1])
 
 
-def _frozen(x: SchurElement) -> SchurElement:
-    # a cached product is shared by every caller, so its terms are read-only
-    x.terms = MappingProxyType(x.terms)
-    return x
+@lru_cache(maxsize=1 << 10)
+def _empty(n: int, r: int) -> SchurElement:
+    out = SchurElement(n, r)
+    out.terms = MappingProxyType(out.terms)
+    return out
+
+
+def _frozen(n: int, r: int, terms: dict[Matrix, LaurentPoly]) -> SchurElement:
+    """A read-only element of ``terms``, all nonzero, for a cache to
+    share; empty terms give the one shared empty element of (n, r)."""
+    if not terms:
+        return _empty(n, r)
+    out = SchurElement(n, r)
+    out.terms = MappingProxyType(terms)
+    return out
 
 
 @lru_cache(maxsize=1 << 18)
@@ -196,13 +208,16 @@ def multiply_raising(h: int, m: int, a: Matrix) -> SchurElement:
     n = len(a)
     if not 1 <= h <= n - 1:
         raise DomainError(f"row index {h} out of range")
+    if not is_nonnegative(a):
+        raise DomainError("matrix entries must be nonnegative")
     lam = ro(a)
     if not 0 <= m <= lam[h]:
         raise DomainError("transfer amount exceeds the available row sum")
     hi = h - 1
     row_top = a[hi]
     row_bot = a[hi + 1]
-    out = SchurElement(n, entry_sum(a))
+    # each t gives its own matrix, with a nonzero coefficient
+    terms = {}
     # the bar of the one-sided [x choose t] is v^(-t(x-t)) times the
     # balanced [x choose t]; here that is v^(-t_u row_top[u]), which drops
     # row_top[u] from the suffix sum of column u
@@ -223,8 +238,8 @@ def multiply_raising(h: int, m: int, a: Matrix) -> SchurElement:
         for u in range(n):
             rows[hi][u] += t[u]
             rows[hi + 1][u] -= t[u]
-        out.add_into(tuple(tuple(row) for row in rows), coeff)
-    return _frozen(out)
+        terms[tuple(tuple(row) for row in rows)] = coeff
+    return _frozen(n, entry_sum(a), terms)
 
 
 @lru_cache(maxsize=1 << 18)
@@ -240,7 +255,7 @@ def multiply_lowering(h: int, m: int, a: Matrix) -> SchurElement:
     if not 1 <= h <= n - 1:
         raise DomainError(f"row index {h} out of range")
     mirror = multiply_raising.__wrapped__(n - h, m, rev(a))
-    return _frozen(SchurElement(n, mirror.r, {rev(b): c for b, c in mirror.terms.items()}))
+    return _frozen(n, mirror.r, {rev(b): c for b, c in mirror.terms.items()})
 
 
 # The route of a left factor in `_table`: the two tags without a shape
@@ -325,7 +340,7 @@ def force_oracle_product(
 
 
 def check_diag_key(a: Matrix, delta: IntVector, lam: IntVector) -> None:
-    """The checks `diag_sum` makes on its key in every degree."""
+    """The checks realization makes on a key in every degree."""
     if len(delta) != len(a) or len(lam) != len(a):
         raise DimensionMismatch("vector lengths disagree with the matrix size")
     if not is_natural(lam):
@@ -364,6 +379,33 @@ def _completion_table(
     )
 
 
+def _realize_parts(n: int, items, lo: int, hi: int) -> tuple[SchurElement, ...]:
+    """The read-only parts in degrees lo..hi of the combination of keys
+    ``items``, pairs ((a; delta, lam), c): in degree r, the sum over
+    keys of c v^(mu.delta) [mu choose lam] [a + diag(mu)] over the
+    completions mu of the (a, lam, r) table.  Every key is checked, even
+    one above every degree asked, and merged from its lowest degree
+    |a| + |lam| up; nothing is computed below it."""
+    if lo < 0 or hi < 0:
+        raise DomainError(f"degree {min(lo, hi)} is negative")
+    merged: list[dict] = [{} for _ in range(lo, hi + 1)]
+    for (a, delta, lam), c in items:
+        check_diag_key(a, delta, lam)
+        for r in range(max(lo, entry_sum(a) + sum(lam)), hi + 1):
+            terms = merged[r - lo]
+            for mat, mu, b in _completion_table(a, lam, r):
+                x = (c * b).shift(sum(map(operator.mul, mu, delta)))
+                s = terms.get(mat)
+                if s is not None:
+                    x = s + x
+                # a specialized c can kill an entry; sums can cancel
+                if not x.is_zero():
+                    terms[mat] = x
+                elif s is not None:
+                    del terms[mat]
+    return tuple(_frozen(n, lo + i, terms) for i, terms in enumerate(merged))
+
+
 @lru_cache(maxsize=1 << 18)
 def diag_sum(a: Matrix, delta: IntVector, lam: IntVector, r: int) -> SchurElement:
     """The degree-r slice of the symbolic generator (a; delta, lam):
@@ -373,15 +415,7 @@ def diag_sum(a: Matrix, delta: IntVector, lam: IntVector, r: int) -> SchurElemen
     Zero when the off-diagonal entries are not all nonnegative or the
     degree cannot accommodate the off-diagonal mass.  [m choose l]
     vanishes exactly when 0 <= m < l, so only the completions mu >= lam
-    contribute.  Each term is an entry of the (a, lam, r) completion
-    table shifted by mu.delta; a negative degree is a `DomainError`.
+    contribute.  This is `_realize_parts` on the one key in the one
+    degree; a negative degree is a `DomainError`.
     """
-    check_diag_key(a, delta, lam)
-    if r < 0:
-        raise DomainError(f"degree {r} is negative")
-    out = SchurElement(len(a), r)
-    out.terms = {
-        m: b.shift(sum(map(operator.mul, mu, delta)))
-        for m, mu, b in _completion_table(a, lam, r)
-    }
-    return _frozen(out)
+    return _realize_parts(len(a), (((a, delta, lam), ONE),), r, r)[0]

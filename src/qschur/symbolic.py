@@ -9,17 +9,13 @@ degree r produces the sum over diagonal completions mu of
     v^(mu . delta) * [mu choose lam] * (basis element A + diag(mu)),
 
 and a symbolic element is a finite Laurent-combination of keys,
-realized into a `TruncatedElement`.  A completion mu covers lam
-entrywise, so realization goes key by key and starts each key at
-degree |A| + |lam|.  Realized parts are read-only.  The completions
-of one degree are read from a bounded table in `schur` keyed by
-(A, lam, r), never by delta: each entry holds A + diag(mu), mu and
-[mu choose lam], and delta only shifts it by v^(mu . delta).  A
-one-key element with coefficient 1 is the key's parts from a second
-bounded table keyed by one key and its degree window (the cached
-`diag_sum` slices from its lowest degree up, one shared empty part per
-degree below); any other element merges c * [mu choose lam], shifted,
-straight from the completion table into fresh parts.
+realized into a `TruncatedElement` by `schur._realize_parts`, the one
+realization builder.  A completion mu covers lam entrywise, so the
+builder starts each key at degree |A| + |lam| and merges
+c * [mu choose lam], shifted by mu . delta, from the (A, lam, r)
+completion table into read-only parts.  A one-key element with
+coefficient 1 is the builder's parts for that key, cached by the key
+and its degree window.
 
 Three product rules multiply a one-generator factor into a symbolic
 element without leaving the symbolic side:
@@ -53,7 +49,6 @@ from __future__ import annotations
 import operator
 from functools import cache, lru_cache
 from heapq import heapify, heappop, heappush
-from types import MappingProxyType
 
 from .errors import DimensionMismatch, DomainError
 from .laurent import (
@@ -67,7 +62,6 @@ from .laurent import (
 from .matrices import (
     Matrix,
     entry_matrix,
-    entry_sum,
     has_zero_diagonal,
     is_nonnegative,
     matrix_norm,
@@ -80,9 +74,8 @@ from .matrices import (
 from .schur import (
     Combination,
     SchurElement,
-    _completion_table,
+    _realize_parts,
     check_diag_key,
-    diag_sum,
     force_oracle_product,
     general_product,
     lowering_shape,
@@ -111,50 +104,19 @@ GeneratorWord = tuple[SymbolicKey, ...]
 
 
 def _check_key(a: Matrix, delta: IntVector, lam: IntVector) -> None:
-    n = len(a)
-    if len(delta) != n or len(lam) != n:
-        raise DimensionMismatch("vector lengths disagree with the matrix size")
+    check_diag_key(a, delta, lam)
     if not has_zero_diagonal(a):
         raise DomainError("symbolic keys use zero-diagonal matrices")
     if not is_nonnegative(a):
         raise DomainError("symbolic key matrices have nonnegative entries")
-    if not is_natural(lam):
-        raise DomainError("binomial depths must be nonnegative")
-
-
-@lru_cache(maxsize=1 << 10)
-def _empty_part(n: int, r: int) -> SchurElement:
-    """The one shared read-only empty part of degree r."""
-    out = SchurElement(n, r)
-    out.terms = MappingProxyType(out.terms)
-    return out
-
-
-def _part(n: int, r: int, terms: dict) -> SchurElement:
-    """A read-only part of degree r holding ``terms``."""
-    if not terms:
-        return _empty_part(n, r)
-    out = SchurElement(n, r)
-    out.terms = MappingProxyType(terms)
-    return out
 
 
 @lru_cache(maxsize=1 << 14)
-def _key_parts(
-    a: Matrix, delta: IntVector, lam: IntVector, lo: int, hi: int
-) -> tuple[SchurElement, ...]:
-    """The read-only parts of the key (a; delta, lam) in degrees lo..hi:
-    `diag_sum`'s slices from the key's lowest degree |a| + |lam| up, and
-    the shared empty parts below it, where nothing is computed.  Keyed
-    by one key and its degree window, never by an element or a pair; a
-    key above every degree asked is still checked."""
-    check_diag_key(a, delta, lam)
-    low = min(max(lo, entry_sum(a) + sum(lam)), hi + 1)
-    n = len(a)
-    return tuple(
-        [_empty_part(n, r) for r in range(lo, low)]
-        + [diag_sum(a, delta, lam, r) for r in range(low, hi + 1)]
-    )
+def _key_parts(key: SymbolicKey, lo: int, hi: int) -> tuple[SchurElement, ...]:
+    """The read-only parts of one key with coefficient 1 in degrees
+    lo..hi.  Keyed by one key and its degree window, never by an
+    element or a pair."""
+    return _realize_parts(len(key[0]), ((key, ONE),), lo, hi)
 
 
 class SymbolicElement(Combination):
@@ -182,34 +144,11 @@ class SymbolicElement(Combination):
         return cls(n, {(zero_matrix(n), z, z): ONE})
 
     def _realize(self, lo: int, hi: int) -> tuple[SchurElement, ...]:
-        # degrees lo..hi, read-only.  A one-key element with coefficient
-        # 1 is that key's cached parts; any other element merges each
-        # key's (A, lam, r) completions, scaled by its coefficient and
-        # shifted by mu.delta, so no slice is built for one delta.
-        if lo < 0 or hi < 0:
-            raise DomainError(f"degree {min(lo, hi)} is negative")
-        items = self.terms.items()
-        if len(items) == 1:
-            ((key, c),) = items
-            if c == ONE:
-                return _key_parts(*key, lo, hi)
-        merged: list[dict] = [{} for _ in range(lo, hi + 1)]
-        for (a, delta, lam), c in items:
-            # checked even when above every degree asked
-            check_diag_key(a, delta, lam)
-            for r in range(max(lo, entry_sum(a) + sum(lam)), hi + 1):
-                terms = merged[r - lo]
-                for mat, mu, b in _completion_table(a, lam, r):
-                    x = (c * b).shift(sum(map(operator.mul, mu, delta)))
-                    s = terms.get(mat)
-                    if s is not None:
-                        x = s + x
-                    # a specialized c can kill an entry; sums can cancel
-                    if not x.is_zero():
-                        terms[mat] = x
-                    elif s is not None:
-                        del terms[mat]
-        return tuple(_part(self.n, lo + i, terms) for i, terms in enumerate(merged))
+        # degrees lo..hi, read-only, from the one builder in `schur`; a
+        # one-key element with coefficient 1 is that key's cached parts
+        if len(self.terms) == 1 and ONE in self.terms.values():
+            return _key_parts(next(iter(self.terms)), lo, hi)
+        return _realize_parts(self.n, self.terms.items(), lo, hi)
 
     def realize(self, r: int) -> SchurElement:
         return self._realize(r, r)[0]

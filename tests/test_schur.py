@@ -111,6 +111,11 @@ def test_transfer_rejects_overdrawn_multiplicity():
         multiply_raising(1, 2, a)
     with pytest.raises(DomainError):
         multiply_lowering(1, 2, a)
+    # a matrix with a negative entry is no basis matrix, for the rules as
+    # for basis_product and the oracle, even where the amount fits its row
+    for rule, neg in ((multiply_raising, ((0, -1), (2, 0))), (multiply_lowering, ((2, 0), (0, -1)))):
+        with pytest.raises(DomainError, match="^matrix entries must be nonnegative$"):
+            rule(1, 1, neg)
 
 
 def test_lowering_checks_its_bounds_on_the_unmirrored_rows():

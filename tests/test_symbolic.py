@@ -570,15 +570,15 @@ def test_realization_at_degree_40():
 
 
 def test_realization_skips_degrees_below_the_lowest_one():
-    # counted in diag_sum misses, one per (key, degree)
-    # computed; the per-key table is cleared too, or a key realized by
-    # an earlier test would reach no diag_sum call
+    # counted in completion-table misses, one per (A, lam, degree) read;
+    # the per-key table is cleared too, or a key realized by an earlier
+    # test would read no completion table
     symbolic._key_parts.cache_clear()
-    diag_sum.cache_clear()
+    _completion_table.cache_clear()
     SymbolicElement(2, {(((0, 2), (1, 0)), (1, -1), (1, 2)): ONE}).realize_truncated(4)
-    assert diag_sum.cache_info().misses == 0
+    assert _completion_table.cache_info().misses == 0
     SymbolicElement(2, {(((0, 1), (0, 0)), (0, 1), (1, 0)): ONE}).realize_truncated(4)
-    assert diag_sum.cache_info().misses == 3
+    assert _completion_table.cache_info().misses == 3
 
 
 @pytest.mark.parametrize("r", [0, 4, 8, 20])
@@ -587,18 +587,22 @@ def test_realization_skips_degrees_below_the_lowest_one():
 )
 def test_realization_checks_every_key_in_every_degree(r, lam, error):
     # the raw constructor skips the key checks; realization makes them
-    # even where the key's lowest degree lies above every degree asked
-    bad = SymbolicElement(2, {(zero_matrix(2), (0, 0), lam): ONE})
-    with pytest.raises(error):
-        bad.realize(r)
-    with pytest.raises(error):
-        bad.realize_truncated(r)
+    # even where the key's lowest degree lies above every degree asked,
+    # through the per-key table (one key with coefficient 1) and without
+    # it (one scaled key, two keys)
+    key = (zero_matrix(2), (0, 0), lam)
+    for terms in ({key: ONE}, {key: v_power(1)}, {(zero_matrix(2), (0, 0), (0, 0)): ONE, key: ONE}):
+        bad = SymbolicElement(2, terms)
+        with pytest.raises(error):
+            bad.realize(r)
+        with pytest.raises(error):
+            bad.realize_truncated(r)
 
 
 # ---------------------------------------------------------------------------
-# read-only realization: a one-key element with coefficient 1 is its
-# cached slices, and every other element merges its keys' completions,
-# scaled and shifted by mu.delta, from one (A, lam, r) table
+# read-only realization: one builder merges each key's completions,
+# scaled and shifted by mu.delta, from one (A, lam, r) table; a one-key
+# element with coefficient 1 is its key's cached parts
 
 
 def test_colliding_slices_cancel_to_zero():
@@ -639,7 +643,8 @@ def test_realized_parts_are_read_only():
         with pytest.raises(TypeError):
             part.add_into(add_to_entry(a, 2, 2, part.r - 1), ONE)
     first = realized[0]
-    assert first.components[3] is diag_sum(*key, 3)
+    assert first.components is symbolic._key_parts(key, 0, R)
+    assert first.components[3] == diag_sum(*key, 3)
     for fresh in (first + first, first.scale(2), first.scale(ONE)):
         for part, old in zip(fresh.components, first.components):
             assert part is not old
@@ -670,7 +675,7 @@ def test_the_key_table_is_keyed_by_one_key():
     assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
     assert info.maxsize is not None and info.maxsize <= 1 << 16
     # degrees below a key's lowest one share the empty parts
-    parts = symbolic._key_parts(*keys[1], 0, R)
+    parts = symbolic._key_parts(keys[1], 0, R)
     assert parts is first.components
     assert parts[0] is SymbolicElement(2).realize(0) and not parts[1].terms and parts[2].terms
 
