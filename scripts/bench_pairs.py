@@ -21,11 +21,11 @@ each side the script prints how many runs matched the golden digest
 that perfbench/golden.json records for the seed, or says that the seed
 has none.  Wherever the two sides' records differ in a table's
 cache_counts ([hits, misses] over one round), it prints each side's
-counts for that table.  Each workload's summary also gives the bytecode state both
-sides start it in: PYTHONDONTWRITEBYTECODE and how many src/qschur
-modules have bytecode cached for this interpreter, flagged when the
-sides differ, since compiling the modules lands in setup_s.  With
---json the per-run values go to a file as well.
+counts for that table.  Each workload's summary also gives the
+bytecode state both sides start it in: PYTHONDONTWRITEBYTECODE and how
+many src/qschur modules have bytecode cached for this interpreter,
+flagged when the sides differ, since compiling the modules lands in
+setup_s.  With --json the per-run values go to a file as well.
 """
 
 import argparse
