@@ -26,6 +26,11 @@ bytecode state both sides start it in: PYTHONDONTWRITEBYTECODE and how
 many src/qschur modules have bytecode cached for this interpreter,
 flagged when the sides differ, since compiling the modules lands in
 setup_s.  With --json the per-run values go to a file as well.
+
+The exit status is 0 when every run on both sides was correct with no
+failed operations, every workload gave one output digest over both
+sides, and no median was worse than its bound; otherwise it is 1, after
+the full report.
 """
 
 import argparse
@@ -90,6 +95,7 @@ def main() -> int:
     args = parser.parse_args()
     better, bounds = directions(args.change)
     record = {}
+    failed = False
     for workload in args.workload:
         runs = {"parent": [], "change": []}
         bytecode = {side: bytecode_state(getattr(args, side)) for side in runs}
@@ -104,6 +110,7 @@ def main() -> int:
         print(f"== {workload} (seed {args.seed}, {args.pairs} pairs, trace {args.trace}); "
               f"runs not correct: parent {bad['parent']}, change {bad['change']}; "
               f"distinct digests over both sides: {len(digests)}")
+        failed |= any(bad.values()) or len(digests) > 1
         if any(r["golden"] for rs in runs.values() for r in rs):
             matched = {side: sum(r["golden"] is not None and r["digest"] == r["golden"] for r in rs)
                        for side, rs in runs.items()}
@@ -132,14 +139,16 @@ def main() -> int:
             # further apart than the parent's quartiles
             claim = "holds" if 10 * wins >= 9 * args.pairs and sign * (pm - cm) > p3 - p1 else "fails"
             bound = bounds.get(name)
-            flag = f"; WORSE THAN ITS BOUND {bound}" if bound is not None and worse > bound else ""
+            over = bound is not None and worse > bound
+            failed |= over
+            flag = f"; WORSE THAN ITS BOUND {bound}" if over else ""
             print(f"{name}: parent {pm:.5g} [{p1:.5g}, {p3:.5g}] -> change {cm:.5g} [{c1:.5g}, {c3:.5g}]; "
                   f"worse by {worse:+.4f}; parent IQR {p3 - p1:.5g}; change wins {wins} of {args.pairs}; "
                   f"claim rule {claim}{flag}")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(record, fh, indent=1)
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -47,9 +47,7 @@ def realize_word(word: GeneratorWord, n: int, r_max: int) -> TruncatedElement:
     """
     acc = None
     for key in reversed(word):
-        _generator_rule(key)
-        if len(key[0]) != n:
-            raise DimensionMismatch(f"key size {len(key[0])} differs from n={n}")
+        _generator_rule(key, n)
         gen = SymbolicElement.gen(*key).realize_truncated(r_max)
         acc = gen if acc is None else gen.multiply(acc)
     return TruncatedElement.unit(n, r_max) if acc is None else acc

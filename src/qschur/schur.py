@@ -42,8 +42,9 @@ from .matrices import (
     is_nonnegative,
     rev,
     ro,
+    zero_matrix,
 )
-from .vectors import IntVector, compositions, compositions_capped, is_natural
+from .vectors import IntVector, compositions, compositions_capped
 
 __all__ = [
     "Combination",
@@ -54,7 +55,7 @@ __all__ = [
     "multiply_raising",
     "multiply_lowering",
     "diag_sum",
-    "check_diag_key",
+    "check_key",
     "raising_shape",
     "lowering_shape",
 ]
@@ -339,12 +340,38 @@ def force_oracle_product(
     return _bilinear(x, y, oracle_product, cap)
 
 
-def check_diag_key(a: Matrix, delta: IntVector, lam: IntVector) -> None:
-    """The checks realization makes on a key in every degree."""
-    if len(delta) != len(a) or len(lam) != len(a):
+@lru_cache(maxsize=1 << 14)
+def _key_matrix(a: Matrix) -> tuple[int, str | None]:
+    """|a|, and why a cannot be the matrix of a symbolic key, or None
+    when it can.  Keyed by one matrix."""
+    if any(map(operator.getitem, a, range(len(a)))):
+        fault = "symbolic keys use zero-diagonal matrices"
+    elif not is_nonnegative(a):
+        fault = "symbolic key matrices have nonnegative entries"
+    else:
+        fault = None
+    return entry_sum(a), fault
+
+
+def check_key(n: int, a: Matrix, delta: IntVector, lam: IntVector) -> int:
+    """Check a symbolic key (a; delta, lam) of an element of size n and
+    return its lowest degree |a| + |lam|.  `SymbolicElement.gen`, the
+    generator rules and the realization builder all check keys here.
+    The first failure raises, in this order: a vector length differs
+    from the matrix size, the matrix size differs from n, a binomial
+    depth is negative, a diagonal entry is nonzero, an entry is
+    negative."""
+    size = len(a)
+    if len(delta) != size or len(lam) != size:
         raise DimensionMismatch("vector lengths disagree with the matrix size")
-    if not is_natural(lam):
+    if size != n:
+        raise DimensionMismatch("key size differs from the element size")
+    if size and min(lam) < 0:
         raise DomainError("binomial depths must be nonnegative")
+    mass, fault = _key_matrix(a)
+    if fault:
+        raise DomainError(fault)
+    return mass + sum(lam)
 
 
 @cache
@@ -381,17 +408,19 @@ def _completion_table(
 
 def _realize_parts(n: int, items, lo: int, hi: int) -> tuple[SchurElement, ...]:
     """The read-only parts in degrees lo..hi of the combination of keys
-    ``items``, pairs ((a; delta, lam), c): in degree r, the sum over
-    keys of c v^(mu.delta) [mu choose lam] [a + diag(mu)] over the
-    completions mu of the (a, lam, r) table.  Every key is checked, even
-    one above every degree asked, and merged from its lowest degree
-    |a| + |lam| up; nothing is computed below it."""
+    ``items``, pairs ((a; delta, lam), c), of size n: in degree r, the
+    sum over keys of c v^(mu.delta) [mu choose lam] [a + diag(mu)] over
+    the completions mu of the (a, lam, r) table.  Every key passes
+    `check_key`, even one above every degree asked, and is merged from
+    its lowest degree |a| + |lam| up; nothing is computed below it."""
     if lo < 0 or hi < 0:
         raise DomainError(f"degree {min(lo, hi)} is negative")
     merged: list[dict] = [{} for _ in range(lo, hi + 1)]
     for (a, delta, lam), c in items:
-        check_diag_key(a, delta, lam)
-        for r in range(max(lo, entry_sum(a) + sum(lam)), hi + 1):
+        low = check_key(n, a, delta, lam)
+        if low > hi:
+            continue
+        for r in range(max(lo, low), hi + 1):
             terms = merged[r - lo]
             for mat, mu, b in _completion_table(a, lam, r):
                 x = (c * b).shift(sum(map(operator.mul, mu, delta)))
@@ -412,10 +441,16 @@ def diag_sum(a: Matrix, delta: IntVector, lam: IntVector, r: int) -> SchurElemen
     sum over diagonal completions mu of v^(mu.delta) [mu choose lam]
     times the basis element a + diag(mu).
 
-    Zero when the off-diagonal entries are not all nonnegative or the
-    degree cannot accommodate the off-diagonal mass.  [m choose l]
+    Zero when the degree cannot accommodate the off-diagonal mass, and
+    when an off-diagonal entry is negative: such a matrix names no basis
+    element, so only the vectors of its key are checked.  [m choose l]
     vanishes exactly when 0 <= m < l, so only the completions mu >= lam
     contribute.  This is `_realize_parts` on the one key in the one
-    degree; a negative degree is a `DomainError`.
+    degree, which checks the key with `check_key`; a negative degree is
+    a `DomainError`.
     """
-    return _realize_parts(len(a), (((a, delta, lam), ONE),), r, r)[0]
+    n = len(a)
+    if is_nonnegative(a):
+        return _realize_parts(n, (((a, delta, lam), ONE),), r, r)[0]
+    check_key(n, zero_matrix(n), delta, lam)
+    return _realize_parts(n, (), r, r)[0]

@@ -27,11 +27,16 @@ element without leaving the symbolic side:
 Most of each rule's Laurent arithmetic depends on a few small integers
 of the key, not on the key itself, so it is tabulated once per shape:
 the torus rule by (ro(A), mu, lam), one cached table per coordinate
-prefix, and the raising rule by (t_h, t_{h+1}, lam_h, lam_{h+1}) for
-each composition t of the moved units.  A key then costs one product
-with a table entry, or a shift.  The lowering rule is the raising rule
-on the reversed element and reads the same tables.  The rules' per-key
-results are not cached: runs almost never repeat a key.
+prefix whose entries carry the output depths lam + mu - nu, and the
+raising rule by (t_h, t_{h+1}, lam_h, lam_{h+1}) for each composition t
+of the moved units.  The raising rule's moves depend on the generator
+and the matrix alone, so a bounded table keyed by (m, h, A) holds, for
+each admissible t, the new matrix and the part of the coefficient that
+is free of delta and lam; formula runs meet one (m, h, A) under many
+(delta, lam).  A key then costs one shift per move and one product per
+table entry.  The lowering rule is the raising rule on the reversed
+element and reads the same tables.  Beyond these shape tables the
+rules' per-key results are not cached: runs almost never repeat a key.
 
 Every generator is its own key, so a generator word is a tuple of
 keys: `gen_mult` sends a one-generator key to its rule, and
@@ -47,7 +52,7 @@ corner-sum order.
 from __future__ import annotations
 
 import operator
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from heapq import heapify, heappop, heappush
 
 from .errors import DimensionMismatch, DomainError
@@ -63,7 +68,6 @@ from .matrices import (
     Matrix,
     entry_matrix,
     has_zero_diagonal,
-    is_nonnegative,
     matrix_norm,
     precedes,
     rev,
@@ -75,7 +79,7 @@ from .schur import (
     Combination,
     SchurElement,
     _realize_parts,
-    check_diag_key,
+    check_key,
     force_oracle_product,
     general_product,
     lowering_shape,
@@ -103,14 +107,6 @@ SymbolicKey = tuple[Matrix, IntVector, IntVector]
 GeneratorWord = tuple[SymbolicKey, ...]
 
 
-def _check_key(a: Matrix, delta: IntVector, lam: IntVector) -> None:
-    check_diag_key(a, delta, lam)
-    if not has_zero_diagonal(a):
-        raise DomainError("symbolic keys use zero-diagonal matrices")
-    if not is_nonnegative(a):
-        raise DomainError("symbolic key matrices have nonnegative entries")
-
-
 @lru_cache(maxsize=1 << 14)
 def _key_parts(key: SymbolicKey, lo: int, hi: int) -> tuple[SchurElement, ...]:
     """The read-only parts of one key with coefficient 1 in degrees
@@ -133,10 +129,18 @@ class SymbolicElement(Combination):
 
     @classmethod
     def gen(
-        cls, a: Matrix, delta: IntVector, lam: IntVector, coeff: LaurentPoly = ONE
+        cls, a: Matrix, delta: IntVector, lam: IntVector, coeff: LaurentPoly | int = ONE
     ) -> "SymbolicElement":
-        _check_key(a, delta, lam)
-        return cls(len(a), {(a, delta, lam): coeff})
+        """The one key (a; delta, lam) with coefficient ``coeff``; a zero
+        coefficient gives the empty element of size len(a)."""
+        n = len(a)
+        check_key(n, a, delta, lam)
+        if isinstance(coeff, int):
+            coeff = LaurentPoly.from_int(coeff)
+        out = cls(n)
+        if coeff:
+            out.terms = {(a, delta, lam): coeff}
+        return out
 
     @classmethod
     def unit(cls, n: int) -> "SymbolicElement":
@@ -145,9 +149,12 @@ class SymbolicElement(Combination):
 
     def _realize(self, lo: int, hi: int) -> tuple[SchurElement, ...]:
         # degrees lo..hi, read-only, from the one builder in `schur`; a
-        # one-key element with coefficient 1 is that key's cached parts
+        # one-key element with coefficient 1 is that key's cached parts,
+        # which the builder checks at the key's own size
         if len(self.terms) == 1 and ONE in self.terms.values():
-            return _key_parts(next(iter(self.terms)), lo, hi)
+            key = next(iter(self.terms))
+            if len(key[0]) == self.n:
+                return _key_parts(key, lo, hi)
         return _realize_parts(self.n, self.terms.items(), lo, hi)
 
     def realize(self, r: int) -> SchurElement:
@@ -277,19 +284,20 @@ def _torus_factor(row: int, m: int, l: int, nu: int) -> LaurentPoly:
 @cache
 def _torus_table(
     rows: IntVector, mu: IntVector, lam: IntVector
-) -> tuple[tuple[IntVector, LaurentPoly], ...]:
-    """The nonzero (nu, product over i of f(rows_i, mu_i, lam_i, nu_i))
-    of the torus rule, nu in lexicographic order.  The table of a prefix
-    of the coordinates is a cached table of its own, so it is multiplied
+) -> tuple[tuple[IntVector, IntVector, LaurentPoly], ...]:
+    """The nonzero (nu, lam + mu - nu, product over i of f(rows_i, mu_i,
+    lam_i, nu_i)) of the torus rule, nu in lexicographic order: the
+    second entry is the output depth vector.  The table of a prefix of
+    the coordinates is a cached table of its own, so it is multiplied
     out once for all its extensions."""
     if not rows:
-        return (((), ONE),)
+        return (((), (), ONE),)
     row, m, l = rows[-1], mu[-1], lam[-1]
-    factors = [(nu, f) for nu in range(m + 1) if (f := _torus_factor(row, m, l, nu))]
+    factors = [(nu, l + m - nu, f) for nu in range(m + 1) if (f := _torus_factor(row, m, l, nu))]
     return tuple(
-        (p + (nu,), c * f)
-        for p, c in _torus_table(rows[:-1], mu[:-1], lam[:-1])
-        for nu, f in factors
+        (p + (nu,), d + (depth,), c * f)
+        for p, d, c in _torus_table(rows[:-1], mu[:-1], lam[:-1])
+        for nu, depth, f in factors
     )
 
 
@@ -305,14 +313,29 @@ def _torus_key(
     rows = ro(a)
     shift = dot(rows, gamma)
     top_d = vadd(gamma, delta)
-    top_l = vadd(lam, mu)
     return tuple(
-        (
-            (a, tuple(map(operator.sub, top_d, nu)), tuple(map(operator.sub, top_l, nu))),
-            c.shift(shift),
-        )
-        for nu, c in _torus_table(rows, mu, lam)
+        ((a, tuple(map(operator.sub, top_d, nu)), depth), c.shift(shift))
+        for nu, depth, c in _torus_table(rows, mu, lam)
     )
+
+
+def _gather(n: int, x: SymbolicElement, rule) -> SymbolicElement:
+    """The sum over the keys of x, each with its coefficient c, of c times
+    the (key, coefficient) pairs rule(a, delta, lam).  One key's pairs
+    are distinct, so the first key's make the terms dict outright; later
+    keys merge into it."""
+    out = SymbolicElement(n)
+    for (a, delta, lam), c in x.terms.items():
+        pairs = rule(a, delta, lam)
+        if c != ONE:
+            # Z[v, v^-1] has no zero divisors: no product vanishes
+            pairs = [(key, c * coeff) for key, coeff in pairs]
+        if out.terms:
+            for key, coeff in pairs:
+                out.add_into(key, coeff)
+        else:
+            out.terms = dict(pairs)
+    return out
 
 
 def torus_mult(gamma: IntVector, mu: IntVector, x: SymbolicElement) -> SymbolicElement:
@@ -322,12 +345,7 @@ def torus_mult(gamma: IntVector, mu: IntVector, x: SymbolicElement) -> SymbolicE
         raise DimensionMismatch("vector lengths disagree with the element size")
     if not is_natural(mu):
         raise DomainError("binomial depths must be nonnegative")
-    out = SymbolicElement(n)
-    for (a, delta, lam), c in x.terms.items():
-        unit = c == ONE
-        for key, coeff in _torus_key(gamma, mu, a, delta, lam):
-            out.add_into(key, coeff if unit else c * coeff)
-    return out
+    return _gather(n, x, partial(_torus_key, gamma, mu))
 
 
 @cache
@@ -354,12 +372,16 @@ def _raising_table(
     return tuple(out)
 
 
-def _raising_key(
-    m: int, h: int, a: Matrix, delta: IntVector, lam: IntVector
-) -> tuple[tuple[SymbolicKey, LaurentPoly], ...]:
-    # a composition t of m says how many units move up from each column;
-    # t fixes the new matrix, so keys of different t never meet, and
-    # within one t the table entries give distinct (delta, lam)
+@lru_cache(maxsize=1 << 14)
+def _raising_moves(
+    m: int, h: int, a: Matrix
+) -> tuple[tuple[int, int, int, Matrix, LaurentPoly], ...]:
+    """The moves of the raising rule on matrix a: for each composition t
+    of m whose units row h+1 of a can give, in lexicographic order,
+    (t_h, t_{h+1}, |t| before column h, the new matrix, v^e times the
+    product of the bar-binomials), the part of the summand that depends
+    on neither delta nor lam.  Keyed by one generator and one matrix,
+    never by an exponent or depth vector or an element."""
     n = len(a)
     hi = h - 1
     row_top = a[hi]
@@ -378,32 +400,45 @@ def _raising_key(
     for t in compositions(n, m):
         if any(row_bot[u] < t[u] for u in range(n) if u != hi + 1):
             continue
-        base_exp = t[hi + 1] * delta[hi + 1] - t[hi] * delta[hi]
+        exp = 0
         later = 0
         for u in range(n - 1, -1, -1):
             tu = t[u]
             if tu:
-                base_exp += tu * (gain[u] + later)
+                exp += tu * (gain[u] + later)
                 if u != hi and u != hi + 1:
                     later += tu
-        base = v_power(base_exp)
+        coeff = v_power(exp)
         for u in range(n):
             if u != hi and t[u]:
-                base = base * balanced_binomial(row_top[u] + t[u], t[u])
+                coeff = coeff * balanced_binomial(row_top[u] + t[u], t[u])
         rows = [list(row) for row in a]
         for u in range(n):
             if u != hi:
                 rows[hi][u] += t[u]
             if u != hi + 1:
                 rows[hi + 1][u] -= t[u]
-        a_new = tuple(tuple(row) for row in rows)
-        th = t[hi]
-        pre = sum(t[:hi])
-        d_head, d_tail = delta[:hi], delta[hi + 2 :]
-        l_head, l_tail = lam[:hi], lam[hi + 2 :]
-        d_low = delta[hi] + pre + lam[hi]
-        d_top = delta[hi + 1] + lam[hi + 1] - pre - th
-        for j, k, c, f in _raising_table(th, t[hi + 1], lam[hi], lam[hi + 1]):
+        out.append((t[hi], t[hi + 1], sum(t[:hi]), tuple(map(tuple, rows)), coeff))
+    return tuple(out)
+
+
+def _raising_key(
+    m: int, h: int, a: Matrix, delta: IntVector, lam: IntVector
+) -> tuple[tuple[SymbolicKey, LaurentPoly], ...]:
+    # a move t fixes the new matrix, so keys of different t never meet,
+    # and within one t the table entries give distinct (delta, lam); the
+    # exponent vector enters each move as one shift
+    hi = h - 1
+    d_h, d_h1 = delta[hi], delta[hi + 1]
+    l_h, l_h1 = lam[hi], lam[hi + 1]
+    d_head, d_tail = delta[:hi], delta[hi + 2 :]
+    l_head, l_tail = lam[:hi], lam[hi + 2 :]
+    out = []
+    for th, th1, pre, a_new, coeff in _raising_moves(m, h, a):
+        base = coeff.shift(th1 * d_h1 - th * d_h)
+        d_low = d_h + pre + l_h
+        d_top = d_h1 + l_h1 - pre - th
+        for j, k, c, f in _raising_table(th, th1, l_h, l_h1):
             key = (
                 a_new,
                 d_head + (d_low - j - c, d_top - k) + d_tail,
@@ -420,12 +455,7 @@ def raising_mult(m: int, h: int, x: SymbolicElement) -> SymbolicElement:
         raise DomainError(f"row index {h} out of range")
     if m < 0:
         raise DomainError("transfer amount must be nonnegative")
-    out = SymbolicElement(n)
-    for (a, delta, lam), c in x.terms.items():
-        unit = c == ONE
-        for key, coeff in _raising_key(m, h, a, delta, lam):
-            out.add_into(key, coeff if unit else c * coeff)
-    return out
+    return _gather(n, x, partial(_raising_key, m, h))
 
 
 def _reversed(x: SymbolicElement) -> SymbolicElement:
@@ -492,13 +522,14 @@ def delta_reduce(x: SymbolicElement) -> SymbolicElement:
 # generator words
 
 
-def _generator_rule(key: SymbolicKey):
-    """The product rule that left-multiplies by a one-generator key,
-    with its leading arguments: `torus_mult` for (0; delta, lam),
-    `raising_mult` for (m E_{h,h+1}; 0, 0) and `lowering_mult` for
-    (m E_{h+1,h}; 0, 0), m > 0.  Any other key raises DomainError."""
+def _generator_rule(key: SymbolicKey, n: int):
+    """The product rule that left-multiplies an element of size n by a
+    one-generator key, with its leading arguments: `torus_mult` for
+    (0; delta, lam), `raising_mult` for (m E_{h,h+1}; 0, 0) and
+    `lowering_mult` for (m E_{h+1,h}; 0, 0), m > 0.  A key that fails
+    `check_key` raises as it says; any other key raises DomainError."""
     a, delta, lam = key
-    _check_key(a, delta, lam)
+    check_key(n, a, delta, lam)
     if not any(map(any, a)):
         return torus_mult, (delta, lam)
     if not any(delta) and not any(lam):
@@ -511,9 +542,7 @@ def _generator_rule(key: SymbolicKey):
 
 def gen_mult(key: SymbolicKey, x: SymbolicElement) -> SymbolicElement:
     """Left-multiply by the generator whose symbolic key is ``key``."""
-    if len(key[0]) != x.n:
-        raise DimensionMismatch("key size differs from the element size")
-    rule, args = _generator_rule(key)
+    rule, args = _generator_rule(key, x.n)
     return rule(*args, x)
 
 

@@ -193,6 +193,48 @@ def test_negative_key_entries_are_rejected(a):
         SymbolicElement.gen(a, (0, 0), (0, 0))
 
 
+# n, key, and the error and message of the first check it fails
+KEY_FAULTS = [
+    (2, (((0, 1), (0, 0)), (0, 0, 0), (0, 0)), DimensionMismatch, "vector lengths disagree"),
+    (2, (((0, 1), (0, 0)), (0, 0), (0,)), DimensionMismatch, "vector lengths disagree"),
+    (2, (zero_matrix(3), (0, 0, 0), (0, 0, 0)), DimensionMismatch, "key size differs"),
+    (2, (((0, 1), (0, 0)), (0, 0), (-1, 0)), DomainError, "binomial depths"),
+    (2, (((1, 1), (0, 0)), (0, 0), (0, 0)), DomainError, "zero-diagonal"),
+    (2, (((0, -1), (0, 0)), (0, 0), (0, 0)), DomainError, "nonnegative entries"),
+    # combined: the first failure in this order is the one reported
+    (2, (((1, -1, 0), (0, 0, 0), (0, 0, 0)), (0, 0), (-1, 0, 0)), DimensionMismatch, "vector lengths disagree"),
+    (2, (((1, -1, 0), (0, 0, 0), (0, 0, 0)), (0, 0, 0), (-1, 0, 0)), DimensionMismatch, "key size differs"),
+    (3, (((1, -1, 0), (0, 0, 0), (0, 0, 0)), (0, 0, 0), (-1, 0, 0)), DomainError, "binomial depths"),
+    (2, (((2, -1), (0, 0)), (0, 0), (0, 0)), DomainError, "zero-diagonal"),
+]
+
+
+@pytest.mark.parametrize("n, key, error, message", KEY_FAULTS)
+def test_keys_are_checked_in_one_order_by_gen_and_realization(n, key, error, message):
+    # gen takes its size from the matrix, so it meets no size mismatch;
+    # realization checks the raw constructor's keys, in and above every
+    # degree asked, alone and beside a valid key
+    if len(key[0]) == n:
+        with pytest.raises(error, match=message):
+            SymbolicElement.gen(*key)
+    unit = (zero_matrix(n), (0,) * n, (0,) * n)
+    for terms in ({key: ONE}, {key: v_power(1)}, {unit: ONE, key: ONE}):
+        bad = SymbolicElement(n, terms)
+        for realize in (bad.realize, bad.realize_truncated):
+            for r in (0, 3):
+                with pytest.raises(error, match=message):
+                    realize(r)
+
+
+def test_gen_takes_an_integer_coefficient():
+    key = (((0, 1), (0, 0)), (1, 0), (0, 1))
+    assert SymbolicElement.gen(*key, 3) == SymbolicElement.gen(*key).scale(3)
+    assert SymbolicElement.gen(*key, -1).terms == {key: -ONE}
+    empty = SymbolicElement.gen(*key, 0)
+    assert empty == SymbolicElement(2) and empty.is_zero()
+    assert SymbolicElement.gen(*key, ZERO) == empty
+
+
 def test_fold_word_acts_on_any_element():
     x = SymbolicElement.gen(((0, 1), (0, 0)), (0, 1), (1, 0))
     e = (((0, 1), (0, 0)), (0, 0), (0, 0))
@@ -331,6 +373,58 @@ def triple_loop_lowering_key(m, h, a, delta, lam):
     return tuple(((rev(b), d[::-1], lb[::-1]), c) for (b, d, lb), c in mirror)
 
 
+def per_composition_raising_key(m, h, a, delta, lam):
+    # the raising rule that works out each composition's move from a, t
+    # and delta on every call, kept as the reference for the rule that
+    # reads the moves from the (m, h, a) table
+    n = len(a)
+    hi = h - 1
+    row_top = a[hi]
+    row_bot = a[hi + 1]
+    off = row_top[hi] - row_bot[hi + 1]
+    gain = [
+        sum(row_top[u if u == hi else u + 1 :]) - sum(row_bot[u + 1 :]) - (off if u <= hi else 0)
+        for u in range(n)
+    ]
+    out = []
+    for t in compositions(n, m):
+        if any(row_bot[u] < t[u] for u in range(n) if u != hi + 1):
+            continue
+        base_exp = t[hi + 1] * delta[hi + 1] - t[hi] * delta[hi]
+        later = 0
+        for u in range(n - 1, -1, -1):
+            tu = t[u]
+            if tu:
+                base_exp += tu * (gain[u] + later)
+                if u != hi and u != hi + 1:
+                    later += tu
+        base = v_power(base_exp)
+        for u in range(n):
+            if u != hi and t[u]:
+                base = base * balanced_binomial(row_top[u] + t[u], t[u])
+        rows = [list(row) for row in a]
+        for u in range(n):
+            if u != hi:
+                rows[hi][u] += t[u]
+            if u != hi + 1:
+                rows[hi + 1][u] -= t[u]
+        a_new = tuple(tuple(row) for row in rows)
+        th = t[hi]
+        pre = sum(t[:hi])
+        d_head, d_tail = delta[:hi], delta[hi + 2 :]
+        l_head, l_tail = lam[:hi], lam[hi + 2 :]
+        d_low = delta[hi] + pre + lam[hi]
+        d_top = delta[hi + 1] + lam[hi + 1] - pre - th
+        for j, k, c, f in symbolic._raising_table(th, t[hi + 1], lam[hi], lam[hi + 1]):
+            key = (
+                a_new,
+                d_head + (d_low - j - c, d_top - k) + d_tail,
+                l_head + (th + j - c, k) + l_tail,
+            )
+            out.append((key, base * f))
+    return tuple(out)
+
+
 def per_nu_torus_key(gamma, mu, a, delta, lam):
     # the coefficient of each nu as its own product of one-coordinate
     # factors, kept as the reference for the tabled rule
@@ -352,23 +446,50 @@ def rule_matrices(n):
     return theta_pm(n, 3 if n == 2 else 2)
 
 
-def test_transfer_tables_match_the_triple_loop():
-    # equal as tuples: the same keys, coefficients and key order
+def transfer_grid():
+    # every (m, h, a, delta, lam) with a from rule_matrices(n), lam in
+    # [0, 3]^n, m in 1..3 and delta drawn from [-3, 3]^n, at n = 2, 3
     rng = random.Random(17)
-    count = 0
     for n in (2, 3):
         for a in rule_matrices(n):
             for lam in boxes(0, 3, n):
                 delta = tuple(rng.randint(-3, 3) for _ in range(n))
                 for m in (1, 2, 3):
                     for h in range(1, n):
-                        got = symbolic._raising_key(m, h, a, delta, lam)
-                        assert got == triple_loop_raising_key(m, h, a, delta, lam)
-                        x = SymbolicElement.gen(a, delta, lam)
-                        got = tuple(lowering_mult(m, h, x).terms.items())
-                        assert got == triple_loop_lowering_key(m, h, a, delta, lam)
-                        count += 1
-    assert count == 10 * 16 * 3 + 28 * 64 * 3 * 2
+                        yield m, h, a, delta, lam
+
+
+TRANSFER_GRID_SIZE = 10 * 16 * 3 + 28 * 64 * 3 * 2
+
+
+def test_transfer_tables_match_the_triple_loop():
+    # equal as tuples: the same keys, coefficients and key order
+    count = 0
+    for m, h, a, delta, lam in transfer_grid():
+        got = symbolic._raising_key(m, h, a, delta, lam)
+        assert got == triple_loop_raising_key(m, h, a, delta, lam)
+        x = SymbolicElement.gen(a, delta, lam)
+        got = tuple(lowering_mult(m, h, x).terms.items())
+        assert got == triple_loop_lowering_key(m, h, a, delta, lam)
+        count += 1
+    assert count == TRANSFER_GRID_SIZE
+
+
+def test_tabulated_moves_match_the_per_composition_rule():
+    # equal as tuples, for the raising rule and for the lowering rule
+    # through its mirror: the same keys, coefficients and key order
+    count = 0
+    for m, h, a, delta, lam in transfer_grid():
+        want = per_composition_raising_key(m, h, a, delta, lam)
+        assert symbolic._raising_key(m, h, a, delta, lam) == want
+        x = SymbolicElement.gen(a, delta, lam)
+        assert tuple(raising_mult(m, h, x).terms.items()) == want
+        n = len(a)
+        mirror = per_composition_raising_key(m, n - h, rev(a), delta[::-1], lam[::-1])
+        want = tuple(((rev(b), d[::-1], lb[::-1]), c) for (b, d, lb), c in mirror)
+        assert tuple(lowering_mult(m, h, x).terms.items()) == want
+        count += 1
+    assert count == TRANSFER_GRID_SIZE
 
 
 # the torus rule reads a only through its row sums (0, 0, 0), (0, 2, 0)
@@ -401,10 +522,16 @@ def test_rule_tables_are_keyed_by_shape():
     for rule in (raising_mult, lowering_mult):
         rule(2, 1, SymbolicElement.gen(a, (0, 1, -1), lam))
         before = symbolic._raising_table.cache_info()
+        moves = symbolic._raising_moves.cache_info()
         rule(2, 1, SymbolicElement.gen(a, (3, -2, 2), lam))
         after = symbolic._raising_table.cache_info()
         assert after.misses == before.misses
         assert after.hits > before.hits
+        # the moves are keyed by (m, h, a) alone: another lam reads them too
+        rule(2, 1, SymbolicElement.gen(a, (-1, 0, 4), (0, 3, 2)))
+        info = symbolic._raising_moves.cache_info()
+        assert info.misses == moves.misses and info.hits == moves.hits + 2
+        assert info.maxsize is not None and info.currsize <= info.maxsize <= 1 << 16
     symbolic._torus_key((1, 0, 2), (2, 1, 1), a, (0, 1, -1), lam)
     before = symbolic._torus_table.cache_info()
     symbolic._torus_key((-2, 3, 0), (2, 1, 1), a, (2, 2, 0), lam)
