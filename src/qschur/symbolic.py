@@ -319,12 +319,12 @@ def _torus_key(
     )
 
 
-def _gather(n: int, x: SymbolicElement, rule) -> SymbolicElement:
+def _gather(x: SymbolicElement, rule) -> SymbolicElement:
     """The sum over the keys of x, each with its coefficient c, of c times
     the (key, coefficient) pairs rule(a, delta, lam).  One key's pairs
     are distinct, so the first key's make the terms dict outright; later
     keys merge into it."""
-    out = SymbolicElement(n)
+    out = SymbolicElement(x.n)
     for (a, delta, lam), c in x.terms.items():
         pairs = rule(a, delta, lam)
         if c != ONE:
@@ -345,7 +345,7 @@ def torus_mult(gamma: IntVector, mu: IntVector, x: SymbolicElement) -> SymbolicE
         raise DimensionMismatch("vector lengths disagree with the element size")
     if not is_natural(mu):
         raise DomainError("binomial depths must be nonnegative")
-    return _gather(n, x, partial(_torus_key, gamma, mu))
+    return _gather(x, partial(_torus_key, gamma, mu))
 
 
 @cache
@@ -455,7 +455,7 @@ def raising_mult(m: int, h: int, x: SymbolicElement) -> SymbolicElement:
         raise DomainError(f"row index {h} out of range")
     if m < 0:
         raise DomainError("transfer amount must be nonnegative")
-    return _gather(n, x, partial(_raising_key, m, h))
+    return _gather(x, partial(_raising_key, m, h))
 
 
 def _reversed(x: SymbolicElement) -> SymbolicElement:
