@@ -150,7 +150,8 @@ class SymbolicElement(Combination):
     def _realize(self, lo: int, hi: int) -> tuple[SchurElement, ...]:
         # degrees lo..hi, read-only, from the one builder in `schur`; a
         # one-key element with coefficient 1 is that key's cached parts,
-        # which the builder checks at the key's own size
+        # which check the key against its own size, so a key of another
+        # size than the element's goes to the builder and is rejected
         if len(self.terms) == 1 and ONE in self.terms.values():
             key = next(iter(self.terms))
             if len(key[0]) == self.n:
