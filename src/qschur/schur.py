@@ -14,12 +14,13 @@ entry sum r.  Products fall into layers:
 `general_product` dispatches each pair with co(a) == ro(b) between the
 layers.  A bounded table keyed by one matrix (never by a pair) holds
 ro, co and the layer of each matrix as a left factor, so a matrix is
-classified once; no product is memoized here.  A second bounded
-table, keyed by one matrix, one depth vector and one degree, holds the
-diagonal completions; `_realize_parts`, the one realization builder,
-merges them for `diag_sum` and for symbolic realization.  Every cached
-element is read-only.  The structured layers are exactly what the verification suites compare
-against the oracle.
+classified once, for products and for the symbolic generator rules; no
+product is memoized here.  `check_key` is the one judge of a symbolic
+key; `_realize_parts`, the one realization builder, checks each key
+there and merges its diagonal completions from one bounded table keyed
+by (a, lam, r), and `diag_sum` is the builder on one key in one degree.
+Every cached element is read-only.  The structured layers are exactly
+what the verification suites compare against the oracle.
 `Combination` holds the term arithmetic that `SchurElement` shares with
 the symbolic elements.
 """
@@ -27,7 +28,7 @@ the symbolic elements.
 from __future__ import annotations
 
 import operator
-from functools import cache, lru_cache
+from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import DimensionMismatch, DomainError
@@ -38,13 +39,13 @@ from .matrices import (
     co,
     diag_matrix,
     entry_sum,
+    has_zero_diagonal,
     is_diagonal,
     is_nonnegative,
     rev,
     ro,
-    zero_matrix,
 )
-from .vectors import IntVector, compositions, compositions_capped
+from .vectors import IntVector, compositions
 
 __all__ = [
     "Combination",
@@ -223,7 +224,9 @@ def multiply_raising(h: int, m: int, a: Matrix) -> SchurElement:
     # balanced [x choose t]; here that is v^(-t_u row_top[u]), which drops
     # row_top[u] from the suffix sum of column u
     gain = [sum(row_top[u + 1 :]) - sum(row_bot[u + 1 :]) for u in range(n)]
-    for t in compositions_capped(n, m, tuple(row_bot)):
+    for t in compositions(n, m):
+        if any(map(operator.gt, t, row_bot)):
+            continue
         exp = 0
         for u in range(n):
             tu = t[u]
@@ -344,7 +347,7 @@ def force_oracle_product(
 def _key_matrix(a: Matrix) -> tuple[int, str | None]:
     """|a|, and why a cannot be the matrix of a symbolic key, or None
     when it can.  Keyed by one matrix."""
-    if any(map(operator.getitem, a, range(len(a)))):
+    if not has_zero_diagonal(a):
         fault = "symbolic keys use zero-diagonal matrices"
     elif not is_nonnegative(a):
         fault = "symbolic key matrices have nonnegative entries"
@@ -374,36 +377,23 @@ def check_key(n: int, a: Matrix, delta: IntVector, lam: IntVector) -> int:
     return mass + sum(lam)
 
 
-@cache
-def _completions(lam: IntVector, rest: int) -> tuple[tuple[IntVector, LaurentPoly], ...]:
-    # The completions mu >= lam with |mu| = rest, lex ascending, each with
-    # [mu choose lam]; every key of one depth and degree shares them
-    return tuple(
-        (mu, vector_binomial(mu, lam))
-        for nu in compositions(len(lam), rest - sum(lam))
-        for mu in (tuple(map(operator.add, lam, nu)),)
-    )
-
-
 @lru_cache(maxsize=1 << 14)
 def _completion_table(
     a: Matrix, lam: IntVector, r: int
 ) -> tuple[tuple[Matrix, IntVector, LaurentPoly], ...]:
-    """The degree-r completions of (a; lam): (a + diag(mu), mu,
-    [mu choose lam]) for each mu >= lam with |a| + |mu| = r, lex
-    ascending in mu.  Keyed by one matrix, one depth vector and one
-    degree, never by an exponent vector: v^(mu.delta) is a shift of
-    each entry.  Empty when the off-diagonal entries are not all
-    nonnegative or the degree cannot accommodate |a| + |lam|."""
-    rest = r - entry_sum(a)
-    if not (is_nonnegative(a) and rest >= sum(lam)):
-        return ()
+    """The degree-r completions of a checked key (a; lam) with
+    r >= |a| + |lam|: (a + diag(mu), mu, [mu choose lam]) for each
+    mu >= lam with |a| + |mu| = r, lex ascending in mu.  Keyed by one
+    matrix, one depth vector and one degree, never by an exponent
+    vector: v^(mu.delta) is a shift of each entry."""
     # row i of a + diag(mu) is a[i] with mu_i added at position i
     rows = [(row[:i], row[i], row[i + 1 :]) for i, row in enumerate(a)]
-    return tuple(
-        (tuple([pre + (d + m,) + post for (pre, d, post), m in zip(rows, mu)]), mu, b)
-        for mu, b in _completions(lam, rest)
-    )
+    out = []
+    for nu in compositions(len(lam), r - entry_sum(a) - sum(lam)):
+        mu = tuple(map(operator.add, lam, nu))
+        mat = tuple([pre + (d + m,) + post for (pre, d, post), m in zip(rows, mu)])
+        out.append((mat, mu, vector_binomial(mu, lam)))
+    return tuple(out)
 
 
 def _realize_parts(n: int, items, lo: int, hi: int) -> tuple[SchurElement, ...]:
@@ -441,16 +431,10 @@ def diag_sum(a: Matrix, delta: IntVector, lam: IntVector, r: int) -> SchurElemen
     sum over diagonal completions mu of v^(mu.delta) [mu choose lam]
     times the basis element a + diag(mu).
 
-    Zero when the degree cannot accommodate the off-diagonal mass, and
-    when an off-diagonal entry is negative: such a matrix names no basis
-    element, so only the vectors of its key are checked.  [m choose l]
-    vanishes exactly when 0 <= m < l, so only the completions mu >= lam
-    contribute.  This is `_realize_parts` on the one key in the one
-    degree, which checks the key with `check_key`; a negative degree is
-    a `DomainError`.
+    [m choose l] vanishes exactly when 0 <= m < l, so only the
+    completions mu >= lam contribute, and the slice is zero when the
+    degree cannot accommodate |a| + |lam|.  This is `_realize_parts` on
+    the one key in the one degree: a key that fails `check_key`, such
+    as one with a negative entry, and a negative degree raise.
     """
-    n = len(a)
-    if is_nonnegative(a):
-        return _realize_parts(n, (((a, delta, lam), ONE),), r, r)[0]
-    check_key(n, zero_matrix(n), delta, lam)
-    return _realize_parts(n, (), r, r)[0]
+    return _realize_parts(len(a), (((a, delta, lam), ONE),), r, r)[0]

@@ -55,9 +55,7 @@ from .symbolic import (
     TruncatedElement,
     delta_reduce,
     fold_word,
-    lowering_mult,
-    raising_mult,
-    torus_mult,
+    gen_mult,
     triangular_product,
 )
 from . import linalg
@@ -323,16 +321,14 @@ def _check_formula(cfg: RunConfig, inst, engine: str = "fast"):
     r_max = cfg.resolve_r_max(4)
     n = len(a)
     x = SymbolicElement.gen(a, delta, lam)
-    # the rules check the head, so its key is realized without gen's checks
     if len(head) == 2:
-        sym = torus_mult(*head, x)
         key = (zero_matrix(n), *head)
     else:
         kind, m, h = head
-        sym = (raising_mult if kind == "E" else lowering_mult)(m, h, x)
         zero = (0,) * n
         key = (entry_matrix(n, *((h, h + 1) if kind == "E" else (h + 1, h)), m), zero, zero)
-    got = sym.realize_truncated(r_max)
+    # gen_mult checks the head key, so it is realized without gen's checks
+    got = gen_mult(key, x).realize_truncated(r_max)
     left = SymbolicElement(n, {key: ONE}).realize_truncated(r_max)
     want = left.multiply(x.realize_truncated(r_max), cap=cfg.oracle_cap, engine=engine)
     if got == want:

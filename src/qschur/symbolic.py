@@ -10,12 +10,13 @@ degree r produces the sum over diagonal completions mu of
 
 and a symbolic element is a finite Laurent-combination of keys,
 realized into a `TruncatedElement` by `schur._realize_parts`, the one
-realization builder.  A completion mu covers lam entrywise, so the
+realization builder, which checks every key with `schur.check_key` as
+`gen` and the rules do.  A completion mu covers lam entrywise, so the
 builder starts each key at degree |A| + |lam| and merges
 c * [mu choose lam], shifted by mu . delta, from the (A, lam, r)
 completion table into read-only parts.  A one-key element with
-coefficient 1 is the builder's parts for that key, cached by the key
-and its degree window.
+coefficient 1 is the builder's parts for that key, cached by the
+element size, the key and its degree window.
 
 Three product rules multiply a one-generator factor into a symbolic
 element without leaving the symbolic side:
@@ -39,7 +40,8 @@ element and reads the same tables.  Beyond these shape tables the
 rules' per-key results are not cached: runs almost never repeat a key.
 
 Every generator is its own key, so a generator word is a tuple of
-keys: `gen_mult` sends a one-generator key to its rule, and
+keys: `gen_mult` sends a one-generator key to its rule by the route
+that `schur` tabulates for the key's matrix as a left factor, and
 `fold_word` folds a word onto any element, right to left.
 
 `delta_reduce` rewrites every key until its exponent vector lies in
@@ -76,14 +78,15 @@ from .matrices import (
     zero_matrix,
 )
 from .schur import (
+    _DIAGONAL,
+    _ORACLE,
     Combination,
     SchurElement,
     _realize_parts,
+    _table,
     check_key,
     force_oracle_product,
     general_product,
-    lowering_shape,
-    raising_shape,
 )
 from .hecke import DEFAULT_ORACLE_CAP
 from .vectors import IntVector, compositions, dot, is_natural, vadd
@@ -108,11 +111,11 @@ GeneratorWord = tuple[SymbolicKey, ...]
 
 
 @lru_cache(maxsize=1 << 14)
-def _key_parts(key: SymbolicKey, lo: int, hi: int) -> tuple[SchurElement, ...]:
-    """The read-only parts of one key with coefficient 1 in degrees
-    lo..hi.  Keyed by one key and its degree window, never by an
-    element or a pair."""
-    return _realize_parts(len(key[0]), ((key, ONE),), lo, hi)
+def _key_parts(n: int, key: SymbolicKey, lo: int, hi: int) -> tuple[SchurElement, ...]:
+    """The read-only parts of one key with coefficient 1, in an element
+    of size n, in degrees lo..hi.  Keyed by the size, one key and its
+    degree window, never by an element or a pair."""
+    return _realize_parts(n, ((key, ONE),), lo, hi)
 
 
 class SymbolicElement(Combination):
@@ -149,13 +152,9 @@ class SymbolicElement(Combination):
 
     def _realize(self, lo: int, hi: int) -> tuple[SchurElement, ...]:
         # degrees lo..hi, read-only, from the one builder in `schur`; a
-        # one-key element with coefficient 1 is that key's cached parts,
-        # which check the key against its own size, so a key of another
-        # size than the element's goes to the builder and is rejected
+        # one-key element with coefficient 1 is that key's cached parts
         if len(self.terms) == 1 and ONE in self.terms.values():
-            key = next(iter(self.terms))
-            if len(key[0]) == self.n:
-                return _key_parts(key, lo, hi)
+            return _key_parts(self.n, next(iter(self.terms)), lo, hi)
         return _realize_parts(self.n, self.terms.items(), lo, hi)
 
     def realize(self, r: int) -> SchurElement:
@@ -531,13 +530,13 @@ def _generator_rule(key: SymbolicKey, n: int):
     `check_key` raises as it says; any other key raises DomainError."""
     a, delta, lam = key
     check_key(n, a, delta, lam)
-    if not any(map(any, a)):
+    # a checked key's matrix has a zero diagonal: a diagonal one is zero
+    route = _table(a)[2]
+    if route is _DIAGONAL:
         return torus_mult, (delta, lam)
-    if not any(delta) and not any(lam):
-        for shape_of, rule in ((raising_shape, raising_mult), (lowering_shape, lowering_mult)):
-            shape = shape_of(a)
-            if shape is not None and shape[1] > 0:
-                return rule, (shape[1], shape[0])
+    if route is not _ORACLE and not any(delta) and not any(lam):
+        kind, h, m = route
+        return (raising_mult if kind == "raising" else lowering_mult), (m, h)
     raise DomainError(f"not a generator key: {key!r}")
 
 

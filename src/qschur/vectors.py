@@ -21,7 +21,6 @@ __all__ = [
     "unit_vector",
     "is_natural",
     "compositions",
-    "compositions_capped",
     "boxes",
 ]
 
@@ -75,21 +74,6 @@ def compositions(n: int, r: int) -> tuple[IntVector, ...]:
         for rest in compositions(n - 1, r - first):
             out.append((first,) + rest)
     return tuple(out)
-
-
-def compositions_capped(n: int, r: int, caps: IntVector) -> Iterator[IntVector]:
-    """Compositions of r into n parts with t_i <= caps_i, lex ascending."""
-    if len(caps) != n:
-        raise DimensionMismatch("cap vector has wrong length")
-    if n == 0:
-        if r == 0:
-            yield ()
-        return
-    lo = max(0, r - sum(caps[1:]))
-    hi = min(caps[0], r)
-    for first in range(lo, hi + 1):
-        for rest in compositions_capped(n - 1, r - first, caps[1:]):
-            yield (first,) + rest
 
 
 def boxes(lo: int, hi: int, n: int) -> Iterator[IntVector]:

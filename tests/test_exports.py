@@ -150,6 +150,44 @@ def test_every_public_name_has_a_reader_outside_the_tests():
     assert unread == READ_BY_TESTS_ONLY
 
 
+def _unread_private_definitions(tree: ast.Module, others: set[str]) -> list[str]:
+    """The module-level private functions and classes of a file that
+    neither the rest of the file outside their own body nor ``others``
+    read: a helper whose last caller went, or one only recursion reads."""
+    reads = [_reads(node) for node in tree.body]
+    unread = []
+    for k, node in enumerate(tree.body):
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        private = node.name.startswith("_") and not node.name.startswith("__")
+        if private and node.name not in others.union(*reads[:k], *reads[k + 1 :]):
+            unread.append(node.name)
+    return unread
+
+
+def test_every_private_definition_has_a_reader_outside_its_body():
+    library = sorted(ROOT.glob("src/qschur/*.py"))
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in [*library, *READERS]}
+    reads = {p: _reads(tree) for p, tree in trees.items()}
+    unread = [
+        f"{path.stem}.{name}"
+        for path in library
+        for name in _unread_private_definitions(
+            trees[path], set().union(*(r for p, r in reads.items() if p != path))
+        )
+    ]
+    assert unread == []
+
+
+def test_the_private_walk_sees_stranded_helpers():
+    tree = ast.parse(
+        "def _used(): pass\ndef _stranded(): pass\n"
+        "def _recursive(k): return _recursive(k - 1)\nclass _Kept: pass\n"
+        "def f(): return _used()\n"
+    )
+    assert _unread_private_definitions(tree, {"_Kept"}) == ["_stranded", "_recursive"]
+
+
 def test_the_public_walk_sees_names_outside_all():
     assert "run_closure" in _public_names("qschur.suites") and "run_closure" not in suites.__all__
     assert "main" in _public_names("qschur.cli") and _entry_points() == {"main"}

@@ -323,10 +323,11 @@ def test_json_roundtrip(n, r, data):
 
 
 def test_diag_sum_zero_cases():
-    # negative off-diagonal entries or too little degree give zero
-    n = 2
+    # too little degree gives zero; a negative entry names no basis
+    # element, so it raises as it does everywhere a key is checked
     bad = ((0, -1), (0, 0))
-    assert diag_sum(bad, (0, 0), (0, 0), 3).is_zero()
+    with pytest.raises(DomainError, match="nonnegative entries"):
+        diag_sum(bad, (0, 0), (0, 0), 3)
     heavy = ((0, 2), (2, 0))
     assert diag_sum(heavy, (0, 0), (0, 0), 3).is_zero()
 

@@ -61,13 +61,13 @@ def _doubled(x):
 PLANTED = {
     "binomials": (suites, "balanced_binomial", lambda p: p + ONE),
     "transfer-formulas": (suites, "multiply_raising", _doubled),
-    "formula2": (suites, "raising_mult", _doubled),
+    "formula2": (symbolic, "raising_mult", _doubled),
     "relations": (presentation, "realize_word", _doubled),
     "triangular": (symbolic, "raising_mult", _doubled),
     "pbw-independence": (suites, "pbw_family", lambda family: family + family[:1]),
     "specialization": (suites, "specialize", _doubled),
     "closure": (suites, "delta_reduce", _doubled),
-    "formula1:core": (suites, "torus_mult", _doubled),
+    "formula1:core": (symbolic, "torus_mult", _doubled),
 }
 
 

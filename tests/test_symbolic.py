@@ -211,12 +211,15 @@ KEY_FAULTS = [
 
 @pytest.mark.parametrize("n, key, error, message", KEY_FAULTS)
 def test_keys_are_checked_in_one_order_by_gen_and_realization(n, key, error, message):
-    # gen takes its size from the matrix, so it meets no size mismatch;
-    # realization checks the raw constructor's keys, in and above every
-    # degree asked, alone and beside a valid key
+    # gen and diag_sum take their size from the matrix, so they meet no
+    # size mismatch; realization checks the raw constructor's keys, in
+    # and above every degree asked, alone and beside a valid key
     if len(key[0]) == n:
         with pytest.raises(error, match=message):
             SymbolicElement.gen(*key)
+        for r in (0, 3):
+            with pytest.raises(error, match=message):
+                diag_sum(*key, r)
     unit = (zero_matrix(n), (0,) * n, (0,) * n)
     for terms in ({key: ONE}, {key: v_power(1)}, {unit: ONE, key: ONE}):
         bad = SymbolicElement(n, terms)
@@ -260,6 +263,31 @@ def test_truncated_scale_divexact_roundtrip(n, data):
     x = data.draw(gens(n)).realize_truncated(2)
     c = v_power(data.draw(st.integers(-2, 2))) + ONE
     assert x.scale(c).scale_divexact(c) == x
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_torus_binomial_keys_realize_lusztigs_binomials(n):
+    """The key (0; 0, t e_i) realizes to Lusztig's torus binomial
+
+        [K_i; 0, t] = prod_{s=1}^t (K_i v^(1-s) - K_i^-1 v^(s-1)) / (v^s - v^-s)
+
+    (G. Lusztig, Geom. Dedicata 35 (1990), 89-113), built here from the
+    realizations of (0; +-e_i, 0) by truncated products and one exact
+    division, so no oracle is needed."""
+    r_max = 5
+    zero, z = zero_matrix(n), (0,) * n
+    for i in range(n):
+        e = tuple(int(p == i) for p in range(n))
+        k = SymbolicElement.gen(zero, e, z).realize_truncated(r_max)
+        k_inv = SymbolicElement.gen(zero, tuple(-x for x in e), z).realize_truncated(r_max)
+        num = TruncatedElement.unit(n, r_max)
+        den = ONE
+        # after step t, num and den are the products over s <= t
+        for t in range(1, 5):
+            num = (k.scale(v_power(1 - t)) - k_inv.scale(v_power(t - 1))).multiply(num)
+            den = den * (v_power(t) - v_power(-t))
+            want = SymbolicElement.gen(zero, z, tuple(t * x for x in e)).realize_truncated(r_max)
+            assert num.scale_divexact(den) == want
 
 
 def joint_sum_torus_key(gamma, mu, a, delta, lam):
@@ -770,7 +798,7 @@ def test_realized_parts_are_read_only():
         with pytest.raises(TypeError):
             part.add_into(add_to_entry(a, 2, 2, part.r - 1), ONE)
     first = realized[0]
-    assert first.components is symbolic._key_parts(key, 0, R)
+    assert first.components is symbolic._key_parts(2, key, 0, R)
     assert first.components[3] == diag_sum(*key, 3)
     for fresh in (first + first, first.scale(2), first.scale(ONE)):
         for part, old in zip(fresh.components, first.components):
@@ -802,7 +830,7 @@ def test_the_key_table_is_keyed_by_one_key():
     assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
     assert info.maxsize is not None and info.maxsize <= 1 << 16
     # degrees below a key's lowest one share the empty parts
-    parts = symbolic._key_parts(keys[1], 0, R)
+    parts = symbolic._key_parts(2, keys[1], 0, R)
     assert parts is first.components
     assert parts[0] is SymbolicElement(2).realize(0) and not parts[1].terms and parts[2].terms
 
@@ -833,9 +861,6 @@ def test_the_completion_table_is_keyed_by_matrix_depths_and_degree():
     # a delta only shifts each entry
     for d in deltas:
         assert dict(diag_sum(a, d, lam, 6).terms) == {m: b.shift(dot(mu, d)) for m, mu, b in table}
-    # empty where diag_sum is zero: a negative entry, or too little degree
-    assert _completion_table(((0, -1), (0, 0)), (0, 0), 3) == ()
-    assert _completion_table(a, lam, 4) == () and _completion_table(a, lam, 5)
 
 
 def shared_depth_element(rng, n):
