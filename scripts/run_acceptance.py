@@ -4,7 +4,9 @@ and print one line per run plus a final verdict.
 
 This is the script form of the acceptance gate in
 tests/test_acceptance.py; use it when you want the full sweep without
-pytest in the way.  Exit code 0 means every run passed.
+pytest in the way.  Exit code 0 means every run passed, 1 that some
+run failed, and 2 that an option is out of range (say `--threads 0`),
+which is reported before any suite runs.
 """
 
 import argparse
@@ -16,6 +18,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from qschur.config import RunConfig
+from qschur.errors import DomainError
 from qschur.suites import SUITE_NAMES, run_suite
 
 RUNS = (
@@ -50,19 +53,27 @@ def main() -> int:
         help="restrict the sweep to one suite",
     )
     args = parser.parse_args()
-
-    failed = 0
-    grand = 0
-    t_all = time.monotonic()
-    for name, overrides in RUNS:
-        if args.suite and name != args.suite:
-            continue
-        cfg = RunConfig(
+    runs = [
+        (name, overrides, RunConfig(
             seed=args.seed,
             random_instances=args.random_instances,
             threads=args.threads,
             **overrides,
-        )
+        ))
+        for name, overrides in RUNS
+        if not args.suite or name == args.suite
+    ]
+    try:
+        for _, _, cfg in runs:
+            cfg.validate()
+    except DomainError as exc:
+        sys.stderr.write(f"domain error: {exc}\n")
+        return 2
+
+    failed = 0
+    grand = 0
+    t_all = time.monotonic()
+    for name, overrides, cfg in runs:
         t0 = time.monotonic()
         rep = run_suite(name, cfg)
         dt = time.monotonic() - t0

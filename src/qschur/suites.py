@@ -6,9 +6,18 @@ deterministic, randomized strata draw from a generator seeded by the
 config, and nothing host- or time-dependent enters the report.  Wall
 time is the CLI's business and goes to stderr only.
 
-Large comparison strata can fan out across processes; the instance
-space is split into index ranges and each worker re-enumerates its
+Every per-instance check is a stratum in `_STRATA`: a generator that
+only draws the instances (the runner walks it once to count them) and
+a check that does the work and returns None or a detail string.
+`_stratum_worker` alone counts instances and writes the failure record
+`{"stratum", "index", "instance", "detail"}`, and
+`_stratum_worker((stratum, cfg.to_json_obj(), index, index + 1))`
+replays it.  A stratum of at least `_PARALLEL_THRESHOLD` instances fans
+out across processes by index range, and each worker re-enumerates its
 slice, so the merged report does not depend on the worker count.
+Three checks are one computation each and write their own record: the
+relations suite's `check_relations` call, the pbw-independence verdict
+and the specialized family rank.
 
 `run_suite` validates the config, and `_report` assembles every report.
 The config's test hook, which makes a run fail on purpose, is read
@@ -122,9 +131,7 @@ def _binomial_scalar1_check(cfg: RunConfig, inst):
         ),
         LaurentPoly.from_int(0),
     )
-    if lhs != rhs:
-        return {"instance": list(inst), "detail": "one sided splitting identity"}
-    return None
+    return None if lhs == rhs else "one sided splitting identity"
 
 
 def _binomial_scalar2_check(cfg: RunConfig, inst):
@@ -139,17 +146,14 @@ def _binomial_scalar2_check(cfg: RunConfig, inst):
         ),
         LaurentPoly.from_int(0),
     )
-    if lhs != rhs:
-        return {"instance": list(inst), "detail": "one sided product identity"}
-    return None
+    return None if lhs == rhs else "one sided product identity"
 
 
 def _binomial_bridge_check(cfg: RunConfig, inst):
     big_n, t = inst
     lhs = unbalanced_binomial(big_n, t)
-    if lhs != v_power(t * (big_n - t)) * balanced_binomial(big_n, t):
-        return {"instance": list(inst), "detail": "one sided vs balanced bridge"}
-    return None
+    rhs = v_power(t * (big_n - t)) * balanced_binomial(big_n, t)
+    return None if lhs == rhs else "one sided vs balanced bridge"
 
 
 def _binomial_vector_instances(stratum: str, core_lo: int, random_lo: int, cfg: RunConfig):
@@ -178,9 +182,7 @@ def _binomial_vector1_check(cfg: RunConfig, inst):
             * vector_binomial(alpha, mu)
             * vector_binomial(beta, vsub(lam, mu))
         )
-    if lhs != rhs:
-        return {"instance": [list(x) for x in inst[1:]], "detail": "vector splitting"}
-    return None
+    return None if lhs == rhs else "vector splitting"
 
 
 def _binomial_vector2_check(cfg: RunConfig, inst):
@@ -195,9 +197,7 @@ def _binomial_vector2_check(cfg: RunConfig, inst):
             * vector_trinomial(total, gamma, vsub(lam, gamma), vsub(mu, gamma))
             * vector_binomial(alpha, total)
         )
-    if lhs != rhs:
-        return {"instance": [list(x) for x in inst[1:]], "detail": "vector product"}
-    return None
+    return None if lhs == rhs else "vector product"
 
 
 # -- structured one-row transfers against the coset oracle -------------------
@@ -216,21 +216,14 @@ def _transfer_instances(cfg: RunConfig):
 
 
 def _transfer_check(cfg: RunConfig, inst):
-    kind, h, m, a, r = inst
+    kind, h, m, a, _ = inst
     # E moves m units from row h+1 to row h, F from row h to row h+1: the
     # left factor is diag(ro(a)) with m moved from (j, j) to (i, j)
     i, j, rule = (h, h + 1, multiply_raising) if kind == "E" else (h + 1, h, multiply_lowering)
     got = rule(h, m, a)
     left = add_to_entry(add_to_entry(diag_matrix(ro(a)), j, j, -m), i, j, m)
-    want = oracle_product(left, a, cfg.oracle_cap)
-    if got.terms != want:
-        return {
-            "instance": {
-                "kind": kind, "h": h, "m": m,
-                "matrix": [list(rw) for rw in a], "r": r,
-            },
-            "detail": "structured transfer disagrees with coset oracle",
-        }
+    if got.terms != oracle_product(left, a, cfg.oracle_cap):
+        return "structured transfer disagrees with coset oracle"
     return None
 
 
@@ -331,20 +324,80 @@ def _check_formula(cfg: RunConfig, inst, engine: str = "fast"):
     got = gen_mult(key, x).realize_truncated(r_max)
     left = SymbolicElement(n, {key: ONE}).realize_truncated(r_max)
     want = left.multiply(x.realize_truncated(r_max), cap=cfg.oracle_cap, engine=engine)
-    if got == want:
-        return None
-    if len(inst) == 5:
-        rule_name, fields = "torus", ("gamma", "mu", "matrix", "delta", "lambda")
-    else:
-        rule_name, fields = "transfer", ("kind", "m", "h", "matrix", "delta", "lambda")
-    return {
-        "instance": {f: _as_lists(v) for f, v in zip(fields, inst)},
-        "detail": f"{rule_name} formula vs truncated product ({engine})",
-    }
+    rule_name = "torus" if len(head) == 2 else "transfer"
+    return None if got == want else f"{rule_name} formula vs truncated product ({engine})"
 
 
 def _as_lists(v):
     return [_as_lists(x) for x in v] if isinstance(v, tuple) else v
+
+
+# -- triangular expansion of the canonical words ------------------------------
+
+_TRIANGULAR_WEIGHT = 3
+
+
+def _triangular_check(cfg: RunConfig, a: Matrix):
+    _, rep = triangular_product(a)
+    broken = [k for k in ("leading_is_one", "lower_terms_precede", "norms_decrease") if not rep[k]]
+    return f"triangular expansion fails: {', '.join(broken)}" if broken else None
+
+
+# -- specialization at a root of unity ----------------------------------------
+
+
+def _torus_check(cfg: RunConfig, i: int):
+    rep = check_torus_power_trivial(i, cfg.l, cfg.n, min(cfg.resolve_r_max(5), 4))
+    return None if rep["ok"] else "torus power not trivial"
+
+
+def _homomorphism_pairs(cfg: RunConfig):
+    rng = _rng(cfg, "specialization:homomorphism")
+    for _ in range(max(4, cfg.random_instances // 25)):
+        yield _rand_key(rng, cfg.n), _rand_key(rng, cfg.n)
+
+
+def _homomorphism_check(cfg: RunConfig, keys):
+    r_max = min(cfg.resolve_r_max(5), 4)
+    x, y = (SymbolicElement.gen(*key).realize_truncated(r_max) for key in keys)
+    lhs = specialize(x.multiply(y, cap=cfg.oracle_cap), cfg.l)
+    rhs = specialize(x, cfg.l).multiply(specialize(y, cfg.l), cfg.oracle_cap)
+    return None if lhs == rhs else "specialization is not multiplicative"
+
+
+# -- closure of the integral forms under the symbolic formulas ---------------
+
+
+def _closure_words(cfg: RunConfig):
+    """A random starting key, then a word of one to four generators."""
+    rng = _rng(cfg, "closure:words")
+    n = cfg.n
+    zero, z = zero_matrix(n), (0,) * n
+    for _ in range(max(10, cfg.random_instances // 4)):
+        key = _rand_key(rng, n)
+        word = []
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.choice(("E", "F", "T"))
+            if kind == "T":
+                word.append((zero, _rand_vec(rng, n, -2, 2), _rand_vec(rng, n, 0, 2)))
+            else:
+                m, h = rng.randint(1, 2), rng.randint(1, n - 1)
+                i, j = (h, h + 1) if kind == "E" else (h + 1, h)
+                word.append((entry_matrix(n, i, j, m), z, z))
+        yield key, tuple(word)
+
+
+def _closure_check(cfg: RunConfig, inst):
+    key, word = inst
+    # the first letter drawn acts first
+    y = fold_word(word[::-1], SymbolicElement.gen(*key))
+    reduced = delta_reduce(y)
+    if any(not all(0 <= d <= 1 for d in k[1]) for k in reduced.terms):
+        return "reduction left stray exponents"
+    r_max = cfg.resolve_r_max(4)
+    if y.realize_truncated(r_max) != reduced.realize_truncated(r_max):
+        return "reduction changed the realization"
+    return None
 
 
 # -- stratum registry and the parallel runner --------------------------------
@@ -383,6 +436,13 @@ _STRATA = {
         lambda cfg: islice(_formula2_core_instances(cfg), 12),
         partial(_check_formula, engine="oracle"),
     ),
+    "triangular": (
+        lambda cfg: (a for a in theta_pm(cfg.n, _TRIANGULAR_WEIGHT) if entry_sum(a)),
+        _triangular_check,
+    ),
+    "specialization:torus": (lambda cfg: range(1, cfg.n + 1), _torus_check),
+    "specialization:homomorphism": (_homomorphism_pairs, _homomorphism_check),
+    "closure": (_closure_words, _closure_check),
 }
 
 
@@ -393,12 +453,12 @@ def _stratum_worker(args) -> tuple[int, list[dict]]:
     count = 0
     failures = []
     for idx, inst in enumerate(islice(gen(cfg), lo, hi), start=lo):
-        fail = check(cfg, inst)
         count += 1
-        if fail is not None:
-            fail["stratum"] = key
-            fail["index"] = idx
-            failures.append(fail)
+        detail = check(cfg, inst)
+        if detail is not None:
+            failures.append(
+                {"stratum": key, "index": idx, "instance": _as_lists(inst), "detail": detail}
+            )
     return count, failures
 
 
@@ -425,13 +485,15 @@ def _run_stratum(cfg: RunConfig, key: str) -> tuple[int, list[dict]]:
     return _stratum_worker((key, cfg.to_json_obj(), 0, total))
 
 
-def _run_strata(cfg: RunConfig, keys) -> tuple[int, list[dict]]:
+def _run_strata(cfg: RunConfig, prefix: str) -> tuple[int, list[dict]]:
+    """Run the strata named `prefix` or `prefix:<part>`, in registry order."""
     instances = 0
     failures: list[dict] = []
-    for key in keys:
-        count, fails = _run_stratum(cfg, key)
-        instances += count
-        failures.extend(fails)
+    for key in _STRATA:
+        if key.split(":")[0] == prefix:
+            count, fails = _run_stratum(cfg, key)
+            instances += count
+            failures.extend(fails)
     return instances, failures
 
 
@@ -473,16 +535,7 @@ def _report(
 
 
 def run_binomials(cfg: RunConfig) -> dict:
-    instances, failures = _run_strata(
-        cfg,
-        (
-            "binomials:scalar1",
-            "binomials:scalar2",
-            "binomials:bridge",
-            "binomials:vector1",
-            "binomials:vector2",
-        ),
-    )
+    instances, failures = _run_strata(cfg, "binomials")
     notes = [
         "scalar strata exhaustive over the stated integer boxes",
         "vector strata: exhaustive rank-2 core with entries up to 2 "
@@ -493,7 +546,7 @@ def run_binomials(cfg: RunConfig) -> dict:
 
 def run_transfer_formulas(cfg: RunConfig) -> dict:
     r_max = cfg.resolve_r_max(4)
-    instances, failures = _run_stratum(cfg, "transfer:main")
+    instances, failures = _run_strata(cfg, "transfer")
     notes = [
         "every degree up to r_max, every basis matrix, every valid transfer",
         "oracle side computed from double coset sums in the endomorphism ring",
@@ -503,9 +556,7 @@ def run_transfer_formulas(cfg: RunConfig) -> dict:
 
 def _run_formula_suite(cfg: RunConfig, name: str) -> dict:
     r_max = cfg.resolve_r_max(4)
-    instances, failures = _run_strata(
-        cfg, (f"{name}:{stratum}" for stratum in ("core", "random", "oracle"))
-    )
+    instances, failures = _run_strata(cfg, name)
     notes = [
         "symbolic formula output realized and compared with the "
         "componentwise truncated product",
@@ -529,27 +580,9 @@ def run_relations(cfg: RunConfig) -> dict:
 
 def run_triangular(cfg: RunConfig) -> dict:
     r_max = cfg.resolve_r_max(4)
-    sigma_bound = 3
-    instances = 0
-    failures: list[dict] = []
-    for a in theta_pm(cfg.n, sigma_bound):
-        if entry_sum(a) == 0:
-            continue
-        instances += 1
-        _, rep = triangular_product(a)
-        ok = (
-            rep["leading_is_one"]
-            and rep["lower_terms_precede"]
-            and rep["norms_decrease"]
-        )
-        if not ok:
-            failures.append(
-                {"matrix": [list(rw) for rw in a], "report": {
-                    k: v for k, v in rep.items() if isinstance(v, bool)
-                }}
-            )
+    instances, failures = _run_strata(cfg, "triangular")
     notes = [
-        f"all nonzero index matrices with total weight at most {sigma_bound}",
+        f"all nonzero index matrices with total weight at most {_TRIANGULAR_WEIGHT}",
         "checked: unit leading coefficient, strictly smaller order and "
         "norm for every other term",
     ]
@@ -595,27 +628,7 @@ def run_pbw_independence(cfg: RunConfig) -> dict:
 
 def run_specialization(cfg: RunConfig) -> dict:
     r_max = cfg.resolve_r_max(5)
-    torus_r = min(r_max, 4)
-    failures: list[dict] = []
-    instances = 0
-    for i in range(1, cfg.n + 1):
-        instances += 1
-        rep = check_torus_power_trivial(i, cfg.l, cfg.n, torus_r)
-        if not rep["ok"]:
-            failures.append({"detail": "torus power not trivial", **rep})
-
-    rng = _rng(cfg, "specialization:homomorphism")
-    pairs = max(4, cfg.random_instances // 25)
-    for _ in range(pairs):
-        instances += 1
-        n = cfg.n
-        x = SymbolicElement.gen(*_rand_key(rng, n)).realize_truncated(min(r_max, 4))
-        y = SymbolicElement.gen(*_rand_key(rng, n)).realize_truncated(min(r_max, 4))
-        lhs = specialize(x.multiply(y, cap=cfg.oracle_cap), cfg.l)
-        rhs = specialize(x, cfg.l).multiply(specialize(y, cfg.l), cfg.oracle_cap)
-        if lhs != rhs:
-            failures.append({"detail": "specialization is not multiplicative"})
-
+    instances, failures = _run_strata(cfg, "specialization")
     # one family, ranked after specialization for the verdict and
     # before it for the rank drop record
     products = bk_products(cfg.n, cfg.bound, r_max)
@@ -648,48 +661,14 @@ def run_specialization(cfg: RunConfig) -> dict:
 
 def run_closure(cfg: RunConfig) -> dict:
     r_max = cfg.resolve_r_max(4)
-    rng = _rng(cfg, "closure:words")
-    count = max(10, cfg.random_instances // 4)
-    failures: list[dict] = []
-    n = cfg.n
-    zero, z = zero_matrix(n), (0,) * n
-    for idx in range(count):
-        x = SymbolicElement.gen(*_rand_key(rng, n))
-        word = []
-        for _ in range(rng.randint(1, 4)):
-            kind = rng.choice(("E", "F", "T"))
-            if kind == "T":
-                word.append((zero, _rand_vec(rng, n, -2, 2), _rand_vec(rng, n, 0, 2)))
-            else:
-                m, h = rng.randint(1, 2), rng.randint(1, n - 1)
-                i, j = (h, h + 1) if kind == "E" else (h + 1, h)
-                word.append((entry_matrix(n, i, j, m), z, z))
-        # the first letter drawn acts first
-        y = fold_word(word[::-1], x)
-        reduced = delta_reduce(y)
-        bad_exponent = any(
-            not all(0 <= d <= 1 for d in key[1]) for key in reduced.terms
-        )
-        realization_changed = y.realize_truncated(r_max) != reduced.realize_truncated(r_max)
-        if bad_exponent or realization_changed:
-            failures.append(
-                {
-                    "index": idx,
-                    "word": [
-                        [[list(rw) for rw in a], list(d), list(lam)] for a, d, lam in word
-                    ],
-                    "detail": "reduction left stray exponents"
-                    if bad_exponent
-                    else "reduction changed the realization",
-                }
-            )
+    instances, failures = _run_strata(cfg, "closure")
     notes = [
         "random generator words folded through the symbolic formulas; "
         "every observed coefficient stayed in the integral Laurent ring",
         "after exponent reduction every torus exponent lies in {0,1} "
         "and the truncated realization is unchanged",
     ]
-    return _report(cfg, "closure", r_max, count, failures, notes)
+    return _report(cfg, "closure", r_max, instances, failures, notes)
 
 
 SUITES = {

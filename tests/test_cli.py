@@ -327,3 +327,13 @@ def test_acceptance_script_runs_from_any_directory(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert "0 failing runs" in done.stdout
+    # an option out of range is a usage error, as in `qschur verify`,
+    # not a failing run
+    for option in (("--threads", "0"), ("--random-instances", "-1")):
+        done = subprocess.run(
+            [sys.executable, str(script), *option],
+            capture_output=True, text=True, cwd=tmp_path, env=env, timeout=600,
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.startswith("domain error:")

@@ -79,6 +79,10 @@ def _plant(monkeypatch, case):
     )
 
 
+# each a single computation that writes its own record
+ONE_SHOT = ("relations", "pbw-independence")
+
+
 @pytest.mark.parametrize("case", PLANTED)
 def test_planted_defect_is_caught(case, monkeypatch):
     _plant(monkeypatch, case)
@@ -91,6 +95,23 @@ def test_planted_defect_is_caught(case, monkeypatch):
         assert count == 3
     assert failures
     assert {"detail": "injected failure"} not in failures
+    if case in ONE_SHOT:
+        return
+    # every per-instance record has one shape, and its stratum and
+    # index replay it alone
+    for record in failures:
+        assert set(record) == {"stratum", "index", "instance", "detail"}
+        index = record["index"]
+        replay = _stratum_worker((record["stratum"], SMALL.to_json_obj(), index, index + 1))
+        assert replay == (1, [record])
+
+
+def test_every_stratum_is_run_by_exactly_one_suite(monkeypatch):
+    ran = []
+    monkeypatch.setattr(suites, "_run_stratum", lambda cfg, key: ran.append(key) or (0, []))
+    for name in SUITE_NAMES:
+        run_suite(name, SMALL)
+    assert sorted(ran) == sorted(suites._STRATA)
 
 
 def test_reports_are_deterministic():
@@ -193,10 +214,12 @@ def test_transfer_formulas_at_rank_four():
 
 
 def test_formula2_oracle_stratum_at_rank_four():
-    # the raising and lowering rules against the pure coset engine
+    # the torus, raising and lowering rules against the pure coset
+    # engine on the rank-4 core axes
     cfg = RunConfig(n=4)
-    count, fails = _stratum_worker(("formula2:oracle", cfg.to_json_obj(), 0, 12))
-    assert count == 12 and fails == []
+    for stratum in ("formula1:oracle", "formula2:oracle"):
+        count, fails = _stratum_worker((stratum, cfg.to_json_obj(), 0, 12))
+        assert count == 12 and fails == []
 
 
 NUMBER_WORDS = ("zero", "one", "two", "three", "four", "five", "six", "seven", "eight",
