@@ -308,10 +308,11 @@ class LaurentPoly:
         x = Fraction(x)
         if not x:
             raise DomainError("cannot evaluate a Laurent polynomial at 0")
-        total = Fraction(0)
-        for e, c in self.to_pairs():
-            total += c * x**e
-        return total
+        pairs, a, b = self.to_pairs(), x.numerator, x.denominator
+        lo, hi = (pairs[0][0], pairs[-1][0]) if pairs else (0, 0)
+        # p(a/b) = a^lo b^-hi times the sum of c a^(e-lo) b^(hi-e), over Z
+        total = sum(c * a ** (e - lo) * b ** (hi - e) for e, c in pairs)
+        return Fraction(total * a ** max(lo, 0) * b ** max(-hi, 0), a ** max(-lo, 0) * b ** max(hi, 0))
 
     def __repr__(self) -> str:
         return f"LaurentPoly({dict(self.to_pairs())!r})"

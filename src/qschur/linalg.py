@@ -5,20 +5,20 @@ Independence over the Laurent field is certified by evaluating every
 coefficient at a nonzero rational point: evaluation can only lower the
 rank, so full row rank at a single point already proves independence.
 Dependence is certified by an exact kernel vector whose coordinates
-are Laurent polynomials of bounded degree, found by solving a rational
+are Laurent polynomials of bounded degree, found by solving an integer
 linear system in the unknown coefficients and verified by direct
 substitution.  The degree bound is deepened until the two certificates
 meet: the best evaluation rank from below, the kernel dimension from
 above.  Deepening is complete once the bound reaches the total degree
 spread of the rows, the degree any minor of the matrix can reach.
-The same elimination ranks rows over a cyclotomic field, where the
-specialized families live.
+One fraction-free elimination ranks rows over Z and over Z[eps], where
+the specialized families live, so neither ring needs an inverse.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+from numbers import Rational
 
 from .errors import ConsistencyError
 from .laurent import LaurentPoly, ZERO
@@ -32,10 +32,10 @@ __all__ = [
     "exact_rank",
 ]
 
-DEFAULT_POINTS = (Fraction(2), Fraction(3), Fraction(5), Fraction(7))
+DEFAULT_POINTS = (2, 3, 5, 7)
 
 SparseRow = dict[int, LaurentPoly]
-FractionRow = dict[int, Fraction]
+IntRow = dict[int, int]
 
 
 def flatten_family(elements) -> tuple[list[SparseRow], int]:
@@ -54,59 +54,70 @@ def flatten_family(elements) -> tuple[list[SparseRow], int]:
     return rows, len(index)
 
 
-def _eliminate(
-    rows: list[dict], want_kernel: bool = False
-) -> tuple[int, list[list[Fraction]]]:
-    """Gaussian elimination on sparse rows over an exact field (the
-    rationals, or a cyclotomic field).  With want_kernel, which needs
-    rational rows, every row that reduces to zero is reported as a
-    combination of the original rows (a left kernel basis)."""
-    m = len(rows)
-    pivots: dict[int, tuple[dict, list[Fraction]]] = {}
-    kernel: list[list[Fraction]] = []
+def _eliminate(rows: list[dict], want_kernel: bool = False) -> tuple[int, list[dict[int, int]]]:
+    """Fraction-free elimination on sparse rows over Z or Z[eps]: a row
+    meeting a pivot row at its leading column becomes p*row - f*pivot,
+    with p and f their entries there, which keeps the row space without
+    dividing.  With want_kernel (integer rows), row i carries a 1 in
+    column end + i, past every column of the rows, so a row reduced to
+    zero there holds its combination of the original rows: a left
+    kernel vector."""
+    end = max((c for row in rows for c in row), default=-1) + 1
+    pivots: dict[int, dict] = {}
+    kernel: list[dict[int, int]] = []
     for i, row in enumerate(rows):
         cur = {c: val for c, val in row.items() if val}
-        combo = [Fraction(0)] * m if want_kernel else []
         if want_kernel:
-            combo[i] = Fraction(1)
+            cur[end + i] = 1
         while cur:
             col = min(cur)
-            if col not in pivots:
-                pivots[col] = (cur, combo)
+            if col >= end:
+                kernel.append({c - end: val for c, val in cur.items()})
                 break
-            prow, pcombo = pivots[col]
-            factor = cur[col] / prow[col]
-            nxt = {c: val for c, val in cur.items() if c != col}
+            if col not in pivots:
+                pivots[col] = cur
+                break
+            prow = pivots[col]
+            p, f = prow[col], cur[col]
+            # p*f - f*p clears the leading column with the others
+            nxt = {c: p * val for c, val in cur.items()}
             for c, val in prow.items():
-                if c == col:
-                    continue
                 s = nxt.get(c)
-                s = -(factor * val) if s is None else s - factor * val
+                s = -(f * val) if s is None else s - f * val
                 if s:
                     nxt[c] = s
                 else:
                     nxt.pop(c, None)
-            if want_kernel:
-                combo = [ck - factor * pk for ck, pk in zip(combo, pcombo)]
-            cur = nxt
-        if not cur and want_kernel:
-            kernel.append(combo)
+            cur = _primitive(nxt)
     return len(pivots), kernel
 
 
+def _primitive(row: dict) -> dict:
+    """An integer row divided by the gcd of its entries; a row over
+    Z[eps] is returned as it is."""
+    if row and type(next(iter(row.values()))) is int and (g := gcd(*row.values())) > 1:
+        return {c: val // g for c, val in row.items()}
+    return row
+
+
 def exact_rank(rows: list[dict]) -> int:
-    """Rank of sparse rows over an exact field, by direct elimination."""
+    """Rank of sparse rows over Z or Z[eps], by direct elimination."""
     return _eliminate(rows)[0]
 
 
-def _eval_rows(rows: list[SparseRow], x: Fraction) -> list[FractionRow]:
-    return [
-        {col: val for col, p in row.items() if (val := p.evaluate(x))}
-        for row in rows
-    ]
+def _eval_rows(rows: list[SparseRow], x: Rational) -> list[IntRow]:
+    """The rows evaluated at x = a/b, each scaled by a^(-lo) b^(hi), with
+    lo and hi its least and greatest exponent, onto integers."""
+    out = []
+    for row in rows:
+        lo = min((p.min_exp() for p in row.values()), default=0)
+        scale = x.denominator ** (max((p.max_exp() for p in row.values()), default=0) - lo)
+        shifted = ((col, p.shift(-lo).evaluate(x) * scale) for col, p in row.items())
+        out.append({col: val.numerator for col, val in shifted if val})
+    return out
 
 
-def rank_at_point(rows: list[SparseRow], x: Fraction) -> int:
+def rank_at_point(rows: list[SparseRow], x: Rational) -> int:
     return exact_rank(_eval_rows(rows, x))
 
 
@@ -125,15 +136,15 @@ def _verify_kernel(rows: list[SparseRow], combo: list[LaurentPoly]) -> bool:
     return True
 
 
-def _normalize_combo(combo: list[Fraction], depth: int) -> list[LaurentPoly]:
-    """Turn a rational solution over unknowns (i, d) into a vector of
-    primitive integer Laurent polynomials, one per original row."""
-    den = lcm(*(c.denominator for c in combo))
-    ints = [int(c * den) for c in combo]
-    g = gcd(*ints)
+def _normalize_combo(combo: dict[int, int], m: int, depth: int) -> list[LaurentPoly]:
+    """Turn an integer solution over unknowns (i, d) into a vector of
+    primitive integer Laurent polynomials, one per original row, signed
+    so that its last nonzero unknown is positive."""
+    g = gcd(*combo.values())
+    g = g if combo[max(combo)] > 0 else -g
     return [
-        LaurentPoly({d: c // g for d, c in enumerate(ints[i : i + depth + 1])})
-        for i in range(0, len(ints), depth + 1)
+        LaurentPoly({d: combo.get(i * (depth + 1) + d, 0) // g for d in range(depth + 1)})
+        for i in range(m)
     ]
 
 
@@ -141,32 +152,32 @@ def poly_kernel(rows: list[SparseRow], depth: int) -> list[list[LaurentPoly]]:
     """Kernel vectors whose coordinates are polynomials in v of degree
     at most depth (a global v shift costs nothing, so nonnegative
     exponents lose no generality).  Each coordinate of each row
-    contributes to one rational equation per resulting v exponent; the
+    contributes to one integer equation per resulting v exponent; the
     left kernel of the transposed coefficient system yields the
     certificates, which are verified by substitution before return.
     """
     m = len(rows)
-    unknown_rows: list[FractionRow] = []
+    unknown_rows: list[IntRow] = []
     eq_index: dict[tuple[int, int], int] = {}
     for i in range(m):
         for d in range(depth + 1):
-            entries: FractionRow = {}
+            entries: IntRow = {}
             for col, p in rows[i].items():
                 for e, a in p.to_pairs():
                     eq = eq_index.setdefault((col, e + d), len(eq_index))
-                    entries[eq] = entries.get(eq, Fraction(0)) + a
+                    entries[eq] = entries.get(eq, 0) + a
             unknown_rows.append(entries)
     _, kernel = _eliminate(unknown_rows, want_kernel=True)
     out = []
     for combo in kernel:
-        polys = _normalize_combo(combo, depth)
+        polys = _normalize_combo(combo, m, depth)
         if not _verify_kernel(rows, polys):
             raise ConsistencyError("bounded degree kernel failed substitution")
         out.append(polys)
     return out
 
 
-def _best_rank(rows: list[SparseRow]) -> tuple[int, Fraction | None]:
+def _best_rank(rows: list[SparseRow]) -> tuple[int, int | None]:
     """The best rank of the rows evaluated at the points 2, 3, 5, 7, and
     the first point where it is the row count (None if there is none)."""
     best = 0

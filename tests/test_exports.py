@@ -237,16 +237,23 @@ def test_the_import_walk_sees_every_tree():
     assert _unused_imports(ast.parse(nested)) == ["os"]
 
 
-def _foreign_imports(tree: ast.AST) -> list[str]:
-    """Top-level names of the modules a file imports that are neither in
-    the standard library nor qschur itself."""
+def _import_roots(tree: ast.AST) -> list[str]:
+    """Top-level names of the modules a file imports by absolute name."""
     roots = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             roots += [a.name.split(".")[0] for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             roots.append(node.module.split(".")[0])
-    return [r for r in roots if r not in sys.stdlib_module_names and r != "qschur"]
+    return roots
+
+
+def _foreign_imports(tree: ast.AST) -> list[str]:
+    """Top-level names of the modules a file imports that are neither in
+    the standard library nor qschur itself."""
+    return [
+        r for r in _import_roots(tree) if r not in sys.stdlib_module_names and r != "qschur"
+    ]
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("src/qschur/*.py")), ids=lambda p: p.name)
@@ -254,6 +261,17 @@ def test_the_library_imports_only_the_standard_library(path):
     # numpy, sympy and the test tools are installed but are not
     # runtime dependencies
     assert _foreign_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_only_laurent_imports_fractions():
+    # exact linear algebra runs over Z and Z[eps]; the one rational value
+    # in the package is what the public LaurentPoly.evaluate returns
+    importers = [
+        path.name
+        for path in sorted(ROOT.glob("src/qschur/*.py"))
+        if "fractions" in _import_roots(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert importers == ["laurent.py"]
 
 
 def test_the_dependency_walk_sees_nested_imports():
